@@ -3,9 +3,9 @@ GO ?= go
 # stable numbers, lower it for a quick smoke pass.
 BENCHTIME ?= 0.2s
 
-.PHONY: all build vet test race bench bench-json bench-diff experiments docs-check examples-smoke chaos fuzz-smoke clean
+.PHONY: all build vet test race bench bench-smoke bench-json bench-diff experiments docs-check examples-smoke chaos fuzz-smoke clean
 
-all: vet build test docs-check
+all: vet build test bench-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench/ (the frozen gsbench end-to-end benchmark, BENCHMARK.json) is its
+# own module, so the root build/vet/test never compile it: this is what
+# catches an internal/* rename that would break it.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Machine-readable benchmark results: run the root benchmark suite with
 # -benchmem and record name → ns/op, B/op, allocs/op (+ custom metrics)
@@ -40,11 +47,13 @@ bench-diff:
 	$(GO) test -run XXX -bench . -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/bench-json -o /tmp/bench-noise.json
 	$(GO) run ./cmd/bench-diff -baseline $(BENCH_BASELINE) -current /tmp/bench-current.json -noise /tmp/bench-noise.json -threshold 25 $(BENCH_DIFF_FLAGS)
 
-# Render every experiment table (E1–E12).
+# Render every experiment table alert-bench knows (E1–E15 and E18; E16, E17
+# and E19 run from cmd/loadgen and the internal/sim tests).
 experiments:
 	$(GO) run ./cmd/alert-bench
 
-# Verify README package table, package doc comments and docs/ links.
+# Verify README package table, package doc comments, docs/ links, experiment
+# references and the gsalert_* metric names mentioned under docs/.
 docs-check:
 	$(GO) run ./cmd/docs-check
 

@@ -8,7 +8,9 @@
 //   - experiment references hold: any Go file mentioning EXPERIMENTS.md
 //     requires docs/EXPERIMENTS.md to exist, and every experiment id
 //     ("experiment E7") cited in Go sources must have a "## E7" section
-//     there — so a dangling experiment-doc reference can never regress.
+//     there — so a dangling experiment-doc reference can never regress;
+//   - every `gsalert_*` metric name mentioned under docs/ is a declared
+//     metric family (the table /metrics and the health rule grammar share).
 //
 // It prints one line per violation and exits non-zero if any were found.
 // Run it as `make docs-check`; CI runs it on every push.
@@ -23,6 +25,9 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	_ "github.com/gsalert/gsalert/internal/health" // declares the engine's own series
+	"github.com/gsalert/gsalert/internal/obs"
 )
 
 func main() {
@@ -45,6 +50,7 @@ func run(root string) int {
 	checkDocComments(root, complain)
 	checkDocsLinked(root, string(readme), complain)
 	checkExperimentRefs(root, complain)
+	checkMetricNames(root, complain)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -53,7 +59,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links and experiment references are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references and metric names are consistent")
 	return 0
 }
 
@@ -229,6 +235,43 @@ func checkDocsLinked(root, readme string, complain func(string, ...any)) {
 		rel = filepath.ToSlash(rel)
 		if !strings.Contains(readme, rel) {
 			complain("%s is not linked from README.md", rel)
+		}
+	}
+}
+
+// metricNameRe matches gsalert_* series names in prose; a trailing
+// underscore is what a family glob such as `gsalert_exporter_*` leaves.
+var metricNameRe = regexp.MustCompile(`gsalert_[a-z0-9_]+`)
+
+// histogramSeriesRe strips the per-series suffixes of a histogram family.
+var histogramSeriesRe = regexp.MustCompile(`_(bucket|sum|count)$`)
+
+// checkMetricNames verifies every gsalert_* name under docs/ against
+// obs.Declared(): a documented series that no Register* can emit (a typo, a
+// renamed or retired family) is a docs bug.
+func checkMetricNames(root string, complain func(string, ...any)) {
+	declared := obs.Declared()
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // the pattern is constant
+	for _, d := range docs {
+		raw, err := os.ReadFile(d)
+		if err != nil {
+			complain("reading %s: %v", d, err)
+			continue
+		}
+		complained := make(map[string]bool)
+	names:
+		for _, name := range metricNameRe.FindAllString(string(raw), -1) {
+			_, exact := declared[name]
+			if kind, ok := declared[histogramSeriesRe.ReplaceAllString(name, "")]; exact || complained[name] || ok && kind == obs.KindHistogram {
+				continue
+			}
+			for family := range declared {
+				if strings.HasSuffix(name, "_") && strings.HasPrefix(family, name) {
+					continue names
+				}
+			}
+			complained[name] = true
+			complain("docs/%s mentions %s, which is not a declared metric family", filepath.Base(d), name)
 		}
 	}
 }

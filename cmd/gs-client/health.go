@@ -18,7 +18,7 @@ import (
 // the same style as cmdTrace.
 func cmdHealth(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	ops := fs.String("ops", "127.0.0.1:8080", "ops endpoint address of a gs-server (-metrics-addr/-stats-addr) or gds-server (-metrics-addr) started with -health")
+	ops := fs.String("ops", "127.0.0.1:8080", "ops endpoint address (-metrics-addr) of a gs-server or gds-server started with -health")
 	showReady := fs.Bool("ready", true, "also probe /readyz and print the readiness verdict")
 	firingOnly := fs.Bool("firing", false, "only print rules that are pending or firing")
 	_ = fs.Parse(args)

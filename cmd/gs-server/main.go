@@ -35,511 +35,437 @@ import (
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
-	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/obs"
+	"github.com/gsalert/gsalert/internal/ops"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
 	"github.com/gsalert/gsalert/internal/replica"
-	"github.com/gsalert/gsalert/internal/trace"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	var (
-		name         = flag.String("name", "Hamilton", "server name (network-internal, resolved via the GDS)")
-		addr         = flag.String("addr", "127.0.0.1:8001", "listen address")
-		gdsAddr      = flag.String("gds", "127.0.0.1:7001", "GDS node address to register with")
-		routing      = flag.String("routing", "broadcast", "GDS dissemination mode: broadcast, multicast or content (see docs/ROUTING.md)")
-		warmup       = flag.Duration("content-warmup", core.DefaultContentWarmup, "flood-fallback window after entering content routing, while digest advertisements propagate; 0 disables")
-		dedupCap     = flag.Int("dedup-capacity", event.DefaultDedupCapacity, "event-ID dedup window (IDs remembered); larger windows cost ~100 B per ID but survive longer broadcast echo delays, smaller ones risk re-delivering late duplicates")
-		compTick     = flag.Duration("composite-tick", time.Second, "composite-engine tick interval: bounds digest flush latency and window-GC promptness (see docs/COMPOSITE.md)")
-		demo         = flag.Bool("demo", false, "create a demo collection and rebuild it periodically")
-		demoName     = flag.String("demo-name", "Demo", "demo collection name")
-		demoInterval = flag.Duration("demo-interval", 15*time.Second, "demo rebuild interval")
-		subsFlag     = flag.String("sub", "", "comma-separated remote sub-collection refs Host=Collection for the demo collection")
+// options is every gs-server flag, parsed straight into the config structs
+// the components take.
+type options struct {
+	name, addr, gdsAddr string
+	mode                core.RoutingMode
+	warmup, compTick    time.Duration
+	dedupCap            int
 
-		// Delivery pipeline knobs (internal/delivery).
-		dlvShards   = flag.Int("delivery-shards", delivery.DefaultShards, "delivery worker shards (clients hash onto shards)")
-		dlvQueue    = flag.Int("delivery-queue-depth", delivery.DefaultQueueDepth, "per-shard delivery queue depth")
-		dlvOverflow = flag.String("delivery-overflow", "block", "full-queue policy: block, drop-oldest or spill")
-		dlvBatch    = flag.Int("delivery-batch", delivery.DefaultBatchSize, "notifications per delivery batch (flush on size)")
-		dlvFlush    = flag.Duration("delivery-flush-interval", delivery.DefaultFlushInterval, "max delivery batching latency (flush on interval)")
-		mailboxDir  = flag.String("mailbox-dir", "", "directory for durable per-user mailboxes (WAL); empty = memory only")
-		mailboxCap  = flag.Int("mailbox-cap", delivery.DefaultMailboxCap, "max parked notifications per user")
+	demo         bool
+	demoName     string
+	demoInterval time.Duration
+	subs         string
 
-		// QoS admission-control knobs (internal/qos, docs/QOS.md).
-		qosOn        = flag.Bool("qos", false, "enable QoS admission control: per-subscriber and per-collection token-bucket quotas with graceful degradation (normal defers, bulk coalesces into digests; realtime is never shed)")
-		qosSubRate   = flag.Float64("qos-subscriber-rate", 100, "sustained notifications/sec each subscriber may receive across non-realtime classes")
-		qosSubBurst  = flag.Int("qos-subscriber-burst", 200, "per-subscriber token-bucket capacity; 0 disables the subscriber quota dimension")
-		qosCollRate  = flag.Float64("qos-collection-rate", 1000, "sustained events/sec one collection may fan out through non-realtime subscriptions")
-		qosCollBurst = flag.Int("qos-collection-burst", 2000, "per-collection token-bucket capacity; 0 disables the collection quota dimension")
-		qosBulkEvery = flag.Duration("qos-bulk-digest", qos.DefaultBulkDigestEvery, "coalescing period for over-quota bulk traffic: shed bulk notifications accrue and flush as one digest per period")
-		qosWeights   = flag.String("qos-weights", "", "delivery WFQ class weights as realtime:normal:bulk (e.g. 8:4:1); empty = defaults")
+	delivery delivery.Config
+	qosOn    bool
+	qos      qos.Config
 
-		// Replication & ops knobs (internal/replica, docs/REPLICATION.md).
-		replListen  = flag.String("replica-listen", "", "replication endpoint to listen on (host:port); primaries accept standby joins here, standbys receive the stream")
-		replicaOf   = flag.String("replica-of", "", "run as standby of the primary whose replication endpoint is this address (requires -replica-listen); the server inherits -name, stays unregistered and passive, and serves only after promotion")
-		promoteAddr = flag.String("promote", "", "one-shot: order the standby at this replication endpoint to promote to serving primary, then exit")
+	replListen, replicaOf, promoteAddr string
 
-		// Observability knobs (internal/obs, docs/OBSERVABILITY.md).
-		statsAddr    = flag.String("stats-addr", "", "serve ServiceStats (including the Replica* fields) as JSON over HTTP at this address (GET /stats; GET /metrics serves the same catalog as Prometheus text); empty disables")
-		metricsAddr  = flag.String("metrics-addr", "", "serve the Prometheus metric catalog over HTTP at this address (GET /metrics, plus the JSON GET /stats); empty disables")
-		pushURL      = flag.String("metrics-push-url", "", "push gzip'd Prometheus snapshots to this HTTP sink (e.g. a VictoriaMetrics import endpoint); empty disables")
-		pushInterval = flag.Duration("metrics-push-interval", 15*time.Second, "interval between pushed metric snapshots")
-		pushMaxBps   = flag.Int("metrics-push-max-bps", 0, "bandwidth cap for pushed snapshots in compressed bytes/sec; 0 = unlimited")
+	healthMeta, readyGDS, readyRepl bool
+	ops                             ops.Config
+}
 
-		// Tracing knobs (internal/trace, docs/TRACING.md).
-		traceSample = flag.Float64("trace-sample", 0, "head-sampling rate for end-to-end event traces in [0,1]: fraction of publishes recorded as span trees, served at GET /traces on the ops endpoint; 0 disables (with -trace-slow 0)")
-		traceSlow   = flag.Duration("trace-slow", 0, "tail-retain threshold: publish roots slower than this are traced even when head sampling passed them over; 0 disables tail retention")
-		traceCap    = flag.Int("trace-capacity", trace.DefaultCapacity, "span slots in the in-memory trace ring (drop-oldest)")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the ops endpoint (docs/OBSERVABILITY.md)")
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("gs-server", flag.ContinueOnError)
+	fs.StringVar(&o.name, "name", "Hamilton", "server name (network-internal, resolved via the GDS)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8001", "listen address")
+	fs.StringVar(&o.gdsAddr, "gds", "127.0.0.1:7001", "GDS node address to register with")
+	routing := fs.String("routing", "broadcast", "GDS dissemination mode: broadcast, multicast or content (see docs/ROUTING.md)")
+	fs.DurationVar(&o.warmup, "content-warmup", core.DefaultContentWarmup, "flood-fallback window after entering content routing, while digest advertisements propagate; 0 disables")
+	fs.IntVar(&o.dedupCap, "dedup-capacity", event.DefaultDedupCapacity, "event-ID dedup window (IDs remembered); larger windows cost ~100 B per ID but survive longer broadcast echo delays, smaller ones risk re-delivering late duplicates")
+	fs.DurationVar(&o.compTick, "composite-tick", time.Second, "composite-engine tick interval: bounds digest flush latency and window-GC promptness (see docs/COMPOSITE.md)")
+	fs.BoolVar(&o.demo, "demo", false, "create a demo collection and rebuild it periodically")
+	fs.StringVar(&o.demoName, "demo-name", "Demo", "demo collection name")
+	fs.DurationVar(&o.demoInterval, "demo-interval", 15*time.Second, "demo rebuild interval")
+	fs.StringVar(&o.subs, "sub", "", "comma-separated remote sub-collection refs Host=Collection for the demo collection")
 
-		// Structured-logging knobs (internal/logging, docs/LOGGING.md).
-		logLevel  = flag.String("log-level", "info", "minimum structured-log level kept: debug, info, warn, error or off; kept records land in the per-component flight rings and (rate-limited) on stderr")
-		logRing   = flag.Int("log-ring", logging.DefaultRingSize, "per-component flight-ring capacity in records (drop-oldest)")
-		logRate   = flag.Float64("log-stderr-rate", 50, "per-component stderr lines/sec cap (token bucket; suppressed lines stay ring-retained, counted in gsalert_logging_suppressed_total); 0 disables the limiter")
-		flightDir = flag.String("flight-dir", "", "directory for post-mortem flight bundles: each health transition into critical writes one JSONL bundle here; empty keeps captures on-demand only (GET /debug/flightrecorder, gs-client logs)")
+	// Delivery pipeline knobs (internal/delivery).
+	fs.IntVar(&o.delivery.Shards, "delivery-shards", delivery.DefaultShards, "delivery worker shards (clients hash onto shards)")
+	fs.IntVar(&o.delivery.QueueDepth, "delivery-queue-depth", delivery.DefaultQueueDepth, "per-shard delivery queue depth")
+	overflow := fs.String("delivery-overflow", "block", "full-queue policy: block, drop-oldest or spill")
+	fs.IntVar(&o.delivery.BatchSize, "delivery-batch", delivery.DefaultBatchSize, "notifications per delivery batch (flush on size)")
+	fs.DurationVar(&o.delivery.FlushInterval, "delivery-flush-interval", delivery.DefaultFlushInterval, "max delivery batching latency (flush on interval)")
+	fs.StringVar(&o.delivery.Dir, "mailbox-dir", "", "directory for durable per-user mailboxes (WAL); empty = memory only")
+	fs.IntVar(&o.delivery.MailboxCap, "mailbox-cap", delivery.DefaultMailboxCap, "max parked notifications per user")
 
-		// Health-plane knobs (internal/health, docs/HEALTH.md).
-		healthOn    = flag.Bool("health", false, "enable the self-alerting health plane: SLO rules evaluated against the local metric registry, /healthz + /readyz on the ops endpoint, ALERTS series, and meta-alert events published into the pipeline; implied by -health-rules")
-		healthRules = flag.String("health-rules", "", "health rule file (docs/HEALTH.md grammar); empty = the built-in E15/E16-signature defaults")
-		healthTick  = flag.Duration("health-tick", 10*time.Second, "health rule evaluation cadence (scrape-like pull; zero hot-path cost)")
-		healthMeta  = flag.Bool("health-alerts", true, "publish each health state transition as a health-alert event into the pipeline (the dogfood; subscribe with event.type = \"health-alert\")")
-		readyGDS    = flag.Bool("ready-gds", true, "gate /readyz on successful GDS registration (serving roles only)")
-		readyRepl   = flag.Bool("ready-standby", true, "on a standby, gate /readyz on being snapshot-synced with a reachable primary (promotion flips the gate to serving-side checks)")
-	)
-	flag.Parse()
+	// QoS admission-control knobs (internal/qos, docs/QOS.md).
+	fs.BoolVar(&o.qosOn, "qos", false, "enable QoS admission control: per-subscriber and per-collection token-bucket quotas with graceful degradation (normal defers, bulk coalesces into digests; realtime is never shed)")
+	fs.Float64Var(&o.qos.SubscriberRate, "qos-subscriber-rate", 100, "sustained notifications/sec each subscriber may receive across non-realtime classes")
+	fs.IntVar(&o.qos.SubscriberBurst, "qos-subscriber-burst", 200, "per-subscriber token-bucket capacity; 0 disables the subscriber quota dimension")
+	fs.Float64Var(&o.qos.CollectionRate, "qos-collection-rate", 1000, "sustained events/sec one collection may fan out through non-realtime subscriptions")
+	fs.IntVar(&o.qos.CollectionBurst, "qos-collection-burst", 2000, "per-collection token-bucket capacity; 0 disables the collection quota dimension")
+	fs.DurationVar(&o.qos.BulkDigestEvery, "qos-bulk-digest", qos.DefaultBulkDigestEvery, "coalescing period for over-quota bulk traffic: shed bulk notifications accrue and flush as one digest per period")
+	weights := fs.String("qos-weights", "", "delivery WFQ class weights as realtime:normal:bulk (e.g. 8:4:1); empty = defaults")
 
-	if *promoteAddr != "" {
-		return runPromote(*promoteAddr)
+	// Replication knobs (internal/replica, docs/REPLICATION.md).
+	fs.StringVar(&o.replListen, "replica-listen", "", "replication endpoint to listen on (host:port); primaries accept standby joins here, standbys receive the stream")
+	fs.StringVar(&o.replicaOf, "replica-of", "", "run as standby of the primary whose replication endpoint is this address (requires -replica-listen); the server inherits -name, stays unregistered and passive, and serves only after promotion")
+	fs.StringVar(&o.promoteAddr, "promote", "", "one-shot: order the standby at this replication endpoint to promote to serving primary, then exit")
+
+	// The ops plane (internal/ops, docs/OBSERVABILITY.md): the shared flags,
+	// then the ones only a server with a publish path has.
+	o.ops.RegisterFlags(fs)
+	fs.Float64Var(&o.ops.TraceSample, "trace-sample", 0, "head-sampling rate for end-to-end event traces in [0,1]: fraction of publishes recorded as span trees, served at GET /traces on the ops endpoint; 0 disables (with -trace-slow 0)")
+	fs.DurationVar(&o.ops.TraceSlow, "trace-slow", 0, "tail-retain threshold: publish roots slower than this are traced even when head sampling passed them over; 0 disables tail retention")
+	fs.Float64Var(&o.ops.LogRateLimit, "log-stderr-rate", 50, "per-component stderr lines/sec cap (token bucket; suppressed lines stay ring-retained, counted in gsalert_logging_suppressed_total); 0 disables the limiter")
+	fs.BoolVar(&o.healthMeta, "health-alerts", true, "publish each health state transition as a health-alert event into the pipeline (the dogfood; subscribe with event.type = \"health-alert\")")
+	fs.BoolVar(&o.readyGDS, "ready-gds", true, "gate /readyz on successful GDS registration (serving roles only)")
+	fs.BoolVar(&o.readyRepl, "ready-standby", true, "on a standby, gate /readyz on being snapshot-synced with a reachable primary (promotion flips the gate to serving-side checks)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *replicaOf != "" && *replListen == "" {
-		fmt.Fprintln(os.Stderr, "gs-server: -replica-of requires -replica-listen")
-		return 1
-	}
 
-	mode, err := core.ParseRoutingMode(*routing)
+	// Enum-valued flags and cross-flag constraints, reported like the flag
+	// package's own errors.
+	err := func() (err error) {
+		if o.replicaOf != "" && o.replListen == "" {
+			return errors.New("-replica-of requires -replica-listen")
+		}
+		if o.mode, err = core.ParseRoutingMode(*routing); err != nil {
+			return err
+		}
+		if o.delivery.Overflow, err = delivery.ParseOverflowPolicy(*overflow); err != nil {
+			return err
+		}
+		o.delivery.ClassWeights, err = parseClassWeights(*weights)
+		return err
+	}()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
+		fmt.Fprintf(fs.Output(), "gs-server: %v\n", err)
+		return nil, err
 	}
 	// At the config layer zero means "use the default", so translate the
 	// flag's explicit 0 ("no warm-up") to the negative sentinel.
-	if *warmup == 0 {
-		*warmup = -1
+	if o.warmup == 0 {
+		o.warmup = -1
 	}
+	o.ops.Trace = o.ops.TraceSample > 0 || o.ops.TraceSlow > 0
+	return o, nil
+}
 
-	tr := transport.NewHTTP()
-	defer func() { _ = tr.Close() }()
+func run(args []string) int {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2 // already reported on stderr, with the usage
+	}
+	if o.promoteAddr != "" {
+		return runPromote(o.promoteAddr)
+	}
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
+	s, err := assemble(ctx, o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
+		return 1
+	}
+	defer s.close()
+	fmt.Printf("gs-server %s listening on %s\n", o.name, o.addr)
+	<-ctx.Done()
+	s.shutdown()
+	return 0
+}
 
-	overflow, err := delivery.ParseOverflowPolicy(*dlvOverflow)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
-	}
-	weights, err := parseClassWeights(*qosWeights)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
-	}
-	logLvl, err := logging.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
-	}
-	// Structured logging: one recorder owns the per-component flight rings;
-	// scoped loggers thread through the delivery pipeline, core service,
-	// replica roles and the health engine, each behind a single nil/level
-	// check on the hot paths (docs/LOGGING.md).
-	rec := logging.NewRecorder(logging.Config{
-		Level:     logLvl,
-		RingSize:  *logRing,
-		Sink:      os.Stderr,
-		RateLimit: *logRate,
-	})
-	// Tracing: one collector feeds /traces and the gsalert_trace_* series;
-	// the tracer threads through the publish path, delivery pipeline and
-	// (on standbys) the replication apply loop.
-	var tracer *trace.Tracer
-	if *traceSample > 0 || *traceSlow > 0 {
-		tracer = trace.New(trace.Config{
-			Service:    *name,
-			SampleRate: *traceSample,
-			SlowRoot:   *traceSlow,
-			Collector:  trace.NewCollector(*traceCap),
-		})
-	}
+// server is one assembled gs-server: what run() waits on and shuts down,
+// and the handles the binary's own test drives.
+type server struct {
+	o        *options
+	plane    *ops.Plane
+	pipeline *delivery.Pipeline
+	svc      *core.Service
+	gdsCli   *gds.Client
+	srv      *greenstone.Server
+	recv     *replica.Standby // nil unless -replica-of
 
-	pipeline, err := delivery.NewPipeline(delivery.Config{
-		Shards:        *dlvShards,
-		QueueDepth:    *dlvQueue,
-		Overflow:      overflow,
-		BatchSize:     *dlvBatch,
-		FlushInterval: *dlvFlush,
-		Dir:           *mailboxDir,
-		MailboxCap:    *mailboxCap,
-		ClassWeights:  weights,
-		Tracer:        tracer,
-		Log:           rec.For("delivery"),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: delivery pipeline: %v\n", err)
-		return 1
+	// gdsRegistered feeds the /readyz gds-registered check.
+	gdsRegistered atomic.Bool
+	closers       []func()
+}
+
+func (s *server) onClose(fn func()) { s.closers = append(s.closers, fn) }
+
+// close releases everything assemble built, newest first.
+func (s *server) close() {
+	for i := len(s.closers) - 1; i >= 0; i-- {
+		s.closers[i]()
 	}
-	defer func() { _ = pipeline.Close() }()
-	if *mailboxDir != "" {
-		if n := pipeline.Metrics().Recovered.Value(); n > 0 {
-			fmt.Printf("gs-server %s: recovered %d undelivered notifications from %s\n", *name, n, *mailboxDir)
+}
+
+// stats is the /stats payload, also embedded in flight bundles.
+func (s *server) stats() any {
+	return struct {
+		Service  core.ServiceStats
+		Delivery delivery.Snapshot
+	}{s.svc.Stats(), s.pipeline.Metrics().Snapshot()}
+}
+
+// publishTransition is the -health-alerts dogfood: every health state
+// transition goes back into the pipeline as a health-alert event.
+func (s *server) publishTransition(tr health.Transition) {
+	if err := s.svc.PublishHealthAlert(context.Background(), tr.Alert()); err != nil {
+		fmt.Fprintf(os.Stderr, "gs-server: health alert publish: %v\n", err)
+	}
+}
+
+// assemble builds and starts one server from parsed flags: the ops plane
+// first (its tracer and loggers thread through everything else), then
+// pipeline → service → protocol listener → replication role → registry
+// wiring → ops endpoint. ctx bounds the background loops it starts.
+func assemble(ctx context.Context, o *options) (_ *server, err error) {
+	s := &server{o: o}
+	defer func() {
+		if err != nil {
+			s.close()
 		}
+	}()
+	o.ops.Service, o.ops.Stats, o.ops.LogSink = o.name, s.stats, os.Stderr
+	if o.healthMeta {
+		o.ops.OnTransition = s.publishTransition
+	}
+	if s.plane, err = ops.Start(o.ops); err != nil {
+		return nil, err
+	}
+	tr := transport.NewHTTP()
+	s.onClose(func() { _ = tr.Close() })
+
+	dcfg := o.delivery
+	s.plane.WireDelivery(&dcfg)
+	if s.pipeline, err = delivery.NewPipeline(dcfg); err != nil {
+		return nil, fmt.Errorf("delivery pipeline: %w", err)
+	}
+	s.onClose(func() { _ = s.pipeline.Close() })
+	if n := s.pipeline.Metrics().Recovered.Value(); dcfg.Dir != "" && n > 0 {
+		fmt.Printf("gs-server %s: recovered %d undelivered notifications from %s\n", o.name, n, dcfg.Dir)
 	}
 
 	var ctrl *qos.Controller
-	if *qosOn {
-		ctrl = qos.NewController(qos.Config{
-			SubscriberRate:  *qosSubRate,
-			SubscriberBurst: *qosSubBurst,
-			CollectionRate:  *qosCollRate,
-			CollectionBurst: *qosCollBurst,
-			BulkDigestEvery: *qosBulkEvery,
-		})
+	if o.qosOn {
+		ctrl = qos.NewController(o.qos)
+		fmt.Printf("gs-server %s admission control on (subscriber %g/s burst %d, collection %g/s burst %d, bulk digest every %s)\n",
+			o.name, o.qos.SubscriberRate, o.qos.SubscriberBurst, o.qos.CollectionRate, o.qos.CollectionBurst, o.qos.BulkDigestEvery)
 	}
-	gdsCli := gds.NewClient(*name, *addr, *gdsAddr, tr)
-	store := collection.NewStore(*name)
-	svc, err := core.New(core.Config{
-		ServerName:    *name,
-		ServerAddr:    *addr,
+	s.gdsCli = gds.NewClient(o.name, o.addr, o.gdsAddr, tr)
+	store := collection.NewStore(o.name)
+	ccfg := core.Config{
+		ServerName:    o.name,
+		ServerAddr:    o.addr,
 		Transport:     tr,
-		GDS:           gdsCli,
+		GDS:           s.gdsCli,
 		Store:         store,
-		Delivery:      pipeline,
-		ContentWarmup: *warmup,
-		DedupCapacity: *dedupCap,
+		Delivery:      s.pipeline,
+		ContentWarmup: o.warmup,
+		DedupCapacity: o.dedupCap,
 		QoS:           ctrl,
-		Tracer:        tracer,
-		Log:           rec.For("core"),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
 	}
-	defer func() { _ = svc.Close() }()
+	s.plane.WireCore(&ccfg)
+	if s.svc, err = core.New(ccfg); err != nil {
+		return nil, err
+	}
+	s.onClose(func() { _ = s.svc.Close() })
 	// Composite profiles need the periodic tick for digest flushes and
 	// window garbage collection.
-	if err := svc.StartCompositeTicker(*compTick); err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: composite ticker: %v\n", err)
-		return 1
+	if err = s.svc.StartCompositeTicker(o.compTick); err != nil {
+		return nil, fmt.Errorf("composite ticker: %w", err)
 	}
-	srv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name:      *name,
-		Addr:      *addr,
+	s.srv, err = greenstone.NewServer(greenstone.ServerConfig{
+		Name:      o.name,
+		Addr:      o.addr,
 		Transport: tr,
 		Store:     store,
-		Alerting:  svc,
-		Resolver:  gdsCli,
+		Alerting:  s.svc,
+		Resolver:  s.gdsCli,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: %v\n", err)
-		return 1
+		return nil, err
 	}
-	defer func() { _ = srv.Close() }()
+	s.onClose(func() { _ = s.srv.Close() })
 
-	standby := *replicaOf != ""
-	// recv and gdsRegistered feed the /readyz checks below: a standby is
-	// ready when synced with a reachable primary (or promoted to serving);
-	// a serving server is ready once registered with the directory.
-	var recv *replica.Standby
-	var gdsRegistered atomicBool
-	if standby {
-		// A standby never registers and never advertises: the primary owns
-		// the server name until promotion. Promotion (via `gs-server
-		// -promote <addr>` or replica.Standby.Promote) registers and
-		// re-issues the inherited routing mode itself.
-		recv, err = replica.NewStandby(replica.StandbyConfig{
-			Service:     svc,
-			Transport:   tr,
-			ListenAddr:  *replListen,
-			PrimaryAddr: *replicaOf,
-			GDS:         gdsCli,
-			Tracer:      tracer,
-			Log:         rec.For("replica"),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: standby: %v\n", err)
-			return 1
+	if o.replicaOf != "" {
+		if err = s.standBy(ctx, tr); err != nil {
+			return nil, err
 		}
-		defer func() { _ = recv.Close() }()
-		// Join with retry (the primary may not be up yet), then heartbeat
-		// forever: a probe that finds the stream broken, the primary
-		// restarted, or positions diverged rejoins via snapshot resync.
-		// Without the loop a single stream break would silently freeze the
-		// standby until the operator noticed.
-		go func() {
-			joined := false
-			for !recv.Promoted() {
-				opCtx, opCancel := context.WithTimeout(ctx, 10*time.Second)
-				var err error
-				if !joined {
-					if err = recv.Join(opCtx); err == nil {
-						joined = true
-						fmt.Printf("gs-server %s standing by for %s (stream at %s)\n", *name, *replicaOf, *replListen)
-					} else {
-						fmt.Fprintf(os.Stderr, "gs-server: standby join: %v (retrying)\n", err)
-					}
-				} else if err = recv.Heartbeat(opCtx); err != nil {
-					fmt.Fprintf(os.Stderr, "gs-server: standby heartbeat: %v (retrying)\n", err)
-				}
-				opCancel()
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(5 * time.Second):
-				}
-			}
-		}()
-	} else {
-		regCtx, regCancel := context.WithTimeout(ctx, 10*time.Second)
-		err = gdsCli.Register(regCtx)
-		regCancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: GDS registration failed (continuing solitary): %v\n", err)
-		} else {
-			gdsRegistered.set(true)
-			fmt.Printf("gs-server %s registered with GDS at %s\n", *name, *gdsAddr)
-		}
-
-		// Dissemination mode after registration: multicast joins groups and
-		// content routing advertises the profile digest through the GDS node.
-		if mode != core.RouteBroadcast {
-			modeCtx, modeCancel := context.WithTimeout(ctx, 10*time.Second)
-			err = svc.SetRoutingMode(modeCtx, mode)
-			modeCancel()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: routing mode %s: %v (reverting to broadcast)\n", mode, err)
-				if err := svc.SetRoutingMode(context.Background(), core.RouteBroadcast); err != nil {
-					fmt.Fprintf(os.Stderr, "gs-server: revert to broadcast: %v\n", err)
-				}
-			} else {
-				fmt.Printf("gs-server %s disseminating via %s routing\n", *name, mode)
-			}
-		}
-
-		if *replListen != "" {
-			// Primary role: accept a standby and stream every state change
-			// to it (docs/REPLICATION.md).
-			prim, err := replica.NewPrimary(replica.PrimaryConfig{
-				Service:    svc,
-				Transport:  tr,
-				ListenAddr: *replListen,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: replication endpoint: %v\n", err)
-				return 1
-			}
-			defer func() { _ = prim.Close() }()
-			fmt.Printf("gs-server %s accepting a standby at %s\n", *name, *replListen)
-		}
+	} else if err = s.serve(ctx, tr); err != nil {
+		return nil, err
 	}
 
-	// Observability: one registry covers every subsystem; -metrics-addr and
-	// -stats-addr serve the same mux (Prometheus /metrics + JSON /stats), and
-	// -metrics-push-url starts the self-monitoring push exporter against the
-	// same registry.
-	reg := obs.NewRegistry()
-	obs.RegisterService(reg, svc.Stats)
-	obs.RegisterDelivery(reg, pipeline)
+	reg := s.plane.Registry
+	obs.RegisterService(reg, s.svc.Stats)
+	obs.RegisterDelivery(reg, s.pipeline)
 	if ctrl != nil {
 		obs.RegisterQoS(reg, ctrl)
 	}
 	obs.RegisterHTTPTransport(reg, tr)
 	obs.RegisterGoRuntime(reg)
-	obs.RegisterLogging(reg, rec)
-	statsJSON := func() any {
-		return struct {
-			Service  core.ServiceStats
-			Delivery delivery.Snapshot
-		}{svc.Stats(), pipeline.Metrics().Snapshot()}
-	}
-	// Flight recorder: post-mortem bundles snapshot the rings plus the
-	// /stats payload and (when tracing) the retained-trace index, so one
-	// capture joins all three pillars (docs/OBSERVABILITY.md).
-	fcfg := logging.FlightConfig{Recorder: rec, Dir: *flightDir, Stats: statsJSON}
-	var opts []obs.ServeOption
-	if tracer.Enabled() {
-		obs.RegisterTrace(reg, tracer.Collector())
-		opts = append(opts, obs.WithTraces(tracer.Collector()))
-		col := tracer.Collector()
-		fcfg.TraceIDs = func() []string {
-			traces := col.Traces(trace.Filter{})
-			ids := make([]string, 0, len(traces))
-			for _, t := range traces {
-				ids = append(ids, t.TraceID)
-			}
-			return ids
-		}
-	}
-	flight := logging.NewFlightRecorder(fcfg)
-	obs.RegisterFlight(reg, flight)
-	opts = append(opts, obs.WithFlightRecorder(flight))
-	if *pprofOn {
-		opts = append(opts, obs.WithPprof())
-	}
-
-	// Health plane: rules evaluated against this same registry at -health-tick
-	// cadence; /healthz + /readyz ride the ops mux, firing rules surface as
-	// ALERTS series, and (with -health-alerts) every state transition is
-	// published back into the pipeline as a health-alert event. Disabled, it
-	// adds zero series and zero publish-path work.
-	if *healthRules != "" {
-		*healthOn = true
-	}
-	if *healthOn {
-		rules := health.DefaultRules()
-		if *healthRules != "" {
-			raw, err := os.ReadFile(*healthRules)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health rules: %v\n", err)
-				return 1
-			}
-			rules, err = health.ParseRules(string(raw))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health rules: %v\n", err)
-				return 1
-			}
-		}
-		hopts := health.Options{Log: rec.For("health")}
-		hopts.OnTransition = func(tr health.Transition) {
-			if tr.To == health.Critical && *flightDir != "" {
-				// Post-mortem capture: snapshot the flight rings the moment
-				// a component turns critical, while the records that led
-				// here still sit in the rings (docs/LOGGING.md).
-				if path, err := flight.DumpToDir("critical:" + tr.Component); err != nil {
-					fmt.Fprintf(os.Stderr, "gs-server: flight dump: %v\n", err)
-				} else {
-					fmt.Printf("gs-server %s flight bundle captured: %s\n", *name, path)
-				}
-			}
-			if !*healthMeta {
-				return
-			}
-			a := core.HealthAlert{
-				Component: tr.Component,
-				From:      tr.From.String(),
-				To:        tr.To.String(),
-				Rule:      tr.Rule,
-				Severity:  tr.Severity,
-				Value:     tr.Value,
-				At:        tr.At,
-			}
-			if err := svc.PublishHealthAlert(context.Background(), a); err != nil {
-				fmt.Fprintf(os.Stderr, "gs-server: health alert publish: %v\n", err)
-			}
-		}
-		eng := health.NewEngine(reg, rules, hopts)
-		eng.Register(reg)
+	if eng := s.plane.Health; eng != nil {
 		eng.AddReadiness("pipeline", func() error { return nil })
-		if *readyGDS {
+		if o.readyGDS {
 			eng.AddReadiness("gds-registered", func() error {
-				if standby && !recv.Promoted() {
-					// The primary owns the name while this end stands by.
-					return nil
-				}
-				if !gdsRegistered.get() && !(standby && recv.Promoted()) {
+				// A standby never registers itself: the primary owns the name
+				// while it stands by, and promotion registers it.
+				if s.recv == nil && !s.gdsRegistered.Load() {
 					return errors.New("not registered with the GDS")
 				}
 				return nil
 			})
 		}
-		if standby && *readyRepl {
+		if s.recv != nil && o.readyRepl {
 			eng.AddReadiness("standby-caught-up", func() error {
-				if recv.Promoted() {
+				if s.recv.Promoted() {
 					return nil // serving now; the gds check takes over
 				}
-				if !recv.Synced() {
+				if !s.recv.Synced() {
 					return errors.New("standby has not applied a snapshot")
 				}
-				if err := recv.ProbeErr(); err != nil {
+				if err := s.recv.ProbeErr(); err != nil {
 					return fmt.Errorf("primary unreachable: %w", err)
 				}
 				return nil
 			})
 		}
-		eng.Start(*healthTick)
-		defer eng.Close()
-		opts = append(opts, health.Endpoints(eng))
-		fmt.Printf("gs-server %s health plane on (%d rules, tick %s)\n", *name, len(rules.Rules), *healthTick)
 	}
-	for _, opsAddr := range opsAddrs(*metricsAddr, *statsAddr) {
-		closeOps, err := obs.ServeOps(opsAddr, reg, statsJSON, opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: ops server: %v\n", err)
-			return 1
-		}
-		defer closeOps()
-		fmt.Printf("gs-server %s serving http://%s/metrics and http://%s/stats\n", *name, opsAddr, opsAddr)
-	}
-	if *pushURL != "" {
-		exp, err := obs.NewExporter(reg, obs.ExporterConfig{
-			URL:            *pushURL,
-			Interval:       *pushInterval,
-			MaxBytesPerSec: *pushMaxBps,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: metrics exporter: %v\n", err)
-			return 1
-		}
-		defer exp.Close()
-		fmt.Printf("gs-server %s pushing metrics to %s every %s\n", *name, *pushURL, *pushInterval)
+	s.onClose(s.plane.Close)
+	if err = s.plane.Serve(); err != nil {
+		return nil, err
 	}
 
 	// The retry queue delivers deferred aux-profile traffic in the
 	// background (paper §7 reconnection semantics).
-	if err := svc.Retry().Start(2 * time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "gs-server: retry queue: %v\n", err)
-		return 1
+	if err = s.svc.Retry().Start(2 * time.Second); err != nil {
+		return nil, fmt.Errorf("retry queue: %w", err)
 	}
-	defer svc.Retry().Stop()
+	s.onClose(s.svc.Retry().Stop)
+	if o.demo && s.recv == nil {
+		if err = runDemo(ctx, s.srv, o.demoName, o.subs, o.demoInterval); err != nil {
+			return nil, fmt.Errorf("demo: %w", err)
+		}
+	}
+	return s, nil
+}
 
-	if *demo && !standby {
-		if err := runDemo(ctx, srv, *demoName, *subsFlag, *demoInterval); err != nil {
-			fmt.Fprintf(os.Stderr, "gs-server: demo: %v\n", err)
-			return 1
+// standBy runs the standby role. A standby never registers and never
+// advertises: the primary owns the name until promotion (`gs-server
+// -promote <addr>`), which registers and re-issues the routing mode itself.
+func (s *server) standBy(ctx context.Context, tr transport.Transport) error {
+	o := s.o
+	rcfg := replica.StandbyConfig{
+		Service:     s.svc,
+		Transport:   tr,
+		ListenAddr:  o.replListen,
+		PrimaryAddr: o.replicaOf,
+		GDS:         s.gdsCli,
+	}
+	s.plane.WireStandby(&rcfg)
+	recv, err := replica.NewStandby(rcfg)
+	if err != nil {
+		return fmt.Errorf("standby: %w", err)
+	}
+	s.recv = recv
+	s.onClose(func() { _ = recv.Close() })
+	// Join with retry (the primary may not be up yet), then heartbeat
+	// forever: a probe that finds the stream broken, the primary restarted,
+	// or positions diverged rejoins via snapshot resync. Without the loop a
+	// single stream break would silently freeze the standby until the
+	// operator noticed.
+	go func() {
+		joined := false
+		for !recv.Promoted() {
+			opCtx, opCancel := context.WithTimeout(ctx, 10*time.Second)
+			if !joined {
+				if err := recv.Join(opCtx); err == nil {
+					joined = true
+					fmt.Printf("gs-server %s standing by for %s (stream at %s)\n", o.name, o.replicaOf, o.replListen)
+				} else {
+					fmt.Fprintf(os.Stderr, "gs-server: standby join: %v (retrying)\n", err)
+				}
+			} else if err := recv.Heartbeat(opCtx); err != nil {
+				fmt.Fprintf(os.Stderr, "gs-server: standby heartbeat: %v (retrying)\n", err)
+			}
+			opCancel()
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(5 * time.Second):
+			}
+		}
+	}()
+	return nil
+}
+
+// serve runs the serving role: register with the directory, enter the
+// dissemination mode, and with -replica-listen accept a standby.
+func (s *server) serve(ctx context.Context, tr transport.Transport) error {
+	o := s.o
+	regCtx, regCancel := context.WithTimeout(ctx, 10*time.Second)
+	err := s.gdsCli.Register(regCtx)
+	regCancel()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gs-server: GDS registration failed (continuing solitary): %v\n", err)
+	} else {
+		s.gdsRegistered.Store(true)
+		fmt.Printf("gs-server %s registered with GDS at %s\n", o.name, o.gdsAddr)
+	}
+
+	// Dissemination mode after registration: multicast joins groups and
+	// content routing advertises the profile digest through the GDS node.
+	if o.mode != core.RouteBroadcast {
+		modeCtx, modeCancel := context.WithTimeout(ctx, 10*time.Second)
+		err = s.svc.SetRoutingMode(modeCtx, o.mode)
+		modeCancel()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gs-server: routing mode %s: %v (reverting to broadcast)\n", o.mode, err)
+			if err := s.svc.SetRoutingMode(context.Background(), core.RouteBroadcast); err != nil {
+				fmt.Fprintf(os.Stderr, "gs-server: revert to broadcast: %v\n", err)
+			}
+		} else {
+			fmt.Printf("gs-server %s disseminating via %s routing\n", o.name, o.mode)
 		}
 	}
 
-	if ctrl != nil {
-		fmt.Printf("gs-server %s admission control on (subscriber %g/s burst %d, collection %g/s burst %d, bulk digest every %s)\n",
-			*name, *qosSubRate, *qosSubBurst, *qosCollRate, *qosCollBurst, *qosBulkEvery)
+	if o.replListen != "" {
+		// Primary role: accept a standby and stream every state change to
+		// it (docs/REPLICATION.md).
+		prim, err := replica.NewPrimary(replica.PrimaryConfig{
+			Service:    s.svc,
+			Transport:  tr,
+			ListenAddr: o.replListen,
+		})
+		if err != nil {
+			return fmt.Errorf("replication endpoint: %w", err)
+		}
+		s.onClose(func() { _ = prim.Close() })
+		fmt.Printf("gs-server %s accepting a standby at %s\n", o.name, o.replListen)
 	}
-	fmt.Printf("gs-server %s listening on %s\n", *name, *addr)
-	<-ctx.Done()
+	return nil
+}
 
-	// Graceful shutdown: stop accepting publishes first (close the protocol
-	// listener and unregister from the directory so peers stop routing
-	// here), then drain the delivery pipeline and flush the retry queue —
-	// spooled aux-profile ops would otherwise wait out a full partition
-	// cycle, and in-flight notifications would sit queued until the next
-	// start's WAL recovery. The deferred closes then compact the mailboxes.
+// shutdown is the graceful stop: stop accepting publishes first (close the
+// protocol listener and unregister from the directory so peers stop routing
+// here), then drain the delivery pipeline and flush the retry queue —
+// spooled aux-profile ops would otherwise wait out a full partition cycle,
+// and in-flight notifications would sit queued until the next start's WAL
+// recovery. close() then compacts the mailboxes.
+func (s *server) shutdown() {
 	fmt.Println("gs-server: shutting down — draining deliveries and flushing spooled ops")
-	shCtx, shCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer shCancel()
-	_ = srv.Close()
-	if !standby {
-		_ = gdsCli.Unregister(shCtx)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	_ = s.srv.Close()
+	if s.recv == nil {
+		_ = s.gdsCli.Unregister(ctx)
 	}
-	if err := svc.DrainDeliveries(shCtx); err != nil {
+	if err := s.svc.DrainDeliveries(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: drain on shutdown: %v (undelivered alerts stay in their mailboxes)\n", err)
 	}
-	if n := svc.Retry().Flush(shCtx, true); n > 0 {
+	if n := s.svc.Retry().Flush(ctx, true); n > 0 {
 		fmt.Printf("gs-server: flushed %d spooled server-to-server ops\n", n)
 	}
 	fmt.Println("gs-server: shutdown complete")
-	return 0
 }
 
 // parseClassWeights parses "realtime:normal:bulk" WFQ weights (e.g. 8:4:1);
@@ -582,29 +508,6 @@ func runPromote(addr string) int {
 	}
 	fmt.Printf("standby at %s promoted\n", addr)
 	return 0
-}
-
-// opsAddrs deduplicates the two ops-endpoint flags: both -metrics-addr and
-// the older -stats-addr serve the identical mux, so pointing them at the
-// same address must not double-bind.
-func opsAddrs(addrs ...string) []string {
-	var out []string
-	for _, a := range addrs {
-		if a == "" {
-			continue
-		}
-		dup := false
-		for _, b := range out {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // runDemo creates the demo collection and starts the rebuild loop.
@@ -678,10 +581,3 @@ func demoDocs(host string, round int) []*collection.Document {
 	})
 	return docs
 }
-
-// atomicBool is a tiny flag shared between the GDS registration path and the
-// /readyz readiness checks.
-type atomicBool struct{ v atomic.Bool }
-
-func (b *atomicBool) set(ok bool) { b.v.Store(ok) }
-func (b *atomicBool) get() bool   { return b.v.Load() }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -104,10 +103,7 @@ func run() error {
 	}
 	eng := health.NewEngine(reg, rs, health.Options{
 		OnTransition: func(tr health.Transition) {
-			if err := svc.PublishHealthAlert(context.Background(), core.HealthAlert{
-				Component: tr.Component, From: tr.From.String(), To: tr.To.String(),
-				Rule: tr.Rule, Severity: tr.Severity, Value: tr.Value, At: tr.At,
-			}); err != nil {
+			if err := svc.PublishHealthAlert(context.Background(), tr.Alert()); err != nil {
 				fmt.Fprintf(os.Stderr, "self-alerting: publish meta-alert: %v\n", err)
 			}
 		},
@@ -172,19 +168,15 @@ func run() error {
 	fmt.Printf("\nworkload: admitted=%d deferred=%d health_alerts=%d\n",
 		st.QoSAdmitted, st.QoSDeferred, st.HealthAlerts)
 
-	// The same engine behind /healthz and /readyz, scraped over HTTP.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The same engine behind /healthz and /readyz on the ops mux the server
+	// binaries serve, scraped over HTTP.
+	addr, stop, err := obs.ServeOps("127.0.0.1:0", reg, nil, health.Endpoints(eng))
 	if err != nil {
 		return err
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/healthz", health.HealthzHandler(eng))
-	mux.Handle("/readyz", health.ReadyzHandler(eng))
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	defer func() { _ = srv.Close() }()
+	defer stop()
 	for _, path := range []string{"/healthz", "/readyz"} {
-		code, body, err := get("http://" + ln.Addr().String() + path)
+		code, body, err := get("http://" + addr.String() + path)
 		if err != nil {
 			return err
 		}

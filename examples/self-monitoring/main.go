@@ -2,7 +2,8 @@
 // docs/OBSERVABILITY.md).
 //
 // One simulated deployment (a GDS node plus a Greenstone server with QoS
-// admission on) is wired into a metric registry, a workload is driven
+// admission on) is wired into the registry of an ops plane started the way
+// the server binaries start theirs (internal/ops), a workload is driven
 // through it, and both halves of the observability story run against the
 // live counters:
 //
@@ -24,8 +25,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -34,6 +35,7 @@ import (
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/obs"
+	"github.com/gsalert/gsalert/internal/ops"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/qos"
 	"github.com/gsalert/gsalert/internal/sim"
@@ -67,9 +69,40 @@ func run() error {
 	}
 	svc := cluster.Service("Hamilton")
 
-	// The full catalog in one registry: core service, delivery pipeline,
-	// QoS admission, the directory node and the Go runtime.
-	reg := obs.NewRegistry()
+	// The push half needs somewhere to push: a local sink that counts the
+	// exporter's gzip'd snapshots.
+	var blocks atomic.Int64
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		zr, err := gzip.NewReader(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if _, err := io.Copy(io.Discard, zr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		blocks.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer sink.Close()
+
+	// One ops plane, assembled the way gs-server and gds-server assemble
+	// theirs (internal/ops): a registry, the ops endpoint and the push
+	// exporter. The full catalog goes into its registry: core service,
+	// delivery pipeline, QoS admission, the directory node and the Go runtime.
+	plane, err := ops.Start(ops.Config{
+		Service:      "Hamilton",
+		LogLevel:     "info",
+		MetricsAddr:  "127.0.0.1:0",
+		PushURL:      sink.URL + "/import",
+		PushInterval: 150 * time.Millisecond,
+	})
+	if err != nil {
+		return err
+	}
+	defer plane.Close()
+	reg := plane.Registry
 	obs.RegisterService(reg, svc.Stats)
 	obs.RegisterDelivery(reg, svc.Delivery())
 	obs.RegisterQoS(reg, ctrl)
@@ -106,84 +139,59 @@ func run() error {
 		}
 	}
 	cluster.Settle(ctx)
-
-	// --- Pull: serve /metrics and scrape it over HTTP. ---
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if err := plane.Serve(); err != nil {
 		return err
 	}
-	metricsSrv := &http.Server{Handler: obs.Handler(reg), ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = metricsSrv.Serve(ln) }()
-	defer func() { _ = metricsSrv.Close() }()
+	metricsURL := "http://" + plane.Addr().String() + "/metrics"
 
-	body, err := scrape("http://" + ln.Addr().String() + "/metrics")
+	// --- Pull: scrape the ops endpoint's /metrics over HTTP. ---
+	body, err := scrape(metricsURL)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("scraped /metrics: %d series lines; a slice of the catalog:\n", countSamples(body))
-	for _, prefix := range []string{
+	printSeries(body,
 		"gsalert_core_events_published_total",
 		"gsalert_core_notifications_total",
 		"gsalert_delivery_delivered_by_class_total",
 		"gsalert_delivery_queue_depth{class=\"realtime\",shard=\"0\"}",
 		"gsalert_qos_quota_tokens",
 		"gsalert_gds_deliveries_total",
-	} {
+	)
+
+	// --- Push: wait for the exporter's snapshots to reach the sink, then
+	// read its self-monitoring series from the registry it exports. ---
+	deadline := time.Now().Add(10 * time.Second)
+	for blocks.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if blocks.Load() < 2 {
+		return fmt.Errorf("sink received %d snapshot blocks, want >= 2", blocks.Load())
+	}
+	if body, err = scrape(metricsURL); err != nil {
+		return err
+	}
+	fmt.Printf("\nexporter pushed %d snapshot blocks to the local sink; its self-monitoring series:\n", blocks.Load())
+	printSeries(body,
+		"gsalert_exporter_scrapes_total",
+		"gsalert_exporter_sent_total",
+		"gsalert_exporter_sent_bytes_total",
+		"gsalert_exporter_retries_total",
+		"gsalert_exporter_dropped_total",
+	)
+	fmt.Println("\nimport dashboards/gsalert.json and alerts/gsalert-alerts.yaml to watch a real deployment (docs/OBSERVABILITY.md)")
+	return nil
+}
+
+// printSeries prints the exposition lines starting with any of prefixes.
+func printSeries(body string, prefixes ...string) {
+	for _, prefix := range prefixes {
 		for _, line := range strings.Split(body, "\n") {
 			if strings.HasPrefix(line, prefix) {
 				fmt.Printf("  %s\n", line)
 			}
 		}
 	}
-
-	// --- Push: a local sink receives the exporter's gzip'd snapshots. ---
-	var blocks atomic.Int64
-	sinkLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	sinkSrv := &http.Server{
-		ReadHeaderTimeout: 10 * time.Second,
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			zr, err := gzip.NewReader(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if _, err := io.Copy(io.Discard, zr); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			blocks.Add(1)
-			w.WriteHeader(http.StatusNoContent)
-		}),
-	}
-	go func() { _ = sinkSrv.Serve(sinkLn) }()
-	defer func() { _ = sinkSrv.Close() }()
-
-	exp, err := obs.NewExporter(reg, obs.ExporterConfig{
-		URL:      "http://" + sinkLn.Addr().String() + "/import",
-		Interval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for blocks.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	exp.Close()
-	if blocks.Load() < 2 {
-		return fmt.Errorf("sink received %d snapshot blocks, want >= 2", blocks.Load())
-	}
-
-	m := exp.Metrics()
-	fmt.Printf("\nexporter pushed %d snapshot blocks to the local sink (%d bytes gzip'd)\n",
-		m.Sent.Value(), m.BytesSent.Value())
-	fmt.Printf("exporter self-monitoring: scrapes=%d sent=%d retries=%d dropped=%d\n",
-		m.Scrapes.Value(), m.Sent.Value(), m.Retries.Value(), m.Dropped.Value())
-	fmt.Println("\nimport dashboards/gsalert.json and alerts/gsalert-alerts.yaml to watch a real deployment (docs/OBSERVABILITY.md)")
-	return nil
 }
 
 // scrape GETs url and returns the body.

@@ -208,16 +208,14 @@ func (s *Service) emitComposite(f composite.Firing) {
 		At:           f.At,
 		Trace:        fctx,
 	})
-	s.mu.Lock()
 	if err != nil {
-		s.stats.NotifyFailures++
-	} else {
-		s.stats.Notifications++
-		if qosDigest {
-			s.stats.QoSDigests++
-		}
+		s.stats.notifyFailures.Inc()
+		return
 	}
-	s.mu.Unlock()
+	s.stats.notifications.Inc()
+	if qosDigest {
+		s.stats.qosDigests.Inc()
+	}
 }
 
 // CompositeTick advances the composite engine's clock: expired windows are

@@ -73,8 +73,8 @@ func (s *Service) advertiseProfiles(ctx context.Context, added *profile.Profile)
 	s.mu.Lock()
 	s.advertised = canon
 	s.advertisedOnce = true
-	s.stats.AdvertisementsSent++
 	s.mu.Unlock()
+	s.stats.advertisementsSent.Inc()
 	return nil
 }
 

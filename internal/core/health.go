@@ -68,9 +68,7 @@ func (s *Service) PublishHealthAlert(ctx context.Context, a HealthAlert) error {
 	}
 	_, err := s.publishEvent(ctx, ev)
 	if err == nil {
-		s.mu.Lock()
-		s.stats.HealthAlerts++
-		s.mu.Unlock()
+		s.stats.healthAlerts.Inc()
 		s.log.Info("health alert published",
 			logging.String("component", a.Component), logging.String("to", a.To),
 			logging.String("rule", a.Rule))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -248,5 +249,90 @@ func TestProfileClassSurvivesPersistence(t *testing.T) {
 	}
 	if contains := string(raw); len(contains) > 0 && strings.Contains(contains, "<Class>") {
 		t.Errorf("normal class serialized explicitly: %s", contains)
+	}
+}
+
+// TestStatsConcurrentWithPublishAndChurn hammers Stats() beside concurrent
+// publishers and profile churn (run under -race: Stats takes no lock, every
+// counter is an atomic), then checks the accounting promise in the
+// ServiceStats comment at quiescence: every non-step match landed in
+// exactly one of admitted, deferred, coalesced or NotifyFailures.
+func TestStatsConcurrentWithPublishAndChurn(t *testing.T) {
+	s := qosService(t, qos.NewController(qos.Config{SubscriberBurst: 5, BulkDigestEvery: time.Hour}))
+	// Three stable subscriptions match every event, one per class; the
+	// churned ones watch another collection and never match.
+	for i, class := range []qos.Class{qos.ClassRealtime, qos.ClassNormal, qos.ClassBulk} {
+		client := fmt.Sprintf("stable-%d", i)
+		s.RegisterNotifier(client, NewMemoryNotifier())
+		subscribeClass(t, s, client, class)
+	}
+	const publishers, perPublisher = 4, 50
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := s.Stats()
+				if st.EventsPublished < last {
+					t.Errorf("EventsPublished went backwards: %d after %d", st.EventsPublished, last)
+				}
+				last = st.EventsPublished
+			}
+		}()
+	}
+	for p := 0; p < publishers; p++ {
+		writers.Add(2)
+		go func(p int) {
+			defer writers.Done()
+			for i := 0; i < perPublisher; i++ {
+				ev := event.New(fmt.Sprintf("conc-%d-%d", p, i), event.TypeDocumentsAdded,
+					event.QName{Host: "Hamilton", Collection: "C"}, 1,
+					[]event.DocRef{{ID: fmt.Sprintf("d-%d-%d", p, i)}}, time.Now())
+				if _, err := s.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+		go func(p int) {
+			defer writers.Done()
+			client := fmt.Sprintf("churn-%d", p)
+			for i := 0; i < perPublisher; i++ {
+				id, err := s.Subscribe(client, profile.MustParse(`collection = "Hamilton.Other"`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Unsubscribe(client, id); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	drainService(t, s)
+
+	st := s.Stats()
+	const events = publishers * perPublisher
+	if st.EventsPublished != events {
+		t.Errorf("EventsPublished = %d, want %d", st.EventsPublished, events)
+	}
+	accounted := st.QoSAdmitted + st.QoSDeferred + st.QoSCoalesced + st.NotifyFailures
+	if want := int64(3 * events); accounted != want {
+		t.Errorf("admitted %d + deferred %d + coalesced %d + refused %d = %d, want every one of the %d matches",
+			st.QoSAdmitted, st.QoSDeferred, st.QoSCoalesced, st.NotifyFailures, accounted, want)
+	}
+	if st.QoSDeferred == 0 || st.QoSCoalesced == 0 {
+		t.Errorf("quota of 5 never shed: deferred=%d coalesced=%d", st.QoSDeferred, st.QoSCoalesced)
 	}
 }

@@ -98,11 +98,7 @@ type ReplicaStatsProvider interface {
 
 // SetReplicaStatsProvider registers the replication end whose counters
 // Stats() should report.
-func (s *Service) SetReplicaStatsProvider(p ReplicaStatsProvider) {
-	s.mu.Lock()
-	s.replStats = p
-	s.mu.Unlock()
-}
+func (s *Service) SetReplicaStatsProvider(p ReplicaStatsProvider) { s.replStats.Store(&p) }
 
 // ---------------------------------------------------------------------------
 // Standby-side apply

@@ -38,14 +38,10 @@ func (s *Service) PublishBuild(ctx context.Context, res *collection.BuildResult)
 func (s *Service) publishEvent(ctx context.Context, ev *event.Event) (time.Duration, error) {
 	// Mark as seen so the GDS broadcast echo (if any) is suppressed.
 	if s.dedup.Observe(ev.ID) {
-		s.mu.Lock()
-		s.stats.DuplicatesDropped++
-		s.mu.Unlock()
+		s.stats.duplicatesDropped.Inc()
 		return 0, nil
 	}
-	s.mu.Lock()
-	s.stats.EventsPublished++
-	s.mu.Unlock()
+	s.stats.eventsPublished.Inc()
 
 	// Root span of the event's end-to-end trace. Always timed — even when
 	// head sampling passes — so the tail-retain rule can rescue slow
@@ -83,15 +79,11 @@ func (s *Service) publishEvent(ctx context.Context, ev *event.Event) (time.Durat
 		}
 		if err := disseminate(ctx, ev, tctx); err != nil {
 			// Best effort (paper §6): flooding failures are not fatal.
-			s.mu.Lock()
-			s.stats.ForwardingFailures++
-			s.mu.Unlock()
+			s.stats.forwardingFailures.Inc()
 			s.log.WarnCtx(tctx, "dissemination failed",
 				logging.String("event", ev.ID), logging.String("error", err.Error()))
 		} else {
-			s.mu.Lock()
-			s.stats.BroadcastsSent++
-			s.mu.Unlock()
+			s.stats.broadcastsSent.Inc()
 		}
 	}
 	return filterTime, nil
@@ -124,11 +116,9 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 	matches := s.matcher.Match(ev)
 	elapsed := time.Since(start)
 
-	s.mu.Lock()
-	s.stats.FilterTime += elapsed
+	s.stats.filterNanos.Add(int64(elapsed))
 	now := s.clock()
-	ctrl := s.qos
-	s.mu.Unlock()
+	ctrl := s.qos.Load()
 
 	mctx := s.tracer.Record(tctx, trace.StageMatch, start, elapsed, "",
 		trace.Attr{Key: "matches", Value: strconv.Itoa(len(matches))})
@@ -215,14 +205,12 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 		}
 		enqueued++
 	}
-	if enqueued != 0 || refused != 0 || admitted != 0 || deferred != 0 || coalesced != 0 {
-		s.mu.Lock()
-		s.stats.Notifications += enqueued
-		s.stats.NotifyFailures += refused
-		s.stats.QoSAdmitted += admitted
-		s.stats.QoSDeferred += deferred
-		s.stats.QoSCoalesced += coalesced
-		s.mu.Unlock()
+	if enqueued|refused|admitted|deferred|coalesced != 0 { // most events match nothing here
+		s.stats.notifications.Add(enqueued)
+		s.stats.notifyFailures.Add(refused)
+		s.stats.qosAdmitted.Add(admitted)
+		s.stats.qosDeferred.Add(deferred)
+		s.stats.qosCoalesced.Add(coalesced)
 	}
 	return elapsed
 }
@@ -244,9 +232,7 @@ func (s *Service) forwardPerAuxProfiles(ctx context.Context, ev *event.Event) {
 			}
 		}
 		if skip {
-			s.mu.Lock()
-			s.stats.CycleRefusals++
-			s.mu.Unlock()
+			s.stats.cycleRefusals.Inc()
 			continue
 		}
 		raw, err := ev.MarshalXMLBytes()
@@ -261,9 +247,7 @@ func (s *Service) forwardPerAuxProfiles(ctx context.Context, ev *event.Event) {
 			continue
 		}
 		env.Header.To = super.Host
-		s.mu.Lock()
-		s.stats.AuxForwards++
-		s.mu.Unlock()
+		s.stats.auxForwards.Inc()
 		s.sendOrQueue(ctx, "fwd:"+ev.ID+":"+super.String(), super.Host, env)
 	}
 }
@@ -316,23 +300,19 @@ func (s *Service) HandleEventEnvelope(ctx context.Context, env *protocol.Envelop
 // duplicate transforms.
 func (s *Service) handleFloodedEvent(ev *event.Event, env *protocol.Envelope) error {
 	if s.dedup.Observe(ev.ID) {
-		s.mu.Lock()
-		s.stats.DuplicatesDropped++
-		s.mu.Unlock()
+		s.stats.duplicatesDropped.Inc()
 		return nil
 	}
-	s.mu.Lock()
-	s.stats.EventsReceived++
+	s.stats.eventsReceived.Inc()
 	// Transit cost of the dissemination path, for the routing experiments:
 	// virtual per-link latency on the memory transport, wall-clock
 	// since-send otherwise.
 	if env.Header.VirtualLatencyMicros > 0 {
-		s.stats.ReceiveLatency += time.Duration(env.Header.VirtualLatencyMicros) * time.Microsecond
+		s.stats.receiveLatencyNanos.Add(int64(time.Duration(env.Header.VirtualLatencyMicros) * time.Microsecond))
 	} else if env.Header.SentAtUnixNano > 0 {
-		s.stats.ReceiveLatency += s.clock().Sub(time.Unix(0, env.Header.SentAtUnixNano))
+		s.stats.receiveLatencyNanos.Add(int64(s.clock().Sub(time.Unix(0, env.Header.SentAtUnixNano))))
 	}
-	s.stats.ReceiveHops += int64(env.Header.Hops)
-	s.mu.Unlock()
+	s.stats.receiveHops.Add(int64(env.Header.Hops))
 	// Continue the publisher's trace: the envelope carries the context of
 	// the last recorded hop span (or the publish root on one-hop paths), so
 	// this server's match/qos spans chain under the dissemination path.
@@ -363,9 +343,7 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 	}
 	transformed, err := ev.Transformed(super)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.CycleRefusals++
-		s.mu.Unlock()
+		s.stats.cycleRefusals.Inc()
 		var ce *event.CycleError
 		if ok := asCycleError(err, &ce); ok {
 			// Refusing the transform is the designed behaviour, not a
@@ -374,9 +352,7 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 		}
 		return err
 	}
-	s.mu.Lock()
-	s.stats.Transforms++
-	s.mu.Unlock()
+	s.stats.transforms.Inc()
 	_, err = s.publishEvent(ctx, transformed)
 	return err
 }
@@ -401,9 +377,7 @@ func asCycleError(err error, target **event.CycleError) bool {
 // to the retry queue when resolution or delivery fails.
 func (s *Service) sendOrQueue(ctx context.Context, itemID, destServer string, env *protocol.Envelope) {
 	if err := s.sendToServer(ctx, destServer, env); err != nil {
-		s.mu.Lock()
-		s.stats.ForwardingFailures++
-		s.mu.Unlock()
+		s.stats.forwardingFailures.Inc()
 		s.retry.Add(itemID, destServer, &queuedForward{destServer: destServer, env: env})
 	}
 }
@@ -484,8 +458,8 @@ func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 		env.Header.To = key.sub.Host
 		s.mu.Lock()
 		s.forwardedAux[id] = key.sub.Host
-		s.stats.AuxInstallsSent++
 		s.mu.Unlock()
+		s.stats.auxInstallsSent.Inc()
 		s.sendOrQueue(ctx, "aux-install:"+id, key.sub.Host, env)
 	}
 
@@ -505,8 +479,8 @@ func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 		env.Header.To = dest
 		s.mu.Lock()
 		delete(s.forwardedAux, id)
-		s.stats.AuxCancelsSent++
 		s.mu.Unlock()
+		s.stats.auxCancelsSent.Inc()
 		s.sendOrQueue(ctx, "aux-cancel:"+id, dest, env)
 	}
 	return nil

@@ -35,6 +35,7 @@ import (
 	"github.com/gsalert/gsalert/internal/filter"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/logging"
+	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
@@ -217,11 +218,11 @@ type Service struct {
 	// admissions) for the primary end of internal/replica; replStats is
 	// the replication end whose counters Stats() merges.
 	replSink  ReplicationSink
-	replStats ReplicaStatsProvider
+	replStats atomic.Pointer[ReplicaStatsProvider]
 
-	// qos is the admission controller (nil = admission disabled); read
-	// under mu so SetQoS can swap it at runtime.
-	qos *qos.Controller
+	// qos is the admission controller (nil = admission disabled), swappable
+	// at runtime (SetQoS) under the publish path.
+	qos atomic.Pointer[qos.Controller]
 
 	// tracer records pipeline spans; nil *trace.Tracer no-ops, so the
 	// untraced hot path pays one pointer check per call site.
@@ -232,11 +233,25 @@ type Service struct {
 	log *logging.Logger
 
 	idCounter atomic.Uint64
-	stats     ServiceStats
+	stats     serviceCounters
 }
 
-// ServiceStats counts the service's externally visible work. The
-// Composite* fields are filled from the composite engine at snapshot time.
+// serviceCounters is the live, lock-free form of the ServiceStats fields the
+// service itself counts; durations accumulate as nanoseconds.
+type serviceCounters struct {
+	eventsPublished, eventsReceived, duplicatesDropped metrics.Counter
+	notifications, notifyFailures                      metrics.Counter
+	auxForwards, transforms, cycleRefusals             metrics.Counter
+	auxInstallsSent, auxCancelsSent                    metrics.Counter
+	broadcastsSent, advertisementsSent                 metrics.Counter
+	forwardingFailures, healthAlerts                   metrics.Counter
+	filterNanos, receiveLatencyNanos, receiveHops      metrics.Counter
+	qosAdmitted, qosDeferred, qosCoalesced, qosDigests metrics.Counter
+}
+
+// ServiceStats is the snapshot view of the service's externally visible
+// work. The Composite* fields are filled from the composite engine at
+// snapshot time.
 type ServiceStats struct {
 	EventsPublished    int64
 	EventsReceived     int64
@@ -335,7 +350,7 @@ func New(cfg Config) (*Service, error) {
 	if s.matcher == nil {
 		s.matcher = filter.NewEqualityPreferred()
 	}
-	s.qos = cfg.QoS
+	s.qos.Store(cfg.QoS)
 	s.tracer = cfg.Tracer
 	s.log = cfg.Log
 	if s.resolver == nil && s.gdsCli != nil {
@@ -386,18 +401,10 @@ func (s *Service) Delivery() *delivery.Pipeline { return s.delivery }
 // SetQoS installs (or, with nil, removes) the admission controller at
 // runtime. In-flight deferred traffic and pending coalesced digests are
 // unaffected: they drain through their normal paths.
-func (s *Service) SetQoS(c *qos.Controller) {
-	s.mu.Lock()
-	s.qos = c
-	s.mu.Unlock()
-}
+func (s *Service) SetQoS(c *qos.Controller) { s.qos.Store(c) }
 
 // QoS returns the installed admission controller (nil when disabled).
-func (s *Service) QoS() *qos.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.qos
-}
+func (s *Service) QoS() *qos.Controller { return s.qos.Load() }
 
 // Tracer returns the service's span recorder (nil when tracing is off).
 func (s *Service) Tracer() *trace.Tracer { return s.tracer }
@@ -417,20 +424,42 @@ func (s *Service) Name() string { return s.name }
 func (s *Service) Retry() *queue.Queue { return s.retry }
 
 // Stats returns a snapshot of counters, merging the composite engine's and
-// the replication end's.
+// the replication end's. It never takes s.mu: every counter is an atomic,
+// so a scrape cannot stall (or be stalled by) the publish path.
 func (s *Service) Stats() ServiceStats {
+	c := &s.stats
 	cs := s.composite.Stats()
-	s.mu.Lock()
-	rp := s.replStats
-	out := s.stats
-	s.mu.Unlock()
-	out.CompositePrimitives = cs.Primitives
-	out.CompositeFirings = cs.Firings
-	out.CompositeDigestFlushes = cs.DigestFlushes
-	out.CompositeWindowsExpired = cs.WindowsExpired
-	out.CompositeLiveInstances = cs.LiveInstances
-	if rp != nil {
-		rs := rp.ReplicaStats()
+	out := ServiceStats{
+		EventsPublished:    c.eventsPublished.Value(),
+		EventsReceived:     c.eventsReceived.Value(),
+		DuplicatesDropped:  c.duplicatesDropped.Value(),
+		Notifications:      c.notifications.Value(),
+		AuxForwards:        c.auxForwards.Value(),
+		Transforms:         c.transforms.Value(),
+		CycleRefusals:      c.cycleRefusals.Value(),
+		AuxInstallsSent:    c.auxInstallsSent.Value(),
+		AuxCancelsSent:     c.auxCancelsSent.Value(),
+		BroadcastsSent:     c.broadcastsSent.Value(),
+		AdvertisementsSent: c.advertisementsSent.Value(),
+		FilterTime:         time.Duration(c.filterNanos.Value()),
+		NotifyFailures:     c.notifyFailures.Value(),
+		ForwardingFailures: c.forwardingFailures.Value(),
+		ReceiveLatency:     time.Duration(c.receiveLatencyNanos.Value()),
+		ReceiveHops:        c.receiveHops.Value(),
+		QoSAdmitted:        c.qosAdmitted.Value(),
+		QoSDeferred:        c.qosDeferred.Value(),
+		QoSCoalesced:       c.qosCoalesced.Value(),
+		QoSDigests:         c.qosDigests.Value(),
+		HealthAlerts:       c.healthAlerts.Value(),
+
+		CompositePrimitives:     cs.Primitives,
+		CompositeFirings:        cs.Firings,
+		CompositeDigestFlushes:  cs.DigestFlushes,
+		CompositeWindowsExpired: cs.WindowsExpired,
+		CompositeLiveInstances:  cs.LiveInstances,
+	}
+	if rp := s.replStats.Load(); rp != nil && *rp != nil {
+		rs := (*rp).ReplicaStats()
 		out.ReplicaRole = rs.Role
 		out.ReplicaStreamSeq = rs.StreamSeq
 		out.ReplicaStreamed = rs.Streamed

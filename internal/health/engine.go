@@ -544,6 +544,16 @@ func (e *Engine) ComponentState(name string) State {
 	return Healthy
 }
 
+// The engine's own families, declared into the same obs table as every
+// other series so rules can be written over them too.
+var (
+	alertsFamily     = obs.Declare(obs.KindGauge, "ALERTS", "Firing health rules (Prometheus alerting convention).")
+	componentState   = obs.Declare(obs.KindGauge, "gsalert_health_component_state", "Component health (0 healthy, 1 degraded, 2 critical).")
+	transitionsTotal = obs.Declare(obs.KindCounter, "gsalert_health_transitions_total", "Component state transitions observed.")
+	rulesFiring      = obs.Declare(obs.KindGauge, "gsalert_health_rules_firing", "Health rules currently firing.")
+	evalsTotal       = obs.Declare(obs.KindCounter, "gsalert_health_evals_total", "Rule-set evaluation ticks.")
+)
+
 // Register exposes the engine on a registry: the Prometheus-convention
 // ALERTS{alertname,severity,component} series (value 1 per firing rule),
 // per-component state gauges and the engine's own counters. Costs nothing
@@ -558,21 +568,19 @@ func (e *Engine) Register(r *obs.Registry) {
 				continue
 			}
 			firing++
-			c.Gauge("ALERTS", "Firing health rules (Prometheus alerting convention).", 1,
+			c.Emit(alertsFamily, 1,
 				obs.L("alertname", run.rule.Name),
 				obs.L("severity", run.rule.Severity.String()),
 				obs.L("component", run.rule.Component))
 		}
 		for name, comp := range e.components {
-			c.Gauge("gsalert_health_component_state", "Component health (0 healthy, 1 degraded, 2 critical).",
-				float64(comp.state), obs.L("component", name))
+			c.Emit(componentState, float64(comp.state), obs.L("component", name))
 		}
 		for name, n := range e.transitionCount {
-			c.Counter("gsalert_health_transitions_total", "Component state transitions observed.",
-				float64(n), obs.L("component", name))
+			c.Emit(transitionsTotal, float64(n), obs.L("component", name))
 		}
-		c.Gauge("gsalert_health_rules_firing", "Health rules currently firing.", float64(firing))
-		c.Counter("gsalert_health_evals_total", "Rule-set evaluation ticks.", float64(e.evals))
+		c.Emit(rulesFiring, float64(firing))
+		c.Emit(evalsTotal, float64(e.evals))
 	})
 }
 

@@ -464,7 +464,7 @@ func TestEngineOverRealRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	var depth float64
 	var mu sync.Mutex
-	reg.Gauge("gsalert_delivery_queue_depth", "Queue depth.", func() float64 {
+	reg.Func(&obs.Desc{Name: "gsalert_delivery_queue_depth", Help: "Queue depth.", Kind: obs.KindGauge}, func() float64 {
 		mu.Lock()
 		defer mu.Unlock()
 		return depth
@@ -526,7 +526,7 @@ func BenchmarkHealthEval(b *testing.B) {
 	for _, n := range []int{10, 100} {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			src := newFakeSource()
-			for name := range Catalog() {
+			for name := range obs.Declared() {
 				src.set(name, 1)
 			}
 			var sb strings.Builder

@@ -38,6 +38,8 @@ package health
 import (
 	"fmt"
 	"time"
+
+	"github.com/gsalert/gsalert/internal/core"
 )
 
 // State is one component's health, ordered by badness so the component
@@ -164,6 +166,20 @@ type Transition struct {
 	Value float64 `json:"value"`
 	// At is the engine tick time of the change.
 	At time.Time `json:"at"`
+}
+
+// Alert renders the transition as the pipeline's meta-alert form — what
+// every OnTransition dogfood hook hands to core.Service.PublishHealthAlert.
+func (t Transition) Alert() core.HealthAlert {
+	return core.HealthAlert{
+		Component: t.Component,
+		From:      t.From.String(),
+		To:        t.To.String(),
+		Rule:      t.Rule,
+		Severity:  t.Severity,
+		Value:     t.Value,
+		At:        t.At,
+	}
 }
 
 // RuleStateName names a rule's evaluation state in /healthz output.

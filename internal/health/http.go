@@ -3,8 +3,6 @@ package health
 import (
 	"encoding/json"
 	"net/http"
-
-	"github.com/gsalert/gsalert/internal/obs"
 )
 
 // HealthzHandler serves the engine's Snapshot as JSON. Status code follows
@@ -45,12 +43,8 @@ func ReadyzHandler(e *Engine) http.Handler {
 	})
 }
 
-// Endpoints mounts /healthz and /readyz on the ops mux — pass it to
-// obs.ServeOps alongside WithTraces/WithPprof. Defined here rather than in
-// obs so the dependency points health→obs only.
-func Endpoints(e *Engine) obs.ServeOption {
-	return func(mux *http.ServeMux) {
-		mux.Handle("/healthz", HealthzHandler(e))
-		mux.Handle("/readyz", ReadyzHandler(e))
-	}
+// Endpoints is the health plane's share of the ops mux: merge it into the
+// routes handed to obs.ServeOps.
+func Endpoints(e *Engine) map[string]http.Handler {
+	return map[string]http.Handler{"/healthz": HealthzHandler(e), "/readyz": ReadyzHandler(e)}
 }

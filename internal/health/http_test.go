@@ -79,11 +79,13 @@ func TestReadyzHandler(t *testing.T) {
 	}
 }
 
-// TestEndpointsMount checks the ServeOption wires both paths onto a mux.
+// TestEndpointsMount checks the routes wire both paths onto a mux.
 func TestEndpointsMount(t *testing.T) {
 	e := NewEngine(newFakeSource(), DefaultRules(), Options{})
 	mux := http.NewServeMux()
-	Endpoints(e)(mux)
+	for pattern, h := range Endpoints(e) {
+		mux.Handle(pattern, h)
+	}
 	for _, path := range []string{"/healthz", "/readyz"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -10,17 +10,6 @@ import (
 	"github.com/gsalert/gsalert/internal/obs"
 )
 
-// Kind classifies a catalog metric for rule validation: quantile selectors
-// need a histogram, rate selectors a counter.
-type Kind uint8
-
-// Metric kinds.
-const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
-)
-
 // Op is a threshold comparison operator.
 type Op uint8
 
@@ -229,12 +218,17 @@ func (rs *RuleSet) Components() []string {
 	return out
 }
 
-// ParseRules parses the rule-file text against the built-in metric catalog
-// (Catalog): references to unknown metrics, quantiles over non-histograms
-// and rates over non-counters are rejected at parse time, not discovered
-// as never-firing rules at 3 a.m.
+// ParseRules parses the rule-file text against the metric catalog:
+// references to unknown metrics, quantiles over non-histograms and rates
+// over non-counters are rejected at parse time, not discovered as
+// never-firing rules at 3 a.m. The catalog is not a list kept here: it is
+// obs.Declared(), the table the Register* functions of internal/obs, the
+// push exporter and this package's engine emit through, so a series cannot
+// be exposed without being valid in a rule — and a family declared but
+// absent from this process's registry (a delivery rule on gds-server)
+// still parses.
 func ParseRules(src string) (*RuleSet, error) {
-	return Parse(src, Catalog())
+	return Parse(src, obs.Declared())
 }
 
 // Parse parses the rule-file text. known maps metric names to kinds for
@@ -258,7 +252,7 @@ func ParseRules(src string) (*RuleSet, error) {
 //
 // where <selector> is `metric`, `metric{label="v",...}`, `pNN(metric{...})`
 // (histogram quantile) or `rate(metric{...}[window])` (counter rate).
-func Parse(src string, known map[string]Kind) (*RuleSet, error) {
+func Parse(src string, known map[string]obs.Kind) (*RuleSet, error) {
 	rs := &RuleSet{}
 	seen := map[string]bool{}
 	lines := strings.Split(src, "\n")
@@ -389,7 +383,7 @@ func setBurnField(r *Rule, set func(*BurnRate) error) error {
 }
 
 // parseBurnTarget parses `bad / total` into the rule's BurnRate.
-func parseBurnTarget(r *Rule, val string, known map[string]Kind) error {
+func parseBurnTarget(r *Rule, val string, known map[string]obs.Kind) error {
 	bad, total, ok := strings.Cut(val, "/")
 	if !ok {
 		return fmt.Errorf("burnrate wants `<bad-counter> / <total-counter>`, got %q", val)
@@ -406,7 +400,7 @@ func parseBurnTarget(r *Rule, val string, known map[string]Kind) error {
 		if s.Quantile > 0 || s.RateWindow > 0 {
 			return fmt.Errorf("burnrate selectors must be bare counters, got %q", s)
 		}
-		if err := wantKind(s.Metric, known, KindCounter, "burnrate"); err != nil {
+		if err := wantKind(s.Metric, known, obs.KindCounter, "burnrate"); err != nil {
 			return err
 		}
 	}
@@ -417,7 +411,7 @@ func parseBurnTarget(r *Rule, val string, known map[string]Kind) error {
 }
 
 // parseThreshold parses `<selector> <op> <value>`.
-func parseThreshold(val string, known map[string]Kind) (*Threshold, error) {
+func parseThreshold(val string, known map[string]obs.Kind) (*Threshold, error) {
 	// Split on the operator: scan for the first top-level comparison. Label
 	// values are quoted, so a naive field scan over whitespace works as
 	// long as selectors are written without internal spaces.
@@ -447,7 +441,7 @@ func parseThreshold(val string, known map[string]Kind) (*Threshold, error) {
 
 // parseSelector parses `metric`, `metric{l="v"}`, `pNN(sel)` and
 // `rate(sel[window])`.
-func parseSelector(s string, known map[string]Kind) (Selector, error) {
+func parseSelector(s string, known map[string]obs.Kind) (Selector, error) {
 	switch {
 	case strings.HasPrefix(s, "p") && strings.Contains(s, "("):
 		open := strings.IndexByte(s, '(')
@@ -462,7 +456,7 @@ func parseSelector(s string, known map[string]Kind) (Selector, error) {
 		if inner.Quantile > 0 || inner.RateWindow > 0 {
 			return Selector{}, fmt.Errorf("quantile selector %q cannot nest", s)
 		}
-		if err := wantKind(inner.Metric, known, KindHistogram, "quantile"); err != nil {
+		if err := wantKind(inner.Metric, known, obs.KindHistogram, "quantile"); err != nil {
 			return Selector{}, err
 		}
 		inner.Quantile = float64(n) / 100
@@ -487,7 +481,7 @@ func parseSelector(s string, known map[string]Kind) (Selector, error) {
 		if inner.Quantile > 0 || inner.RateWindow > 0 {
 			return Selector{}, fmt.Errorf("rate selector %q cannot nest", s)
 		}
-		if err := wantKind(inner.Metric, known, KindCounter, "rate"); err != nil {
+		if err := wantKind(inner.Metric, known, obs.KindCounter, "rate"); err != nil {
 			return Selector{}, err
 		}
 		inner.RateWindow = w
@@ -519,7 +513,7 @@ func parseSelector(s string, known map[string]Kind) (Selector, error) {
 }
 
 // wantKind checks a catalog kind constraint when a catalog is present.
-func wantKind(metric string, known map[string]Kind, want Kind, ctx string) error {
+func wantKind(metric string, known map[string]obs.Kind, want obs.Kind, ctx string) error {
 	if known == nil {
 		return nil
 	}
@@ -528,8 +522,7 @@ func wantKind(metric string, known map[string]Kind, want Kind, ctx string) error
 		return fmt.Errorf("unknown metric %q", metric)
 	}
 	if k != want {
-		kinds := map[Kind]string{KindCounter: "counter", KindGauge: "gauge", KindHistogram: "histogram"}
-		return fmt.Errorf("%s selector needs a %s, but %q is a %s", ctx, kinds[want], metric, kinds[k])
+		return fmt.Errorf("%s selector needs a %s, but %q is a %s", ctx, want, metric, k)
 	}
 	return nil
 }

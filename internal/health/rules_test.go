@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/gsalert/gsalert/internal/obs"
 )
 
 // TestDefaultRulesParse pins the built-in rule set: it parses against the
@@ -229,13 +231,13 @@ rule r {
 
 // TestCatalogKinds spot-checks the kind table the validators consult.
 func TestCatalogKinds(t *testing.T) {
-	cat := Catalog()
-	for name, want := range map[string]Kind{
-		"gsalert_delivery_dropped_total":   KindCounter,
-		"gsalert_delivery_queue_depth":     KindGauge,
-		"gsalert_delivery_latency_seconds": KindHistogram,
-		"gsalert_replica_stream_lag":       KindGauge,
-		"ALERTS":                           KindGauge,
+	cat := obs.Declared()
+	for name, want := range map[string]obs.Kind{
+		"gsalert_delivery_dropped_total":   obs.KindCounter,
+		"gsalert_delivery_queue_depth":     obs.KindGauge,
+		"gsalert_delivery_latency_seconds": obs.KindHistogram,
+		"gsalert_replica_stream_lag":       obs.KindGauge,
+		"ALERTS":                           obs.KindGauge,
 	} {
 		got, ok := cat[name]
 		if !ok {
@@ -244,5 +246,38 @@ func TestCatalogKinds(t *testing.T) {
 		if got != want {
 			t.Fatalf("catalog[%s] = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestRulesOverLoggingSeriesParse pins the drift the hand-kept catalog had:
+// the gsalert_logging_* series were registered on /metrics but missing from
+// rule validation, so `gs-server -health-rules` rejected any rule over them
+// with "unknown metric". The catalog is the declaration table now.
+func TestRulesOverLoggingSeriesParse(t *testing.T) {
+	rs, err := ParseRules(`
+rule log-ring-drops {
+	component = logging
+	severity  = warning
+	expr      = rate(gsalert_logging_dropped_total[1m]) > 0
+}
+rule flight-dumps {
+	component = logging
+	severity  = warning
+	expr      = gsalert_logging_dumps_total > 0
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rules) != 2 {
+		t.Fatalf("parsed %d rules, want 2", len(rs.Rules))
+	}
+	// Kind checks still bite: a quantile over a logging counter is rejected.
+	if _, err := ParseRules(`
+rule bad {
+	component = logging
+	severity  = warning
+	expr      = p99(gsalert_logging_records_total) > 1
+}`); err == nil || !strings.Contains(err.Error(), "needs a histogram") {
+		t.Fatalf("quantile over a counter: err = %v, want a kind error", err)
 	}
 }

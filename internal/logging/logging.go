@@ -10,7 +10,7 @@
 //
 // Every record at or above the effective level is written into an
 // always-on in-memory flight recorder: a lock-free sharded drop-oldest
-// ring per component (mirroring trace.Collector's 8-shard design) that
+// ring per component (metrics.Ring, shared with trace.Collector) that
 // retains the last N records at one atomic swap per record — cheap
 // enough to leave on in production even with all sinks off. Sinks
 // (stderr, files) are optional and token-bucket rate limited per
@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/trace"
 )
 
@@ -171,7 +172,7 @@ type Recorder struct {
 type component struct {
 	name  string
 	level atomic.Int32
-	ring  recordRing
+	ring  metrics.Ring[Record]
 	seq   atomic.Uint64
 
 	emitted    atomic.Int64
@@ -234,7 +235,7 @@ func (r *Recorder) component(name string) *component {
 		lvl = o
 	}
 	c.level.Store(int32(lvl))
-	c.ring.init(r.cfg.RingSize)
+	c.ring.Init(r.cfg.RingSize)
 	r.comps[name] = c
 	return c
 }
@@ -288,8 +289,8 @@ func (r *Recorder) Stats() []ComponentStats {
 			Emitted:    c.emitted.Load(),
 			Dropped:    c.dropped.Load(),
 			Suppressed: c.suppressed.Load(),
-			Occupancy:  c.ring.occupancy(),
-			Capacity:   c.ring.capacity(),
+			Occupancy:  c.ring.Occupancy(),
+			Capacity:   c.ring.Capacity(),
 		})
 	}
 	r.mu.RUnlock()
@@ -315,7 +316,7 @@ func (r *Recorder) Snapshot() []*Record {
 	var out []*Record
 	r.mu.RLock()
 	for _, name := range names {
-		out = append(out, r.comps[name].ring.snapshot()...)
+		out = append(out, r.comps[name].ring.Snapshot()...)
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -397,7 +398,7 @@ func (l *Logger) log(lvl Level, ctx trace.Context, msg string, attrs []Attr) {
 		TraceID:      ctx.TraceID(),
 		Attrs:        attrs,
 	}
-	if l.c.ring.add(rec) {
+	if l.c.ring.Add(rec, rec.Seq) {
 		l.c.dropped.Add(1)
 		l.r.dropped.Add(1)
 	}

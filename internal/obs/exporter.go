@@ -123,6 +123,18 @@ type Exporter struct {
 	pace   time.Time
 }
 
+var exporterCounters = []counterFamily[ExporterMetrics]{
+	{Declare(KindCounter, "gsalert_exporter_scrapes_total", "Registry snapshots rendered for push."), func(m *ExporterMetrics) *metrics.Counter { return &m.Scrapes }},
+	{Declare(KindCounter, "gsalert_exporter_scrape_errors_total", "Snapshot renders or compressions that failed."), func(m *ExporterMetrics) *metrics.Counter { return &m.ScrapeErrors }},
+	{Declare(KindCounter, "gsalert_exporter_sent_total", "Snapshot blocks acknowledged by the sink."), func(m *ExporterMetrics) *metrics.Counter { return &m.Sent }},
+	{Declare(KindCounter, "gsalert_exporter_retries_total", "Send re-attempts after a failure."), func(m *ExporterMetrics) *metrics.Counter { return &m.Retries }},
+	{Declare(KindCounter, "gsalert_exporter_dropped_total", "Blocks lost to queue eviction or exhausted retries."), func(m *ExporterMetrics) *metrics.Counter { return &m.Dropped }},
+	{Declare(KindCounter, "gsalert_exporter_send_errors_total", "Individual failed HTTP attempts."), func(m *ExporterMetrics) *metrics.Counter { return &m.SendErrors }},
+	{Declare(KindCounter, "gsalert_exporter_sent_bytes_total", "Compressed bytes acknowledged by the sink."), func(m *ExporterMetrics) *metrics.Counter { return &m.BytesSent }},
+}
+
+var exporterQueueDepth = Declare(KindGauge, "gsalert_exporter_queue_depth", "Compressed blocks awaiting send.")
+
 // NewExporter starts the push pipeline against reg and registers its
 // self-monitoring series there.
 func NewExporter(reg *Registry, cfg ExporterConfig) (*Exporter, error) {
@@ -136,16 +148,8 @@ func NewExporter(reg *Registry, cfg ExporterConfig) (*Exporter, error) {
 		queue:  make(chan []byte, cfg.QueueSize),
 		stop:   make(chan struct{}),
 	}
-	reg.CounterValue("gsalert_exporter_scrapes_total", "Registry snapshots rendered for push.", &e.m.Scrapes)
-	reg.CounterValue("gsalert_exporter_scrape_errors_total", "Snapshot renders or compressions that failed.", &e.m.ScrapeErrors)
-	reg.CounterValue("gsalert_exporter_sent_total", "Snapshot blocks acknowledged by the sink.", &e.m.Sent)
-	reg.CounterValue("gsalert_exporter_retries_total", "Send re-attempts after a failure.", &e.m.Retries)
-	reg.CounterValue("gsalert_exporter_dropped_total", "Blocks lost to queue eviction or exhausted retries.", &e.m.Dropped)
-	reg.CounterValue("gsalert_exporter_send_errors_total", "Individual failed HTTP attempts.", &e.m.SendErrors)
-	reg.CounterValue("gsalert_exporter_sent_bytes_total", "Compressed bytes acknowledged by the sink.", &e.m.BytesSent)
-	reg.Gauge("gsalert_exporter_queue_depth", "Compressed blocks awaiting send.", func() float64 {
-		return float64(len(e.queue))
-	})
+	registerCounters(reg, &e.m, exporterCounters)
+	reg.Func(exporterQueueDepth, func() float64 { return float64(len(e.queue)) })
 
 	e.wg.Add(1)
 	go e.collectLoop()

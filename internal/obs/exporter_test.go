@@ -86,7 +86,7 @@ func TestExporterPushesSnapshots(t *testing.T) {
 	defer srv.Close()
 
 	reg := NewRegistry()
-	reg.Gauge("gsalert_test_static", "Static test gauge.", func() float64 { return 4 })
+	reg.Func(td(KindGauge, "gsalert_test_static", "Static test gauge."), func() float64 { return 4 })
 	exp, err := NewExporter(reg, ExporterConfig{URL: srv.URL, Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -29,20 +29,7 @@ type HistogramSample struct {
 // all reads happen here, at gather time. Ordering is not significant;
 // consumers match by name and labels.
 func (r *Registry) Gather() ([]Sample, []HistogramSample) {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	collectors := make([]func(*Collector), len(r.collectors))
-	copy(collectors, r.collectors)
-	r.mu.Unlock()
-
-	c := &Collector{families: make(map[string]*collFamily)}
-	for _, fn := range collectors {
-		fn(c)
-	}
-
+	fams, c := r.collect()
 	var scalars []Sample
 	var hists []HistogramSample
 	for _, f := range fams {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -36,47 +37,26 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// ServeOption extends ServeOps with additional endpoints.
-type ServeOption func(mux *http.ServeMux)
-
-// WithTraces serves the collector's assembled traces at `/traces` as JSON,
-// filterable with query parameters: `min_ms` (minimum end-to-end duration in
-// milliseconds), `class` (QoS class name), `stage` (span/stage name) and
-// `limit` (maximum traces returned, most recent first; default 100). See
-// docs/TRACING.md.
-func WithTraces(col *trace.Collector) ServeOption {
-	return func(mux *http.ServeMux) {
-		mux.Handle("/traces", TracesHandler(col))
-	}
+// PprofHandler serves the standard net/http/pprof profile endpoints; mount
+// it at `/debug/pprof/`. Off by default — profiles expose internals and
+// cost CPU — and enabled by the servers' -pprof flag
+// (docs/OBSERVABILITY.md).
+func PprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
-// WithPprof mounts the standard net/http/pprof profile endpoints under
-// `/debug/pprof/`. Off by default — profiles expose internals and cost CPU —
-// and enabled by the servers' -pprof flag (docs/OBSERVABILITY.md).
-func WithPprof() ServeOption {
-	return func(mux *http.ServeMux) {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-}
-
-// WithFlightRecorder serves on-demand post-mortem bundles at
-// `/debug/flightrecorder`: the same JSONL bundle the server writes when
-// the health plane turns a component critical, captured at request time.
-// `gs-client logs` pulls and renders it. See docs/LOGGING.md.
-func WithFlightRecorder(fr *logging.FlightRecorder) ServeOption {
-	return func(mux *http.ServeMux) {
-		mux.Handle("/debug/flightrecorder", FlightHandler(fr))
-	}
-}
-
-// FlightHandler serves one flight recorder's bundle (the
-// /debug/flightrecorder endpoint of WithFlightRecorder, exposed for tests
-// and custom muxes). The optional `reason` query parameter is recorded in
-// the bundle header in place of the default "manual".
+// FlightHandler serves on-demand post-mortem bundles (mounted at
+// `/debug/flightrecorder`): the same JSONL bundle the server writes when
+// the health plane turns a component critical, captured at request time;
+// `gs-client logs` pulls and renders it (docs/LOGGING.md). The optional
+// `reason` query parameter is recorded in the bundle header in place of the
+// default "manual".
 func FlightHandler(fr *logging.FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		reason := "manual"
@@ -95,8 +75,11 @@ func FlightHandler(fr *logging.FlightRecorder) http.Handler {
 	})
 }
 
-// TracesHandler serves one collector's traces as JSON (the /traces endpoint
-// of WithTraces, exposed for tests and custom muxes).
+// TracesHandler serves the collector's assembled traces as JSON (mounted at
+// `/traces`), filterable with query parameters: `min_ms` (minimum
+// end-to-end duration in milliseconds), `class` (QoS class name), `stage`
+// (span/stage name) and `limit` (maximum traces returned, most recent
+// first; default 100). See docs/TRACING.md.
 func TracesHandler(col *trace.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -130,11 +113,13 @@ func TracesHandler(col *trace.Collector) http.Handler {
 
 // ServeOps starts the operational HTTP endpoint of one server process on
 // addr: `/metrics` serves the registry's Prometheus exposition and, when
-// statsJSON is non-nil, `/stats` (and `/`, for back-compat with the
-// original -stats-addr endpoint) serves its value as indented JSON. Options
-// add more endpoints (WithTraces, WithPprof). The returned func stops the
-// server.
-func ServeOps(addr string, reg *Registry, statsJSON func() any, opts ...ServeOption) (func(), error) {
+// statsJSON is non-nil, `/stats` (and `/`) serves its value as indented
+// JSON. routes adds more endpoints by mux pattern (TracesHandler,
+// PprofHandler, ...). The address is bound before ServeOps returns, so an
+// unbindable one fails here rather than silently later; the bound address
+// is returned (it differs from addr for port 0) with the func that stops
+// the server.
+func ServeOps(addr string, reg *Registry, statsJSON func() any, routes map[string]http.Handler) (net.Addr, func(), error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(reg))
 	if statsJSON != nil {
@@ -147,17 +132,18 @@ func ServeOps(addr string, reg *Registry, statsJSON func() any, opts ...ServeOpt
 		mux.HandleFunc("/stats", js)
 		mux.HandleFunc("/", js)
 	}
-	for _, opt := range opts {
-		opt(mux)
+	for pattern, h := range routes {
+		mux.Handle(pattern, h)
 	}
-	server := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	// Fail fast on an unbindable address instead of dying silently later.
-	select {
-	case err := <-errCh:
-		return nil, err
-	case <-time.After(100 * time.Millisecond):
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
 	}
-	return func() { _ = server.Close() }, nil
+	server := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = server.Serve(ln) // returns once the stop func closes the server
+	}()
+	return ln.Addr(), func() { _ = server.Close(); <-done }, nil
 }

@@ -44,7 +44,7 @@ func buildLoggingRegistry() (*Registry, *logging.Recorder) {
 	h.ObserveExemplar(100*time.Nanosecond, "b7ad6b7169203331aaaabbbbccccdddd")
 	h.ObserveExemplar(3*time.Microsecond, "4bf92f3577b34da6a3ce929d0e0e4736")
 	h.Observe(50 * time.Millisecond) // untraced bucket: no exemplar
-	r.Histogram("gsalert_test_exemplar_seconds", "Latencies with trace-ID exemplars.", &h, L("class", "normal"))
+	r.Histogram(td(KindHistogram, "gsalert_test_exemplar_seconds", "Latencies with trace-ID exemplars."), &h, L("class", "normal"))
 	return r, rec
 }
 
@@ -205,7 +205,7 @@ func TestScrapeDuringConcurrentLogWrites(t *testing.T) {
 	rec := logging.NewRecorder(logging.Config{RingSize: 32})
 	RegisterLogging(r, rec)
 	var h metrics.LatencyHistogram
-	r.Histogram("gsalert_scrape_race_seconds", "Race-test histogram.", &h, L("class", "normal"))
+	r.Histogram(td(KindHistogram, "gsalert_scrape_race_seconds", "Race-test histogram."), &h, L("class", "normal"))
 
 	stop := make(chan struct{})
 	var wg, started sync.WaitGroup

@@ -13,14 +13,17 @@
 // duplicate series and kind conflicts panic immediately rather than
 // producing an exposition a Prometheus scraper would reject at 3 a.m.
 //
-// Three registration shapes cover every producer:
+// Every family is declared exactly once as a Desc (name, help, kind); the
+// table of declarations is also what health.ParseRules validates against.
+// Three registration shapes, each taking the family's Desc, cover every
+// producer:
 //
-//   - Counter/Gauge: one static series backed by a read func (wrap a
-//     *metrics.Counter's Value, an atomic gauge, a len()).
+//   - Func/CounterValue: one static counter or gauge series backed by a
+//     read func (an atomic gauge, a len()) or a *metrics.Counter.
 //   - Histogram: one static series backed by a *metrics.LatencyHistogram,
 //     rendered as a real Prometheus histogram (cumulative `_bucket` lines
 //     over the power-of-two buckets, `_sum`, `_count`).
-//   - Collect: a callback run per scrape that emits samples with dynamic
+//   - Collect: a callback run per scrape that Emits samples with dynamic
 //     label sets (per-shard queue depths, per-link digest sizes) or many
 //     samples from one snapshot call (core.ServiceStats).
 //
@@ -51,26 +54,64 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
-// kind is the exposition type of a family.
-type kind uint8
+// Kind is the exposition type of a family. Health rules constrain their
+// selectors by it: quantiles need a histogram, rates a counter.
+type Kind uint8
 
+// Family kinds.
 const (
-	counterKind kind = iota
-	gaugeKind
-	histogramKind
+	KindCounter Kind = iota
+	KindGauge
+	KindHistogram
 )
 
-func (k kind) String() string {
+func (k Kind) String() string {
 	switch k {
-	case counterKind:
+	case KindCounter:
 		return "counter"
-	case gaugeKind:
+	case KindGauge:
 		return "gauge"
-	case histogramKind:
+	case KindHistogram:
 		return "histogram"
 	default:
 		return fmt.Sprintf("kind-%d", int(k))
 	}
+}
+
+// Desc declares one metric family: the single place its name, help text
+// and kind are written.
+type Desc struct {
+	Name string
+	Help string
+	Kind Kind
+}
+
+// declared is the process-wide table of families: filled by package-level
+// Declare calls (here and in internal/health), read-only afterwards.
+var declared = map[string]*Desc{}
+
+// Declare adds a family to the catalog and returns its Desc. It is for
+// package-level var initialisers only; by convention a counter's name ends
+// in `_total` (or `_seconds_total` for accumulated durations).
+func Declare(k Kind, name, help string) *Desc {
+	validate(name, nil)
+	if declared[name] != nil {
+		panic(fmt.Sprintf("obs: metric %s declared twice", name))
+	}
+	d := &Desc{Name: name, Help: help, Kind: k}
+	declared[name] = d
+	return d
+}
+
+// Declared maps every declared family name to its kind — the catalog rule
+// files are validated against. A family may be declared yet absent from a
+// given process's registry (gds-server has no delivery pipeline).
+func Declared() map[string]Kind {
+	m := make(map[string]Kind, len(declared))
+	for name, d := range declared {
+		m[name] = d.Kind
+	}
+	return m
 }
 
 // series is one static scalar series.
@@ -91,7 +132,7 @@ type histSeries struct {
 type family struct {
 	name string
 	help string
-	kind kind
+	kind Kind
 	// static series, sorted lazily at render time.
 	series []series
 	hists  []histSeries
@@ -186,68 +227,68 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// familyOf fetches or creates a family, panicking on help/kind conflicts.
-func (r *Registry) familyOf(name, help string, k kind) *family {
-	f := r.families[name]
+// familyOf fetches or creates d's family, panicking on kind conflicts.
+func (r *Registry) familyOf(d *Desc) *family {
+	f := r.families[d.Name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: k}
-		r.families[name] = f
+		f = &family{name: d.Name, help: d.Help, kind: d.Kind}
+		r.families[d.Name] = f
 		return f
 	}
-	if f.kind != k {
-		panic(fmt.Sprintf("obs: metric %s registered as both %s and %s", name, f.kind, k))
+	if f.kind != d.Kind {
+		panic(fmt.Sprintf("obs: metric %s registered as both %s and %s", d.Name, f.kind, d.Kind))
 	}
 	return f
 }
 
-// addSeries installs one static series, panicking on duplicates.
-func (r *Registry) addSeries(name, help string, k kind, labels []Label, read func() float64) {
-	validate(name, labels)
+// newSeries finds (or creates) d's family and checks, under r.mu, that the
+// label set is new to it; duplicate series panic.
+func (r *Registry) newSeries(d *Desc, labels []Label) (*family, string) {
+	validate(d.Name, labels)
 	key := labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyOf(name, help, k)
+	f := r.familyOf(d)
 	for _, s := range f.series {
 		if s.key == key {
-			panic(fmt.Sprintf("obs: duplicate series %s%s", name, key))
+			panic(fmt.Sprintf("obs: duplicate series %s%s", d.Name, key))
 		}
 	}
+	for _, s := range f.hists {
+		if s.key == key {
+			panic(fmt.Sprintf("obs: duplicate series %s%s", d.Name, key))
+		}
+	}
+	return f, key
+}
+
+// Func registers one static counter or gauge series of family d, read at
+// scrape time.
+func (r *Registry) Func(d *Desc, read func() float64, labels ...Label) {
+	if d.Kind == KindHistogram {
+		panic(fmt.Sprintf("obs: metric %s is a histogram; register it with Histogram", d.Name))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, key := r.newSeries(d, labels)
 	f.series = append(f.series, series{key: key, labels: labels, read: read})
 }
 
-// Counter registers a monotonically increasing series read at scrape time.
-// By convention the name ends in `_total` (or `_seconds_total` for
-// accumulated durations).
-func (r *Registry) Counter(name, help string, read func() float64, labels ...Label) {
-	r.addSeries(name, help, counterKind, labels, read)
-}
-
-// CounterValue registers a counter series backed directly by a lock-free
+// CounterValue registers a series backed directly by a lock-free
 // metrics.Counter.
-func (r *Registry) CounterValue(name, help string, c *metrics.Counter, labels ...Label) {
-	r.Counter(name, help, func() float64 { return float64(c.Value()) }, labels...)
-}
-
-// Gauge registers a point-in-time series read at scrape time.
-func (r *Registry) Gauge(name, help string, read func() float64, labels ...Label) {
-	r.addSeries(name, help, gaugeKind, labels, read)
+func (r *Registry) CounterValue(d *Desc, c *metrics.Counter, labels ...Label) {
+	r.Func(d, func() float64 { return float64(c.Value()) }, labels...)
 }
 
 // Histogram registers a latency histogram series. It renders as a real
 // Prometheus histogram — cumulative `_bucket{le="..."}` lines over the
 // occupied power-of-two buckets (bounds in seconds), `_sum` and `_count` —
 // so PromQL `histogram_quantile` works against it.
-func (r *Registry) Histogram(name, help string, h *metrics.LatencyHistogram, labels ...Label) {
-	validate(name, labels)
-	key := labelKey(labels)
+func (r *Registry) Histogram(d *Desc, h *metrics.LatencyHistogram, labels ...Label) {
+	if d.Kind != KindHistogram {
+		panic(fmt.Sprintf("obs: metric %s is a %s, not a histogram", d.Name, d.Kind))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyOf(name, help, histogramKind)
-	for _, s := range f.hists {
-		if s.key == key {
-			panic(fmt.Sprintf("obs: duplicate series %s%s", name, key))
-		}
-	}
+	f, key := r.newSeries(d, labels)
 	f.hists = append(f.hists, histSeries{key: key, labels: labels, h: h})
 }
 
@@ -267,7 +308,7 @@ type Collector struct {
 
 type collFamily struct {
 	help    string
-	kind    kind
+	kind    Kind
 	samples []collSample
 }
 
@@ -277,26 +318,20 @@ type collSample struct {
 	v      float64
 }
 
-func (c *Collector) add(name, help string, k kind, v float64, labels []Label) {
-	validate(name, labels)
-	f := c.families[name]
+// Emit adds one counter or gauge sample of family d to this scrape.
+func (c *Collector) Emit(d *Desc, v float64, labels ...Label) {
+	if d.Kind == KindHistogram {
+		panic(fmt.Sprintf("obs: metric %s is a histogram; register it with Histogram", d.Name))
+	}
+	validate(d.Name, labels)
+	f := c.families[d.Name]
 	if f == nil {
-		f = &collFamily{help: help, kind: k}
-		c.families[name] = f
-	} else if f.kind != k {
-		panic(fmt.Sprintf("obs: metric %s collected as both %s and %s", name, f.kind, k))
+		f = &collFamily{help: d.Help, kind: d.Kind}
+		c.families[d.Name] = f
+	} else if f.kind != d.Kind {
+		panic(fmt.Sprintf("obs: metric %s collected as both %s and %s", d.Name, f.kind, d.Kind))
 	}
 	f.samples = append(f.samples, collSample{key: labelKey(labels), labels: labels, v: v})
-}
-
-// Counter emits one counter sample for this scrape.
-func (c *Collector) Counter(name, help string, v float64, labels ...Label) {
-	c.add(name, help, counterKind, v, labels)
-}
-
-// Gauge emits one gauge sample for this scrape.
-func (c *Collector) Gauge(name, help string, v float64, labels ...Label) {
-	c.add(name, help, gaugeKind, v, labels)
 }
 
 // formatValue renders a sample value: integers exactly, floats in the
@@ -320,11 +355,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false)
 // Handler negotiates between them on the Accept header.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.write(w, true) }
 
-func (r *Registry) write(w io.Writer, openMetrics bool) error {
+// collect snapshots the static families and runs every Collect callback:
+// the one read pass behind the text exposition and Gather. Reads happen
+// outside the lock so a slow read func cannot block registration (and a
+// collector calling back into the registry cannot deadlock).
+func (r *Registry) collect() ([]*family, *Collector) {
 	r.mu.Lock()
-	// Snapshot family pointers and collectors; reads and collector runs
-	// happen outside the lock so a slow read func cannot block registration
-	// (and a collector calling back into the registry cannot deadlock).
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
 		fams = append(fams, f)
@@ -337,11 +373,15 @@ func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	for _, fn := range collectors {
 		fn(c)
 	}
+	return fams, c
+}
 
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
+	fams, c := r.collect()
 	type renderFamily struct {
 		name string
 		help string
-		kind kind
+		kind Kind
 		// scalar lines, sorted by label key.
 		scalars []collSample
 		hists   []histSeries

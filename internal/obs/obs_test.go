@@ -17,6 +17,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// td builds an ad-hoc test family. Tests construct Descs directly instead
+// of Declaring them, so the process-wide catalog holds production families
+// only.
+func td(k Kind, name, help string) *Desc { return &Desc{Name: name, Help: help, Kind: k} }
+
 // buildFixedRegistry wires a registry whose exposition is fully
 // deterministic: static counters and gauges (with label values exercising
 // every escape), a histogram with known observations, and a collector
@@ -25,25 +30,25 @@ func buildFixedRegistry() *Registry {
 	r := NewRegistry()
 	var c metrics.Counter
 	c.Add(42)
-	r.CounterValue("gsalert_test_events_total", "Events with a backslash \\ and\nnewline in help.", &c)
-	r.Counter("gsalert_test_routed_total", "Routed envelopes per link.", func() float64 { return 7 },
+	r.CounterValue(td(KindCounter, "gsalert_test_events_total", "Events with a backslash \\ and\nnewline in help."), &c)
+	r.Func(td(KindCounter, "gsalert_test_routed_total", "Routed envelopes per link."), func() float64 { return 7 },
 		L("link", `child"one`))
-	r.Counter("gsalert_test_routed_total", "Routed envelopes per link.", func() float64 { return 3 },
+	r.Func(td(KindCounter, "gsalert_test_routed_total", "Routed envelopes per link."), func() float64 { return 3 },
 		L("link", "path\\with\nodd chars"))
-	r.Gauge("gsalert_test_queue_depth", "Queue depth per shard and class.", func() float64 { return 5 },
+	r.Func(td(KindGauge, "gsalert_test_queue_depth", "Queue depth per shard and class."), func() float64 { return 5 },
 		L("shard", "0"), L("class", "realtime"))
-	r.Gauge("gsalert_test_queue_depth", "Queue depth per shard and class.", func() float64 { return 1.5 },
+	r.Func(td(KindGauge, "gsalert_test_queue_depth", "Queue depth per shard and class."), func() float64 { return 1.5 },
 		L("class", "bulk"), L("shard", "0")) // label order must not leak
 	var h metrics.LatencyHistogram
 	h.Observe(100 * time.Nanosecond)
 	h.Observe(100 * time.Nanosecond)
 	h.Observe(3 * time.Microsecond)
 	h.Observe(50 * time.Millisecond)
-	r.Histogram("gsalert_test_latency_seconds", "Observed latencies.", &h, L("class", "normal"))
+	r.Histogram(td(KindHistogram, "gsalert_test_latency_seconds", "Observed latencies."), &h, L("class", "normal"))
 	r.Collect(func(c *Collector) {
-		c.Gauge("gsalert_test_dynamic", "Dynamic per-scrape series.", 2, L("kind", "a"))
-		c.Gauge("gsalert_test_dynamic", "Dynamic per-scrape series.", 9.25, L("kind", "b"))
-		c.Counter("gsalert_test_collected_total", "Collector-emitted counter.", 11)
+		c.Emit(td(KindGauge, "gsalert_test_dynamic", "Dynamic per-scrape series."), 2, L("kind", "a"))
+		c.Emit(td(KindGauge, "gsalert_test_dynamic", "Dynamic per-scrape series."), 9.25, L("kind", "b"))
+		c.Emit(td(KindCounter, "gsalert_test_collected_total", "Collector-emitted counter."), 11)
 	})
 	RegisterTrace(r, buildFixedTraceCollector())
 	return r
@@ -261,16 +266,16 @@ func TestLabelOrderCanonical(t *testing.T) {
 
 func TestRegistrationPanics(t *testing.T) {
 	cases := map[string]func(r *Registry){
-		"bad metric name": func(r *Registry) { r.Gauge("7bad-name", "x", func() float64 { return 0 }) },
-		"bad label name":  func(r *Registry) { r.Gauge("ok_name", "x", func() float64 { return 0 }, L("0bad", "v")) },
-		"reserved le":     func(r *Registry) { r.Gauge("ok_name", "x", func() float64 { return 0 }, L("le", "v")) },
+		"bad metric name": func(r *Registry) { r.Func(td(KindGauge, "7bad-name", "x"), func() float64 { return 0 }) },
+		"bad label name":  func(r *Registry) { r.Func(td(KindGauge, "ok_name", "x"), func() float64 { return 0 }, L("0bad", "v")) },
+		"reserved le":     func(r *Registry) { r.Func(td(KindGauge, "ok_name", "x"), func() float64 { return 0 }, L("le", "v")) },
 		"duplicate series": func(r *Registry) {
-			r.Gauge("dup_name", "x", func() float64 { return 0 }, L("a", "1"))
-			r.Gauge("dup_name", "x", func() float64 { return 0 }, L("a", "1"))
+			r.Func(td(KindGauge, "dup_name", "x"), func() float64 { return 0 }, L("a", "1"))
+			r.Func(td(KindGauge, "dup_name", "x"), func() float64 { return 0 }, L("a", "1"))
 		},
 		"kind conflict": func(r *Registry) {
-			r.Gauge("mixed_name", "x", func() float64 { return 0 })
-			r.Counter("mixed_name", "x", func() float64 { return 0 })
+			r.Func(td(KindGauge, "mixed_name", "x"), func() float64 { return 0 })
+			r.Func(td(KindCounter, "mixed_name", "x"), func() float64 { return 0 })
 		},
 	}
 	for name, fn := range cases {
@@ -308,8 +313,8 @@ func TestHistogramSpliceWithAndWithoutLabels(t *testing.T) {
 	var h1, h2 metrics.LatencyHistogram
 	h1.Observe(time.Millisecond)
 	h2.Observe(time.Second)
-	r.Histogram("plain_hist_seconds", "No labels.", &h1)
-	r.Histogram("labeled_hist_seconds", "With labels.", &h2, L("class", "bulk"))
+	r.Histogram(td(KindHistogram, "plain_hist_seconds", "No labels."), &h1)
+	r.Histogram(td(KindHistogram, "labeled_hist_seconds", "With labels."), &h2, L("class", "bulk"))
 	out := render(t, r)
 	if !strings.Contains(out, `plain_hist_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("unlabelled histogram misrendered:\n%s", out)

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
+	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/transport"
@@ -48,17 +50,18 @@ type Primary struct {
 	listener io.Closer
 
 	// mu serialises stream sequence assignment and sends: the stream IS the
-	// serialisation of concurrent state changes.
+	// serialisation of concurrent state changes. The positions and counters
+	// are written under it but read (ReplicaStats) without it.
 	mu          sync.Mutex
 	standbyAddr string
 	broken      bool
-	seq         uint64
-	confirmed   uint64
-	streamed    int64
-	dropped     int64
-	errors      int64
-	snapshots   int64
-	resyncs     int64
+	seq         atomic.Uint64
+	confirmed   atomic.Uint64
+	streamed    metrics.Counter
+	dropped     metrics.Counter
+	errors      metrics.Counter
+	snapshots   metrics.Counter
+	resyncs     metrics.Counter
 }
 
 // NewPrimary builds a Primary, wires it into the service and pipeline, and
@@ -93,26 +96,23 @@ func (p *Primary) Close() error {
 	return nil
 }
 
-// StandbyAddr reports the attached standby's endpoint ("" when none).
-func (p *Primary) StandbyAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.broken {
-		return ""
-	}
-	return p.standbyAddr
-}
-
-// ReplicaStats implements core.ReplicaStatsProvider.
+// ReplicaStats implements core.ReplicaStatsProvider. It does not take p.mu:
+// stream() holds that across a send of up to streamTimeout, and /metrics,
+// /stats and the health rules must keep answering when a standby wedges.
 func (p *Primary) ReplicaStats() core.ReplicaStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := roleStats("primary", p.seq, p.streamed, p.dropped, p.errors, p.snapshots, p.resyncs, false)
+	// confirmed first: it only ever trails seq, so a racing send can make
+	// the window read one record wide, never negative.
+	confirmed, seq := p.confirmed.Load(), p.seq.Load()
+	st := core.ReplicaStats{
+		Role: "primary", StreamSeq: seq,
+		Streamed: p.streamed.Value(), Dropped: p.dropped.Value(), Errors: p.errors.Value(),
+		Snapshots: p.snapshots.Value(), Resyncs: p.resyncs.Value(),
+	}
 	// Lag is the un-acknowledged stream window. Before any standby attaches
 	// the stream has no position to lag behind (seq stays 0), so this reads
 	// 0 on a solo primary.
-	if p.seq > p.confirmed {
-		st.StreamLag = p.seq - p.confirmed
+	if seq > confirmed {
+		st.StreamLag = seq - confirmed
 	}
 	return st
 }
@@ -144,7 +144,7 @@ func (p *Primary) handle(_ context.Context, env *protocol.Envelope) (*protocol.E
 			// only a join's snapshot can.
 			p.mu.Lock()
 			needResync := p.broken || p.standbyAddr != ack.Addr
-			seq := p.seq
+			seq := p.seq.Load()
 			p.mu.Unlock()
 			return protocol.MustEnvelope(p.svc.Name(), protocol.MsgReplAck, &protocol.ReplAck{
 				AppliedSeq: seq,
@@ -186,7 +186,7 @@ func (p *Primary) snapshotLocked() (*protocol.ReplSnapshot, error) {
 		return nil, err
 	}
 	snap := &protocol.ReplSnapshot{
-		Seq:           p.seq,
+		Seq:           p.seq.Load(),
 		Server:        p.svc.Name(),
 		Mode:          p.svc.RoutingMode().String(),
 		IDSeq:         p.svc.IDSeq(),
@@ -205,7 +205,7 @@ func (p *Primary) snapshotLocked() (*protocol.ReplSnapshot, error) {
 		}
 		snap.Mailboxes = append(snap.Mailboxes, rm)
 	}
-	p.snapshots++
+	p.snapshots.Inc()
 	return snap, nil
 }
 
@@ -226,13 +226,13 @@ func (p *Primary) sendSnapshotLocked(ctx context.Context) error {
 	var ack protocol.ReplAck
 	if err := transport.SendExpect(ctx, p.tr, p.standbyAddr, env, protocol.MsgReplAck, &ack); err != nil {
 		p.broken = true
-		p.errors++
+		p.errors.Inc()
 		return err
 	}
 	// A successfully applied snapshot makes the standby consistent with the
 	// current stream position: a previously broken stream may resume.
 	p.broken = false
-	p.confirmed = ack.AppliedSeq
+	p.confirmed.Store(ack.AppliedSeq)
 	return nil
 }
 
@@ -240,19 +240,15 @@ func (p *Primary) sendSnapshotLocked(ctx context.Context) error {
 // It equals the stream position whenever the pair is in sync; the gap is
 // the primary's un-acknowledged window (zero under the synchronous
 // stream).
-func (p *Primary) ConfirmedSeq() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.confirmed
-}
+func (p *Primary) ConfirmedSeq() uint64 { return p.confirmed.Load() }
 
 // noteError counts a replication failure that could not take the stream
 // path (e.g. a payload that failed to marshal). The stream is marked
 // broken so the divergence is repaired by the next join/heartbeat resync
 // instead of persisting silently.
 func (p *Primary) noteError() {
+	p.errors.Inc()
 	p.mu.Lock()
-	p.errors++
 	p.broken = true
 	p.mu.Unlock()
 }
@@ -263,29 +259,29 @@ func (p *Primary) stream(typ protocol.MessageType, build func(seq uint64) (any, 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.standbyAddr == "" || p.broken {
-		p.dropped++
+		p.dropped.Inc()
 		return
 	}
-	payload, err := build(p.seq + 1)
+	payload, err := build(p.seq.Load() + 1)
 	if err != nil {
 		// The record is lost to the stream but the position did not
 		// advance, so only a broken mark makes the divergence visible to
 		// the heartbeat resync.
-		p.errors++
+		p.errors.Inc()
 		p.broken = true
 		return
 	}
-	p.seq++
+	p.seq.Add(1)
 	env, err := protocol.NewEnvelope(p.svc.Name(), typ, payload)
 	if err != nil {
-		p.errors++
+		p.errors.Inc()
 		p.broken = true
 		return
 	}
 	// The send runs under p.mu — the stream lock IS the serialisation — so
 	// it must be bounded: an unresponsive standby would otherwise stall
-	// every publish, subscribe and Stats() behind this mutex for the
-	// transport's full timeout.
+	// every publish and subscribe behind this mutex for the transport's
+	// full timeout.
 	ctx, cancel := context.WithTimeout(context.Background(), streamTimeout)
 	defer cancel()
 	var ack protocol.ReplAck
@@ -293,15 +289,15 @@ func (p *Primary) stream(typ protocol.MessageType, build func(seq uint64) (any, 
 		// Stream broken: drop records until the standby rejoins (the join
 		// snapshot resyncs it; re-sending individual records cannot).
 		p.broken = true
-		p.errors++
+		p.errors.Inc()
 		return
 	}
-	p.streamed++
-	p.confirmed = ack.AppliedSeq
+	p.streamed.Inc()
+	p.confirmed.Store(ack.AppliedSeq)
 	if ack.Resync {
 		// The standby detected a gap or failed an apply: catch it up with a
 		// fresh snapshot before the next record.
-		p.resyncs++
+		p.resyncs.Inc()
 		if err := p.sendSnapshotLocked(context.Background()); err != nil {
 			p.broken = true
 		}

@@ -57,20 +57,6 @@ const (
 	kindDedup  = "dedup"
 )
 
-// roleStats assembles the shared core.ReplicaStats shape.
-func roleStats(role string, seq uint64, streamed, dropped, errs, snaps, resyncs int64, promoted bool) core.ReplicaStats {
-	return core.ReplicaStats{
-		Role:      role,
-		StreamSeq: seq,
-		Streamed:  streamed,
-		Dropped:   dropped,
-		Errors:    errs,
-		Snapshots: snaps,
-		Resyncs:   resyncs,
-		Promoted:  promoted,
-	}
-}
-
 // mismatchErr reports a cross-wired replication pair.
 func mismatchErr(want, got string) error {
 	return fmt.Errorf("replica: standby stands by for %q, primary is %q", got, want)

@@ -10,7 +10,9 @@ import (
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/profile"
+	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
 	"github.com/gsalert/gsalert/internal/transport"
 )
@@ -450,5 +452,86 @@ func TestQoSBucketsSurvivePromotion(t *testing.T) {
 	// An untouched subscriber still gets its full burst.
 	if !p.standby.QoS().AllowSubscriber("dave") {
 		t.Fatal("fresh subscriber refused on promoted standby")
+	}
+}
+
+// TestStatsDoNotWaitOnWedgedStandby pins the ops-plane bugfix: stream()
+// holds the stream lock across a synchronous send of up to streamTimeout,
+// so a scrape that read the counters under that lock froze /metrics,
+// /stats and the replica-stream-lag health rule exactly when a standby
+// wedged. The counters are atomics now: with a send blocked in flight,
+// Service.Stats() and a registry gather still answer at once and report
+// the un-acked record as lag.
+func TestStatsDoNotWaitOnWedgedStandby(t *testing.T) {
+	ctx := context.Background()
+	tr := transport.NewMemory(1)
+	defer func() { _ = tr.Close() }()
+	svc, err := core.New(core.Config{ServerName: "Alpha", ServerAddr: "gs://alpha", Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	prim, err := NewPrimary(PrimaryConfig{Service: svc, Transport: tr, ListenAddr: "repl://alpha"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = prim.Close() }()
+
+	// A standby whose handler blocks every stream record until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	l, err := tr.Listen("repl://wedged", transport.HandlerFunc(
+		func(context.Context, *protocol.Envelope) (*protocol.Envelope, error) {
+			close(entered)
+			<-release
+			return protocol.MustEnvelope("Alpha", protocol.MsgReplAck, &protocol.ReplAck{AppliedSeq: 1}), nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	join := protocol.MustEnvelope("Alpha", protocol.MsgReplAck,
+		&protocol.ReplAck{Resync: true, Addr: "repl://wedged", ServerName: "Alpha"})
+	if err := transport.SendExpect(ctx, tr, "repl://alpha", join, protocol.MsgReplSnapshot, &protocol.ReplSnapshot{}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Subscribe("carol", profile.MustParse(`collection = "Alpha.C"`))
+		done <- err
+	}()
+	<-entered // the stream send is now in flight, under the stream lock
+
+	reg := obs.NewRegistry()
+	obs.RegisterService(reg, svc.Stats)
+	type scrape struct {
+		lag, gathered float64
+	}
+	scraped := make(chan scrape, 1) // buffered: the scrape may outlive a failed wait
+	go func() {
+		sc := scrape{lag: float64(svc.Stats().ReplicaStreamLag)}
+		scalars, _ := reg.Gather()
+		for _, s := range scalars {
+			if s.Name == "gsalert_replica_stream_lag" {
+				sc.gathered = s.Value
+			}
+		}
+		scraped <- sc
+	}()
+	select {
+	case sc := <-scraped:
+		if sc.lag != 1 || sc.gathered != 1 {
+			t.Errorf("with one un-acked record in flight: ReplicaStreamLag = %v, gathered gsalert_replica_stream_lag = %v, want 1 and 1", sc.lag, sc.gathered)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("Stats + Gather did not return within 100ms while a stream send was in flight")
+	}
+
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.ReplicaStreamLag != 0 || st.ReplicaStreamed != 1 {
+		t.Errorf("after the ack: lag=%d streamed=%d, want 0 and 1", st.ReplicaStreamLag, st.ReplicaStreamed)
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/logging"
+	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/trace"
@@ -66,18 +68,20 @@ type Standby struct {
 	// listener goroutine while Join (heartbeat resync) applies snapshots
 	// from another — unserialised, a snapshot reset could swallow a
 	// concurrently applied record while the position counter says it
-	// landed. mu (below) only guards the counters and flags.
+	// landed. mu (below) only guards the position and flags.
 	applyMu sync.Mutex
 
+	// applied and promoted are written under mu but are atomics, and the
+	// counters are lock-free, so ReplicaStats (every scrape) never waits.
 	mu        sync.Mutex
-	applied   uint64
+	applied   atomic.Uint64
 	synced    bool
-	promoted  bool
+	promoted  atomic.Bool
 	mode      core.RoutingMode
-	applies   int64
-	errors    int64
-	snapshots int64
-	resyncs   int64
+	applies   metrics.Counter
+	errors    metrics.Counter
+	snapshots metrics.Counter
+	resyncs   metrics.Counter
 	// probeErr is the outcome of the most recent Join/Heartbeat probe (nil
 	// = reached the primary). Readiness checks consume it: a standby whose
 	// probes fail may hold stale state even though synced is still set.
@@ -125,18 +129,10 @@ func (s *Standby) Close() error {
 func (s *Standby) Service() *core.Service { return s.svc }
 
 // AppliedSeq reports the stream position applied so far.
-func (s *Standby) AppliedSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
-}
+func (s *Standby) AppliedSeq() uint64 { return s.applied.Load() }
 
 // Promoted reports whether the standby has taken over.
-func (s *Standby) Promoted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.promoted
-}
+func (s *Standby) Promoted() bool { return s.promoted.Load() }
 
 // Synced reports whether the standby holds a consistent snapshot-rooted
 // state (false until the first Join, and again after an apply failure
@@ -166,13 +162,15 @@ func (s *Standby) noteProbe(err error) {
 
 // ReplicaStats implements core.ReplicaStatsProvider.
 func (s *Standby) ReplicaStats() core.ReplicaStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	role := "standby"
-	if s.promoted {
-		role = "primary"
+	st := core.ReplicaStats{
+		Role: "standby", StreamSeq: s.applied.Load(), Promoted: s.promoted.Load(),
+		Streamed: s.applies.Value(), Errors: s.errors.Value(),
+		Snapshots: s.snapshots.Value(), Resyncs: s.resyncs.Value(),
 	}
-	return roleStats(role, s.applied, s.applies, 0, s.errors, s.snapshots, s.resyncs, s.promoted)
+	if st.Promoted {
+		st.Role = "primary"
+	}
+	return st
 }
 
 // Join performs the handshake with the primary: it announces this standby's
@@ -214,12 +212,10 @@ func (s *Standby) Join(ctx context.Context) error {
 // every few seconds) — without it, a broken stream stays broken silently
 // until the next explicit Join. A promoted standby stops probing.
 func (s *Standby) Heartbeat(ctx context.Context) error {
-	s.mu.Lock()
-	promoted, applied := s.promoted, s.applied
-	s.mu.Unlock()
-	if promoted {
+	if s.promoted.Load() {
 		return nil
 	}
+	applied := s.applied.Load()
 	env, err := protocol.NewEnvelope(s.svc.Name(), protocol.MsgReplAck, &protocol.ReplAck{
 		AppliedSeq: applied,
 		Addr:       s.addr,
@@ -246,13 +242,8 @@ func (s *Standby) Heartbeat(ctx context.Context) error {
 	// probe under live traffic into a spurious full resync. A primary that
 	// restarted (position behind ours) answers Resync via its
 	// unknown-standby check.
-	s.mu.Lock()
-	appliedNow := s.applied
-	s.mu.Unlock()
-	if resp.Resync || resp.AppliedSeq > appliedNow {
-		s.mu.Lock()
-		s.resyncs++
-		s.mu.Unlock()
+	if resp.Resync || resp.AppliedSeq > s.applied.Load() {
+		s.resyncs.Inc()
 		s.log.Warn("stream diverged, resyncing", logging.String("primary", s.primaryAddr))
 		return s.Join(ctx)
 	}
@@ -310,20 +301,14 @@ func (s *Standby) handle(ctx context.Context, env *protocol.Envelope) (*protocol
 
 // ack builds the standard applied-position response.
 func (s *Standby) ack() *protocol.Envelope {
-	s.mu.Lock()
-	applied := s.applied
-	s.mu.Unlock()
-	return protocol.MustEnvelope(s.svc.Name(), protocol.MsgReplAck, &protocol.ReplAck{AppliedSeq: applied})
+	return protocol.MustEnvelope(s.svc.Name(), protocol.MsgReplAck, &protocol.ReplAck{AppliedSeq: s.applied.Load()})
 }
 
 // resyncAck answers a stream record the standby cannot apply in order.
 func (s *Standby) resyncAck() *protocol.Envelope {
-	s.mu.Lock()
-	s.resyncs++
-	applied := s.applied
-	s.mu.Unlock()
+	s.resyncs.Inc()
 	return protocol.MustEnvelope(s.svc.Name(), protocol.MsgReplAck, &protocol.ReplAck{
-		AppliedSeq: applied,
+		AppliedSeq: s.applied.Load(),
 		Resync:     true,
 		Addr:       s.addr,
 		ServerName: s.svc.Name(),
@@ -338,12 +323,11 @@ func (s *Standby) applyStream(seq uint64, apply func() error) *protocol.Envelope
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.mu.Lock()
-	if s.promoted {
-		s.mu.Unlock()
+	promoted, synced, applied := s.promoted.Load(), s.synced, s.applied.Load()
+	s.mu.Unlock()
+	if promoted {
 		return protocol.Errorf(s.svc.Name(), "promoted", "standby %s has been promoted; stream rejected", s.svc.Name())
 	}
-	synced, applied := s.synced, s.applied
-	s.mu.Unlock()
 	if !synced || seq > applied+1 {
 		// Never synced, or a gap: only a snapshot can catch us up.
 		return s.resyncAck()
@@ -353,16 +337,14 @@ func (s *Standby) applyStream(seq uint64, apply func() error) *protocol.Envelope
 		return s.ack()
 	}
 	if err := apply(); err != nil {
+		s.errors.Inc()
 		s.mu.Lock()
-		s.errors++
 		s.synced = false
 		s.mu.Unlock()
 		return s.resyncAck()
 	}
-	s.mu.Lock()
-	s.applied = seq
-	s.applies++
-	s.mu.Unlock()
+	s.applied.Store(seq)
+	s.applies.Inc()
 	return s.ack()
 }
 
@@ -427,10 +409,7 @@ func (s *Standby) applyWAL(wal *protocol.ReplWAL) error {
 func (s *Standby) applySnapshot(snap *protocol.ReplSnapshot) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	s.mu.Lock()
-	promoted := s.promoted
-	s.mu.Unlock()
-	if promoted {
+	if s.promoted.Load() {
 		// A snapshot a dying primary still had in flight must not wipe the
 		// promoted, serving state (the stream path refuses identically).
 		return fmt.Errorf("replica: %s has been promoted; snapshot rejected", s.svc.Name())
@@ -484,11 +463,11 @@ func (s *Standby) applySnapshot(snap *protocol.ReplSnapshot) error {
 		mode = m
 	}
 	s.mu.Lock()
-	s.applied = snap.Seq
+	s.applied.Store(snap.Seq)
 	s.synced = true
 	s.mode = mode
-	s.snapshots++
 	s.mu.Unlock()
+	s.snapshots.Inc()
 	return nil
 }
 
@@ -505,7 +484,7 @@ func (s *Standby) applySnapshot(snap *protocol.ReplSnapshot) error {
 // at the moment the primary died.
 func (s *Standby) Promote(ctx context.Context, mode core.RoutingMode) error {
 	s.mu.Lock()
-	if s.promoted {
+	if s.promoted.Load() {
 		s.mu.Unlock()
 		return nil
 	}
@@ -517,16 +496,12 @@ func (s *Standby) Promote(ctx context.Context, mode core.RoutingMode) error {
 	// while the takeover runs — and rolled back on failure, so a retry
 	// (e.g. `gs-server -promote` again once the GDS is reachable) actually
 	// re-attempts the registration instead of no-opping against a zombie.
-	s.promoted = true
+	s.promoted.Store(true)
 	if mode == 0 {
 		mode = s.mode
 	}
 	s.mu.Unlock()
-	rollback := func() {
-		s.mu.Lock()
-		s.promoted = false
-		s.mu.Unlock()
-	}
+	rollback := func() { s.promoted.Store(false) }
 	if s.gdsCli != nil {
 		if err := s.gdsCli.Register(ctx); err != nil {
 			rollback()

@@ -455,17 +455,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		flight = logging.NewFlightRecorder(logging.FlightConfig{
 			Recorder: rec,
 			Clock:    lclock,
-			TraceIDs: func() []string {
-				if tcol == nil {
-					return nil
-				}
-				traces := tcol.Traces(trace.Filter{})
-				ids := make([]string, 0, len(traces))
-				for _, t := range traces {
-					ids = append(ids, t.TraceID)
-				}
-				return ids
-			},
+			TraceIDs: tcol.TraceIDs, // nil collector (tracing off) retains none
 		})
 		coreLog = rec.For("core")
 		gdsLog := rec.For("gds")

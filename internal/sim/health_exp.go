@@ -159,16 +159,7 @@ func RunHealthMode(servers, rounds, eventsPerRound, burst int, mode core.Routing
 	var publishErr error
 	heng := health.NewEngine(hreg, hrules, health.Options{
 		OnTransition: func(tr health.Transition) {
-			a := core.HealthAlert{
-				Component: tr.Component,
-				From:      tr.From.String(),
-				To:        tr.To.String(),
-				Rule:      tr.Rule,
-				Severity:  tr.Severity,
-				Value:     tr.Value,
-				At:        tr.At,
-			}
-			if err := wsvc.PublishHealthAlert(ctx, a); err != nil && publishErr == nil {
+			if err := wsvc.PublishHealthAlert(ctx, tr.Alert()); err != nil && publishErr == nil {
 				publishErr = err
 			}
 		},

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"github.com/gsalert/gsalert/internal/metrics"
 )
 
 // SpanRecord is one finished span as stored in the collector and served
@@ -32,32 +34,17 @@ func (r *SpanRecord) Duration() time.Duration { return time.Duration(r.DurationN
 // End returns the span's end time.
 func (r *SpanRecord) End() time.Time { return time.Unix(0, r.StartUnixNano+r.DurationNanos) }
 
-// collectorShards spreads the ring over independently advancing shards so
-// concurrent finishers (delivery shard workers, GDS handlers) never
-// contend on one counter. Power of two for cheap masking.
-const collectorShards = 8
-
 // DefaultCapacity is the collector's span capacity when NewCollector is
 // given zero: enough for a few thousand recent traces at ~6 spans each.
 const DefaultCapacity = 16384
 
-// Collector is a lock-free sharded ring buffer of finished spans: bounded
-// memory, drop-oldest. Writers pick a shard from the span ID and swap the
-// record into the next slot; an overwritten slot bumps the dropped
-// counter. Snapshot walks the slots with atomic loads — a reader never
-// blocks a writer.
+// Collector holds finished spans in a lock-free sharded drop-oldest ring
+// (metrics.Ring): bounded memory, and Snapshot never blocks a writer. The
+// span ID selects the shard; an overwritten slot bumps the dropped counter.
 type Collector struct {
-	shards  [collectorShards]ringShard
-	perCap  int
+	ring    metrics.Ring[SpanRecord]
 	total   atomic.Int64
 	dropped atomic.Int64
-}
-
-type ringShard struct {
-	slots []atomic.Pointer[SpanRecord]
-	next  atomic.Uint64
-	// pad out the hot counter so neighbouring shards do not false-share.
-	_ [48]byte
 }
 
 // NewCollector builds a collector holding about capacity spans (rounded up
@@ -66,20 +53,15 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	per := (capacity + collectorShards - 1) / collectorShards
-	c := &Collector{perCap: per}
-	for i := range c.shards {
-		c.shards[i].slots = make([]atomic.Pointer[SpanRecord], per)
-	}
+	c := &Collector{}
+	c.ring.Init(capacity)
 	return c
 }
 
 // add stores one finished span, dropping the oldest record in its shard
 // when the ring is full. spanID selects the shard.
 func (c *Collector) add(r *SpanRecord, spanID uint64) {
-	sh := &c.shards[spanID&(collectorShards-1)]
-	idx := (sh.next.Add(1) - 1) % uint64(len(sh.slots))
-	if old := sh.slots[idx].Swap(r); old != nil {
+	if c.ring.Add(r, spanID) {
 		c.dropped.Add(1)
 	}
 	c.total.Add(1)
@@ -92,34 +74,28 @@ func (c *Collector) SpansTotal() int64 { return c.total.Load() }
 func (c *Collector) Dropped() int64 { return c.dropped.Load() }
 
 // Occupancy reports the number of spans currently held in the ring.
-func (c *Collector) Occupancy() int64 {
-	var n int64
-	for i := range c.shards {
-		written := int64(c.shards[i].next.Load())
-		if slots := int64(len(c.shards[i].slots)); written > slots {
-			written = slots
-		}
-		n += written
-	}
-	return n
-}
+func (c *Collector) Occupancy() int64 { return c.ring.Occupancy() }
 
 // Capacity reports the ring's span capacity.
-func (c *Collector) Capacity() int { return c.perCap * collectorShards }
+func (c *Collector) Capacity() int { return c.ring.Capacity() }
 
 // Snapshot copies out every span currently in the ring, in no particular
 // order. Records are shared, not copied: callers must treat them as
 // read-only.
-func (c *Collector) Snapshot() []*SpanRecord {
-	out := make([]*SpanRecord, 0, c.Occupancy())
-	for i := range c.shards {
-		for j := range c.shards[i].slots {
-			if r := c.shards[i].slots[j].Load(); r != nil {
-				out = append(out, r)
-			}
-		}
+func (c *Collector) Snapshot() []*SpanRecord { return c.ring.Snapshot() }
+
+// TraceIDs lists the IDs of every trace currently retained — the index a
+// flight-recorder bundle embeds (logging.FlightConfig.TraceIDs). A nil
+// collector retains none.
+func (c *Collector) TraceIDs() []string {
+	if c == nil {
+		return nil
 	}
-	return out
+	var ids []string
+	for _, t := range c.Traces(Filter{}) {
+		ids = append(ids, t.TraceID)
+	}
+	return ids
 }
 
 // Trace is one assembled span tree.

@@ -115,13 +115,14 @@ func TestTailRetainKeepsSlowRoots(t *testing.T) {
 }
 
 func TestCollectorDropOldest(t *testing.T) {
-	col := NewCollector(collectorShards) // one slot per shard
+	const shards = 8
+	col := NewCollector(shards) // one slot per shard
 	tr := New(Config{SampleRate: 1, Seed: 3, Collector: col})
-	for i := 0; i < 4*collectorShards; i++ {
+	for i := 0; i < 4*shards; i++ {
 		s := tr.StartRoot(StagePublish)
 		s.Finish()
 	}
-	if got := col.SpansTotal(); got != 4*collectorShards {
+	if got := col.SpansTotal(); got != 4*shards {
 		t.Fatalf("SpansTotal = %d", got)
 	}
 	if occ := col.Occupancy(); occ > int64(col.Capacity()) {
