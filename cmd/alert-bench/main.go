@@ -7,10 +7,11 @@
 // content-routing dissemination ladder (E12), composite/temporal alerting
 // (E13), replication failover (E14), QoS overload degradation (E15) and
 // the self-alerting health plane (E18).
-// The E4 filter-engine throughput comparison lives in the Go benchmarks
-// (go test -bench=BenchmarkFilterMatching); the scale & chaos soak (E16),
-// tracing overhead (E17) and the flight recorder under chaos (E19) run from
-// cmd/loadgen and the internal/sim tests (make chaos), not from here.
+// The E4 filter-engine throughput comparison lives in internal/filter's
+// benchmarks (go test -bench 'Naive|EqPref' ./internal/filter); the scale &
+// chaos soak (E16) and the flight recorder under chaos (E19) run from
+// cmd/loadgen and the internal/sim tests (make chaos), and tracing overhead
+// (E17) from internal/core's BenchmarkTraceOverhead, not from here.
 //
 // -throughput runs only the E11 delivery-throughput sweep, with
 // -throughput-notifs/-throughput-clients/-delivery-shards controlling the

@@ -2,15 +2,18 @@
 //
 //   - every package directory under internal/ appears in the README's
 //     package table, and every table row names an existing directory;
-//   - every Go package in the repository (internal/..., cmd/..., examples/
-//     and the root) carries a godoc package comment;
+//   - every Go package in the repository (internal/..., cmd/..., examples/)
+//     carries a godoc package comment;
 //   - every markdown file under docs/ is linked from the README;
 //   - experiment references hold: any Go file mentioning EXPERIMENTS.md
 //     requires docs/EXPERIMENTS.md to exist, and every experiment id
 //     ("experiment E7") cited in Go sources must have a "## E7" section
 //     there — so a dangling experiment-doc reference can never regress;
 //   - every `gsalert_*` metric name mentioned under docs/ is a declared
-//     metric family (the table /metrics and the health rule grammar share).
+//     metric family (the table /metrics and the health rule grammar share);
+//   - every Benchmark… function the README or docs/ cite is defined by some
+//     _test.go, so a moved or deleted benchmark cannot leave a dangling
+//     "run go test -bench=BenchmarkX" behind.
 //
 // It prints one line per violation and exits non-zero if any were found.
 // Run it as `make docs-check`; CI runs it on every push.
@@ -51,6 +54,7 @@ func run(root string) int {
 	checkDocsLinked(root, string(readme), complain)
 	checkExperimentRefs(root, complain)
 	checkMetricNames(root, complain)
+	checkBenchmarkRefs(root, complain)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -59,7 +63,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references and metric names are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names and benchmark references are consistent")
 	return 0
 }
 
@@ -111,7 +115,6 @@ func checkDocComments(root string, complain func(string, ...any)) {
 			}
 		}
 	}
-	pkgDirs = append(pkgDirs, ".")
 	sort.Strings(pkgDirs)
 
 	fset := token.NewFileSet()
@@ -123,9 +126,7 @@ func checkDocComments(root string, complain func(string, ...any)) {
 		documented := false
 		any := false
 		for _, f := range files {
-			// The root directory holds only the external benchmark package;
-			// _test files carry its doc comment.
-			if dir != "." && strings.HasSuffix(f, "_test.go") {
+			if strings.HasSuffix(f, "_test.go") {
 				continue
 			}
 			any = true
@@ -272,6 +273,62 @@ func checkMetricNames(root string, complain func(string, ...any)) {
 			}
 			complained[name] = true
 			complain("docs/%s mentions %s, which is not a declared metric family", filepath.Base(d), name)
+		}
+	}
+}
+
+// benchmarkDefRe matches a benchmark definition in a _test.go file;
+// benchmarkRefRe a citation in prose (sub-benchmark suffixes such as
+// "/rules=10" fall outside the name).
+var (
+	benchmarkDefRe = regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	benchmarkRefRe = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
+)
+
+// checkBenchmarkRefs verifies every Benchmark… name cited by README.md or
+// docs/*.md against the benchmarks the repository's _test.go files define.
+func checkBenchmarkRefs(root string, complain func(string, ...any)) {
+	defined := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchmarkDefRe.FindAllSubmatch(raw, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		complain("scanning for benchmark definitions: %v", err)
+		return
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // the pattern is constant
+	for _, f := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			complain("reading %s: %v", f, err)
+			continue
+		}
+		complained := make(map[string]bool)
+		for _, name := range benchmarkRefRe.FindAllString(string(raw), -1) {
+			if defined[name] || complained[name] {
+				continue
+			}
+			complained[name] = true
+			complain("%s cites %s, which no _test.go defines", f, name)
 		}
 	}
 }

@@ -316,18 +316,8 @@ func assemble(ctx context.Context, o *options) (_ *server, err error) {
 			})
 		}
 		if s.recv != nil && o.readyRepl {
-			eng.AddReadiness("standby-caught-up", func() error {
-				if s.recv.Promoted() {
-					return nil // serving now; the gds check takes over
-				}
-				if !s.recv.Synced() {
-					return errors.New("standby has not applied a snapshot")
-				}
-				if err := s.recv.ProbeErr(); err != nil {
-					return fmt.Errorf("primary unreachable: %w", err)
-				}
-				return nil
-			})
+			// Passes once promoted: the gds check takes over.
+			eng.AddReadiness("standby-caught-up", s.recv.Ready)
 		}
 	}
 	s.onClose(s.plane.Close)

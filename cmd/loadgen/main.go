@@ -10,9 +10,9 @@
 //
 // The schedule comes from -schedule (a file in the docs/CHAOS.md text
 // format), or is generated from -gen-seed; with neither, the canonical
-// default schedule runs. -json writes the summary in the same layout as
-// BENCH_results.json (name/iterations/ns_per_op/metrics), so bench-diff
-// can compare soak runs:
+// default schedule runs. -json writes a machine-readable summary, one row
+// per seed (name/iterations/ns_per_op/metrics), which CI uploads as the
+// soak artifact:
 //
 //	go run ./cmd/loadgen -profiles 100000 -seeds 1,7,42 -json soak.json
 //
@@ -34,8 +34,8 @@ import (
 	"github.com/gsalert/gsalert/internal/sim"
 )
 
-// benchResult and benchFile mirror cmd/bench-json's output layout so soak
-// summaries and benchmark results share tooling (bench-diff reads both).
+// benchResult and benchFile are the -json summary: one row per soak run,
+// wall time as ns_per_op, observations as named metrics.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
@@ -70,7 +70,7 @@ func run() int {
 		schedFile   = flag.String("schedule", "", "chaos schedule file (docs/CHAOS.md format); empty = canonical default")
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling rate in (0,1] for end-to-end event traces; emits the per-stage latency attribution table (docs/TRACING.md); 0 disables")
 		genSeed     = flag.Int64("gen-seed", 0, "generate a random valid schedule from this seed instead")
-		jsonOut     = flag.String("json", "", "write the summary in BENCH_results.json layout to this file")
+		jsonOut     = flag.String("json", "", "write a JSON summary (one row per seed: wall time plus the observations as named metrics) to this file")
 		healthLog   = flag.String("health-log", "", "attach the health plane (docs/HEALTH.md) to the soak's QoS server, write every state transition to this file as JSON lines, and fail the run unless at least one fire→clear cycle was observed")
 		flightOut   = flag.String("flight", "", "run the E19 flight-recorder gate instead of the plain soak: the logging plane and tracing are armed, the kill-primary fault must auto-capture exactly one byte-deterministic post-mortem bundle, and the bundle is written to this file (docs/LOGGING.md; multi-seed runs suffix .seed<N>)")
 		quiet       = flag.Bool("q", false, "suppress the result tables (summary lines only)")
@@ -197,7 +197,7 @@ func run() int {
 		}
 		fmt.Printf("loadgen: seed %d: %s — %d profiles, %d events, %d faults, %d msgs, chaos %v / baseline %v\n",
 			seed, verdict, r.LiveProfiles, r.Events, len(r.Applied),
-			r.Messages, r.WallChaos.Round(1e6), r.WallBaseline.Round(1e6))
+			r.Messages, r.Wall.Round(1e6), r.Baseline.Wall.Round(1e6))
 		out.Benchmarks = append(out.Benchmarks, toBench(seed, r))
 	}
 
@@ -221,7 +221,7 @@ func run() int {
 	return 0
 }
 
-// toBench flattens one soak result into a bench-json row: wall time as
+// toBench flattens one soak result into a summary row: wall time as
 // ns/op, the invariant observations and per-class latency quantiles as
 // custom metrics.
 func toBench(seed int64, r *sim.ChaosSoakResult) benchResult {
@@ -257,12 +257,12 @@ func toBench(seed int64, r *sim.ChaosSoakResult) benchResult {
 	return benchResult{
 		Name:       fmt.Sprintf("SoakChaos/seed=%d", seed),
 		Iterations: 1,
-		NsPerOp:    float64(r.WallChaos.Nanoseconds()),
+		NsPerOp:    float64(r.Wall.Nanoseconds()),
 		Metrics:    m,
 	}
 }
 
-// toFlightBench flattens one E19 run into a bench-json row.
+// toFlightBench flattens one E19 run into a summary row.
 func toFlightBench(seed int64, r *sim.FlightSoakResult) benchResult {
 	deterministic := 0.0
 	if r.Deterministic {

@@ -189,6 +189,9 @@ func TestRebuildDiffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Version != 2 || c.BuildVersion() != 2 {
+		t.Errorf("rebuild version = %d, want 2 (one step per build)", res.Version)
+	}
 	if fmt.Sprint(res.Added) != "[d4]" || fmt.Sprint(res.Changed) != "[d2]" || fmt.Sprint(res.Removed) != "[d3]" {
 		t.Fatalf("diff: +%v ~%v -%v", res.Added, res.Changed, res.Removed)
 	}

@@ -236,3 +236,64 @@ func TestRegisterRejectsDuplicatesAndPrimitives(t *testing.T) {
 		t.Error("primitive profile accepted")
 	}
 }
+
+// newBenchEngine builds an engine holding `live` open sequence instances
+// spread over live/1000 three-step windowed sequence profiles (1000 open
+// instances per profile, which is also the per-profile cap).
+func newBenchEngine(b *testing.B, live int) (*Engine, []string) {
+	b.Helper()
+	const perDef = 1000
+	defs := max(1, live/perDef)
+	e := NewEngine(Config{MaxInstances: perDef, Emit: func(Firing) {}})
+	c := profile.MustParseComposite(`SEQUENCE (a = "1") THEN (b = "2") THEN (c = "3") WITHIN 1h`)
+	ids := make([]string, defs)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench-comp-%d", i)
+		p, err := profile.NewComposite(ids[i], "u", "H", c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Register(p, t0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < live; i++ {
+		e.OnPrimitive(ids[i%defs], 0, ev("bench-ev"), nil, t0)
+	}
+	if got := e.Stats().LiveInstances; got != int64(defs*perDef) {
+		b.Fatalf("live instances = %d, want %d", got, defs*perDef)
+	}
+	return e, ids
+}
+
+// BenchmarkCompositeEngine measures the composite engine at 10k, 100k and
+// 1M live sequence instances (experiment E13): "ingest" is the state-
+// machine throughput of step-0 matches (O(1) opens at the instance cap),
+// "gc" is one full window-garbage-collection sweep (Tick) over every live
+// instance.
+func BenchmarkCompositeEngine(b *testing.B) {
+	for _, live := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("instances=%d/ingest", live), func(b *testing.B) {
+			e, ids := newBenchEngine(b, live)
+			primitive := ev("bench-ev")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.OnPrimitive(ids[i%len(ids)], 0, primitive, nil, t0)
+			}
+		})
+		b.Run(fmt.Sprintf("instances=%d/gc", live), func(b *testing.B) {
+			e, _ := newBenchEngine(b, live)
+			// Tick inside the window: a full sweep that expires nothing,
+			// the steady-state GC cost.
+			at := t0.Add(30 * time.Minute)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Tick(at)
+			}
+			b.StopTimer()
+			if got := e.Stats().LiveInstances; got < int64(live) {
+				b.Fatalf("GC dropped live instances: %d", got)
+			}
+		})
+	}
+}

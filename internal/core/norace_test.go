@@ -1,5 +1,5 @@
 //go:build !race
 
-package gsalert_test
+package core
 
 const raceEnabled = false

@@ -185,7 +185,7 @@ func TestSaveLoadEmpty(t *testing.T) {
 }
 
 func TestRoutingModeValidation(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	s, err := New(Config{ServerName: "X", Transport: tr})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // qosService builds a solitary service with the given admission controller.
 func qosService(t *testing.T, ctrl *qos.Controller) *Service {
 	t.Helper()
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	s, err := New(Config{
 		ServerName: "Hamilton",
 		ServerAddr: "addr:Hamilton",

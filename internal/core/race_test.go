@@ -1,6 +1,6 @@
 //go:build race
 
-package gsalert_test
+package core
 
 // raceEnabled reports whether this binary was built with the race
 // detector; timing-comparison tests skip themselves under its

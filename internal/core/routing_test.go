@@ -52,7 +52,7 @@ func (r *peerRecorder) byType(typ protocol.MessageType) []*protocol.Envelope {
 // with a static resolver and a local store.
 func newRoutedService(t *testing.T) (*Service, *transport.Memory, *collection.Store) {
 	t.Helper()
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	t.Cleanup(func() { _ = tr.Close() })
 	store := collection.NewStore("Hamilton")
 	s, err := New(Config{
@@ -285,7 +285,7 @@ func TestSendOrQueueFallsBackToRetry(t *testing.T) {
 }
 
 func TestSendToServerWithoutResolver(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	s, err := New(Config{ServerName: "X", Transport: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestSendToServerWithoutResolver(t *testing.T) {
 }
 
 func TestRemoteNotifierDelivers(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	client := listenPeer(t, tr, "addr:client")
 	n := NewRemoteNotifier("Hamilton", "addr:client", tr)
 	ev := event.New("e1", event.TypeDocumentsAdded, event.QName{Host: "H", Collection: "C"}, 1,

@@ -15,7 +15,7 @@ import (
 
 func newLocalService(t *testing.T) *Service {
 	t.Helper()
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	s, err := New(Config{
 		ServerName: "Hamilton",
 		ServerAddr: "addr:Hamilton",
@@ -61,7 +61,7 @@ func drainService(t *testing.T, s *Service) {
 }
 
 func TestNewValidation(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	if _, err := New(Config{Transport: tr}); err == nil {
 		t.Error("missing name accepted")
 	}

@@ -371,3 +371,48 @@ func TestSpilledRealtimeNotPinnedByBulk(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkQoSScheduling records the WFQ scheduling cost on the delivery
+// hot path (experiment E15): the enqueue→WFQ-dequeue→flush path under
+// single-class traffic (everything normal, the pre-QoS shape) against a
+// three-class mix (realtime/normal/bulk round-robin through per-class
+// queues and the deficit scheduler), at 8 and 64 clients.
+func BenchmarkQoSScheduling(b *testing.B) {
+	classRing := []qos.Class{qos.ClassNormal, qos.ClassRealtime, qos.ClassBulk}
+	for _, clients := range []int{8, 64} {
+		for _, classes := range []int{1, 3} {
+			b.Run(fmt.Sprintf("classes=%d/clients=%d", classes, clients), func(b *testing.B) {
+				p, err := NewPipeline(Config{
+					Shards:        4,
+					QueueDepth:    4096,
+					BatchSize:     64,
+					FlushInterval: time.Millisecond,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer p.Close()
+				names := make([]string, clients)
+				for i := range names {
+					names[i] = fmt.Sprintf("u%d", i)
+					p.Attach(names[i], func(string, []Notification) error { return nil })
+				}
+				n := qosNotif("", qos.ClassNormal, 0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n.Client, n.Class = names[i%clients], classRing[i%classes]
+					if err := p.Enqueue(n); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := p.Drain(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := p.Metrics().Delivered.Value(); got < int64(b.N) {
+					b.Fatalf("delivered %d of %d", got, b.N)
+				}
+			})
+		}
+	}
+}

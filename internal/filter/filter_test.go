@@ -345,3 +345,10 @@ func BenchmarkNaive10k(b *testing.B) { benchMatcher(b, func() Matcher { return N
 func BenchmarkEqPref10k(b *testing.B) {
 	benchMatcher(b, func() Matcher { return NewEqualityPreferred() }, 10000)
 }
+
+// The 100k points are the profile count ROADMAP item 3 (a matcher whose
+// cost tracks matches, not profiles) is stated at.
+func BenchmarkNaive100k(b *testing.B) { benchMatcher(b, func() Matcher { return NewNaive() }, 100000) }
+func BenchmarkEqPref100k(b *testing.B) {
+	benchMatcher(b, func() Matcher { return NewEqualityPreferred() }, 100000)
+}

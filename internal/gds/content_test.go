@@ -63,7 +63,7 @@ var hamiltonRebuilt = map[string]string{
 }
 
 func TestContentRoutingDeliversByDigest(t *testing.T) {
-	tr := transport.NewMemory(7)
+	tr := transport.NewMemory()
 	nodes, recorders, clients := contentTree(t, tr, map[string]string{
 		"Hamilton": "",
 		"London":   `collection = "Hamilton.D"`,
@@ -122,7 +122,7 @@ func TestContentRoutingDeliversByDigest(t *testing.T) {
 }
 
 func TestContentRoutingUnwarmLinkFloods(t *testing.T) {
-	tr := transport.NewMemory(8)
+	tr := transport.NewMemory()
 	// Berlin never advertises: its link (and every aggregate above it)
 	// stays match-all, so it keeps receiving everything.
 	_, recorders, clients := contentTree(t, tr, map[string]string{
@@ -143,7 +143,7 @@ func TestContentRoutingUnwarmLinkFloods(t *testing.T) {
 }
 
 func TestContentRoutingFloodFallbackFlag(t *testing.T) {
-	tr := transport.NewMemory(9)
+	tr := transport.NewMemory()
 	_, recorders, clients := contentTree(t, tr, map[string]string{
 		"Hamilton": "", "London": "", "Berlin": "", "Tokyo": "",
 	})
@@ -162,7 +162,7 @@ func TestContentRoutingFloodFallbackFlag(t *testing.T) {
 }
 
 func TestAdvertisementCoveringPrune(t *testing.T) {
-	tr := transport.NewMemory(10)
+	tr := transport.NewMemory()
 	nodes, _, _ := contentTree(t, tr, map[string]string{
 		"Hamilton": "", "London": `collection = "Hamilton.D"`, "Berlin": "", "Tokyo": "",
 	})
@@ -202,7 +202,7 @@ func TestAdvertisementCoveringPrune(t *testing.T) {
 }
 
 func TestContentTableConvergesAfterCancel(t *testing.T) {
-	tr := transport.NewMemory(11)
+	tr := transport.NewMemory()
 	nodes, recorders, clients := contentTree(t, tr, map[string]string{
 		"Hamilton": "", "London": `collection = "Hamilton.D"`, "Berlin": "", "Tokyo": "",
 	})

@@ -92,7 +92,7 @@ func buildTestTree(t *testing.T, tr transport.Transport) map[string]*Node {
 }
 
 func TestNodeValidation(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	if _, err := NewNode("", "a", 1, tr); err == nil {
 		t.Error("empty id accepted")
 	}
@@ -105,7 +105,7 @@ func TestNodeValidation(t *testing.T) {
 }
 
 func TestChildStratumMustExceedParent(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	ctx := context.Background()
 	p, _ := NewNode("p", "addr:p", 2, tr)
 	defer func() { _ = p.Close() }()
@@ -117,7 +117,7 @@ func TestChildStratumMustExceedParent(t *testing.T) {
 }
 
 func TestRegisterAndResolveThroughTree(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	nodes := buildTestTree(t, tr)
 	ctx := context.Background()
 
@@ -160,7 +160,7 @@ func TestRegisterAndResolveThroughTree(t *testing.T) {
 }
 
 func TestResolveCache(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	buildTestTree(t, tr)
 	ctx := context.Background()
 	newRecorder(t, tr, "Hamilton", "addr:Hamilton")
@@ -193,7 +193,7 @@ func TestResolveCache(t *testing.T) {
 }
 
 func TestBroadcastReachesAllServers(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	nodes := buildTestTree(t, tr)
 	ctx := context.Background()
 
@@ -247,7 +247,7 @@ func TestBroadcastReachesAllServers(t *testing.T) {
 }
 
 func TestBroadcastFromMidTreeServer(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	buildTestTree(t, tr)
 	ctx := context.Background()
 	recorders := map[string]*recorder{}
@@ -277,7 +277,7 @@ func TestBroadcastDedupWithCycle(t *testing.T) {
 	// Deliberately create a cycle: n1 -> n2 -> n3 -> n1 (misconfigured
 	// directory). Dedup must stop infinite relaying and servers must see
 	// exactly one copy.
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	ctx := context.Background()
 	n1, _ := NewNode("n1", "addr:n1", 1, tr)
 	n2, _ := NewNode("n2", "addr:n2", 2, tr)
@@ -314,7 +314,7 @@ func TestBroadcastDedupWithCycle(t *testing.T) {
 }
 
 func TestBroadcastBestEffortUnderNodeFailure(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	buildTestTree(t, tr)
 	ctx := context.Background()
 	recB := newRecorder(t, tr, "B", "addr:B")
@@ -345,7 +345,7 @@ func TestBroadcastBestEffortUnderNodeFailure(t *testing.T) {
 }
 
 func TestUnregisterRemovesName(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	nodes := buildTestTree(t, tr)
 	ctx := context.Background()
 	newRecorder(t, tr, "S", "addr:S")
@@ -369,7 +369,7 @@ func TestUnregisterRemovesName(t *testing.T) {
 }
 
 func TestMulticastOnlyMembers(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	buildTestTree(t, tr)
 	ctx := context.Background()
 	recs := map[string]*recorder{}
@@ -415,7 +415,7 @@ func TestMulticastOnlyMembers(t *testing.T) {
 }
 
 func TestPingAndUnknownType(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	n, _ := NewNode("n1", "addr:n1", 1, tr)
 	defer func() { _ = n.Close() }()
 	cl := NewClient("S", "addr:S", "addr:n1", tr)
@@ -436,7 +436,7 @@ func TestPingAndUnknownType(t *testing.T) {
 func TestBroadcastScalesLinear(t *testing.T) {
 	// A 40-node chain with one server per node: message count per broadcast
 	// should be Θ(nodes + servers).
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	ctx := context.Background()
 	const n = 40
 	var prev *Node
@@ -496,7 +496,7 @@ func contains(ss []string, want string) bool {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	n, _ := NewNode("n1", "addr:n1", 1, tr)
 	defer func() { _ = n.Close() }()
 	env := protocol.MustEnvelope("S", protocol.MsgRegisterServer, &protocol.RegisterServer{Name: "", Addr: ""})
@@ -510,7 +510,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestResolveTTLExpiry(t *testing.T) {
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	n, _ := NewNode("n1", "addr:n1", 1, tr)
 	defer func() { _ = n.Close() }()
 	newRecorder(t, tr, "S", "addr:S")

@@ -3,6 +3,7 @@ package logging
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -278,4 +279,28 @@ func TestConcurrentWritesDuringDump(t *testing.T) {
 	if r.Emitted() == 0 {
 		t.Fatal("no records emitted under concurrency")
 	}
+}
+
+// BenchmarkLogRecord prices one log call in the three postures that matter:
+// "disabled" (the record is below the effective level — the always-on cost
+// every call site pays), "ring" (emitted into the lock-free flight ring
+// with no sink attached — the production default), and "sink" (ring plus a
+// rendered logfmt line on an io.Discard writer — the stderr-shaped cost
+// without terminal I/O noise).
+func BenchmarkLogRecord(b *testing.B) {
+	run := func(b *testing.B, sink io.Writer, debug bool) {
+		lg := NewRecorder(Config{Level: LevelInfo, Sink: sink}).For("delivery")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if debug {
+				lg.Debug("delivery flushed", String("client", "u1"), Int("batch", 32))
+			} else {
+				lg.Info("delivery flushed", String("client", "u1"), Int("batch", 32))
+			}
+		}
+	}
+	b.Run("disabled", func(b *testing.B) { run(b, nil, true) })
+	b.Run("ring", func(b *testing.B) { run(b, nil, false) })
+	b.Run("sink", func(b *testing.B) { run(b, io.Discard, false) })
 }

@@ -182,3 +182,24 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 		t.Errorf("count = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// BenchmarkExemplarObserve prices the exemplar-carrying histogram observe
+// against the plain one: the delivery pipeline calls ObserveExemplar for
+// sampled notifications and Observe otherwise, so the delta is what
+// trace-correlated latency buckets cost on the sampled path.
+func BenchmarkExemplarObserve(b *testing.B) {
+	b.Run("observe", func(b *testing.B) {
+		var h LatencyHistogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Observe(3 * time.Millisecond)
+		}
+	})
+	b.Run("exemplar", func(b *testing.B) {
+		var h LatencyHistogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.ObserveExemplar(3*time.Millisecond, "0af7651916cd43dd8448eb211c80319c")
+		}
+	})
+}

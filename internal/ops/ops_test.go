@@ -96,7 +96,7 @@ func startPlane(t *testing.T, service string, stats func() any, onTransition fun
 // exposed as, and nothing may be declared that neither binary can emit.
 func TestCatalogCoversExposition(t *testing.T) {
 	ctx := context.Background()
-	mem := transport.NewMemory(1)
+	mem := transport.NewMemory()
 	defer func() { _ = mem.Close() }()
 
 	// gds-server's registry: a directory node with one warm content link.

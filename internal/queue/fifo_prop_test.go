@@ -30,7 +30,7 @@ func TestQueueFIFOPerDestinationUnderLinkFaults(t *testing.T) {
 		rounds = 400
 	)
 	rng := rand.New(rand.NewSource(16))
-	mem := transport.NewMemory(16)
+	mem := transport.NewMemory()
 	defer mem.Close()
 	inj := transport.NewFaultInjector(mem, 16)
 

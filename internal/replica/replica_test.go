@@ -2,6 +2,8 @@ package replica
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,9 +29,9 @@ type pair struct {
 	recv    *Standby
 }
 
-func newPair(t *testing.T) *pair {
+func newPair(t testing.TB) *pair {
 	t.Helper()
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	mk := func(addr string) *core.Service {
 		svc, err := core.New(core.Config{ServerName: "Alpha", ServerAddr: addr, Transport: tr})
 		if err != nil {
@@ -232,7 +234,7 @@ func TestSyncSnapshotRepairsBrokenStream(t *testing.T) {
 
 func TestPromoteTakesOverNameAndRouting(t *testing.T) {
 	ctx := context.Background()
-	tr := transport.NewMemory(7)
+	tr := transport.NewMemory()
 	defer tr.Close()
 	node, err := gds.NewNode("gds0", "gds://0", 1, tr)
 	if err != nil {
@@ -421,8 +423,8 @@ func TestQoSBucketsSurvivePromotion(t *testing.T) {
 	if err := p.recv.Join(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !p.recv.Synced() {
-		t.Fatal("standby not synced after join")
+	if err := p.recv.Ready(); err != nil {
+		t.Fatalf("standby not ready after join: %v", err)
 	}
 
 	// Charge one more on the primary, then heartbeat: the probe response
@@ -433,8 +435,8 @@ func TestQoSBucketsSurvivePromotion(t *testing.T) {
 	if err := p.recv.Heartbeat(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.recv.ProbeErr(); err != nil {
-		t.Fatalf("probe error after successful heartbeat: %v", err)
+	if err := p.recv.Ready(); err != nil {
+		t.Fatalf("standby not ready after successful heartbeat: %v", err)
 	}
 
 	// Promote. The standby's controller must hold carol at 1 remaining
@@ -455,6 +457,44 @@ func TestQoSBucketsSurvivePromotion(t *testing.T) {
 	}
 }
 
+// TestStandbyReady walks the readiness rule gs-server's /readyz gates on:
+// not ready before the first snapshot, ready once joined, not ready while
+// the primary does not answer probes, ready again after a heal, and ready
+// unconditionally once promoted.
+func TestStandbyReady(t *testing.T) {
+	ctx := context.Background()
+	p := newPair(t)
+	if err := p.recv.Ready(); err == nil {
+		t.Fatal("ready before the first join")
+	}
+	if err := p.recv.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.recv.Ready(); err != nil {
+		t.Fatalf("not ready after join: %v", err)
+	}
+	p.tr.SetNodeDown("repl://alpha", true)
+	_ = p.recv.Heartbeat(ctx)
+	if err := p.recv.Ready(); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("ready = %v with the primary down, want ErrUnreachable", err)
+	}
+	p.tr.SetNodeDown("repl://alpha", false)
+	if err := p.recv.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.recv.Ready(); err != nil {
+		t.Fatalf("not ready after heal: %v", err)
+	}
+	p.tr.SetNodeDown("repl://alpha", true)
+	_ = p.recv.Heartbeat(ctx)
+	if err := p.recv.Promote(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.recv.Ready(); err != nil {
+		t.Fatalf("not ready after promotion: %v", err)
+	}
+}
+
 // TestStatsDoNotWaitOnWedgedStandby pins the ops-plane bugfix: stream()
 // holds the stream lock across a synchronous send of up to streamTimeout,
 // so a scrape that read the counters under that lock froze /metrics,
@@ -464,7 +504,7 @@ func TestQoSBucketsSurvivePromotion(t *testing.T) {
 // the un-acked record as lag.
 func TestStatsDoNotWaitOnWedgedStandby(t *testing.T) {
 	ctx := context.Background()
-	tr := transport.NewMemory(1)
+	tr := transport.NewMemory()
 	defer func() { _ = tr.Close() }()
 	svc, err := core.New(core.Config{ServerName: "Alpha", ServerAddr: "gs://alpha", Transport: tr})
 	if err != nil {
@@ -533,5 +573,71 @@ func TestStatsDoNotWaitOnWedgedStandby(t *testing.T) {
 	}
 	if st := svc.Stats(); st.ReplicaStreamLag != 0 || st.ReplicaStreamed != 1 {
 		t.Errorf("after the ack: lag=%d streamed=%d, want 0 and 1", st.ReplicaStreamLag, st.ReplicaStreamed)
+	}
+}
+
+// benchReplication measures the publish→match→deliver path of one server
+// with `profiles` subscribed profiles (one matches each event), with and
+// without a standby consuming the synchronous replication stream. The delta
+// is the steady-state cost of zero-loss replication: one stream round-trip
+// per dedup admission, mailbox append and delivery ack.
+func benchReplication(b *testing.B, profiles int, replicated bool) {
+	b.Helper()
+	ctx := context.Background()
+	var primary *core.Service
+	if replicated {
+		p := newPair(b)
+		if err := p.recv.Join(ctx); err != nil {
+			b.Fatal(err)
+		}
+		primary = p.primary
+	} else {
+		tr := transport.NewMemory()
+		svc, err := core.New(core.Config{ServerName: "Alpha", ServerAddr: "gs://alpha", Transport: tr})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() {
+			_ = svc.Close()
+			_ = tr.Close()
+		})
+		primary = svc
+	}
+	for i := 0; i < profiles; i++ {
+		if _, err := primary.Subscribe("u", profile.MustParse(
+			fmt.Sprintf(`collection = "Alpha.C" AND dc.Creator = "Author%d"`, i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	primary.RegisterNotifier("u", core.NotifierFunc(func(core.Notification) {}))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := event.New(fmt.Sprintf("bench-repl-%d", i), event.TypeDocumentsAdded,
+			event.QName{Host: "Alpha", Collection: "C"}, 1,
+			[]event.DocRef{{
+				ID:       fmt.Sprintf("d%d", i),
+				Metadata: map[string][]string{"dc.Creator": {fmt.Sprintf("Author%d", i%profiles)}},
+			}}, time.Unix(1117584000, 0))
+		if _, err := primary.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := primary.DrainDeliveries(ctx); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkReplication compares an unreplicated server against one
+// streaming every state change to a standby (experiment E14's steady-state
+// overhead measurement). ROADMAP item 2 states its target in these names:
+// replicated/unreplicated ≤ 3×.
+func BenchmarkReplication(b *testing.B) {
+	for _, profiles := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("unreplicated/profiles=%d", profiles), func(b *testing.B) {
+			benchReplication(b, profiles, false)
+		})
+		b.Run(fmt.Sprintf("replicated/profiles=%d", profiles), func(b *testing.B) {
+			benchReplication(b, profiles, true)
+		})
 	}
 }

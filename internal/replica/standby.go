@@ -134,23 +134,25 @@ func (s *Standby) AppliedSeq() uint64 { return s.applied.Load() }
 // Promoted reports whether the standby has taken over.
 func (s *Standby) Promoted() bool { return s.promoted.Load() }
 
-// Synced reports whether the standby holds a consistent snapshot-rooted
-// state (false until the first Join, and again after an apply failure
-// until the resync snapshot lands).
-func (s *Standby) Synced() bool {
+// Ready is the /readyz "standby-caught-up" rule: nil once promoted (the
+// standby is serving), otherwise it must hold a snapshot-rooted state
+// (not so before the first Join, nor between an apply failure and the
+// resync snapshot) and its last Join/Heartbeat must have reached the
+// primary — a partitioned standby is not ready even though its last-known
+// state is consistent.
+func (s *Standby) Ready() error {
+	if s.Promoted() {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.synced
-}
-
-// ProbeErr reports the most recent Join/Heartbeat outcome (nil = the
-// primary answered). The /readyz standby check gates on this: synced
-// state plus a reachable primary means "caught up"; a partitioned standby
-// is not ready even though its last-known state is consistent.
-func (s *Standby) ProbeErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.probeErr
+	if !s.synced {
+		return errors.New("standby has not applied a snapshot")
+	}
+	if s.probeErr != nil {
+		return fmt.Errorf("primary unreachable: %w", s.probeErr)
+	}
+	return nil
 }
 
 // noteProbe records a probe outcome.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,7 +93,7 @@ func AttributionReports(samples []trace.PathSample) []StageAttribution {
 	out := make([]StageAttribution, 0, len(byClass))
 	for class, a := range byClass {
 		ds := e2es[class]
-		sortDurations(ds)
+		slices.Sort(ds)
 		a.E2EP50 = quantileNearestRank(ds, 0.5)
 		a.E2EP99 = quantileNearestRank(ds, 0.99)
 		if a.TotalE2E > 0 {

@@ -11,8 +11,6 @@ import (
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/metrics"
@@ -165,18 +163,6 @@ func DefaultSoakSchedule(rounds int, cutNode string) chaos.Schedule {
 	return s
 }
 
-func parseRoutingMode(s string) (core.RoutingMode, error) {
-	switch s {
-	case "broadcast":
-		return core.RouteBroadcast, nil
-	case "multicast":
-		return core.RouteMulticast, nil
-	case "content":
-		return core.RouteContent, nil
-	}
-	return 0, fmt.Errorf("sim: unknown routing mode %q", s)
-}
-
 // soakRun is one assembled soak deployment; it implements chaos.Fabric.
 type soakRun struct {
 	cfg ChaosSoakConfig
@@ -185,8 +171,7 @@ type soakRun struct {
 
 	mode core.RoutingMode
 
-	standbySvc *core.Service
-	recv       *replica.Standby
+	recv *replica.Standby
 
 	// serving overrides name → service after a promotion.
 	serving map[string]*core.Service
@@ -211,9 +196,7 @@ func (r *soakRun) servingFor(name string) *core.Service {
 
 func (r *soakRun) settle(ctx context.Context) {
 	r.c.Settle(ctx)
-	if r.standbySvc != nil {
-		_ = r.standbySvc.DrainDeliveries(ctx)
-	}
+	_ = r.recv.Service().DrainDeliveries(ctx)
 }
 
 // KillPrimary implements chaos.Fabric: the primary's address vanishes and
@@ -230,12 +213,13 @@ func (r *soakRun) KillPrimary(ctx context.Context, server string) error {
 		return err
 	}
 	r.promoted = true
-	r.serving[server] = r.standbySvc
+	standby := r.recv.Service()
+	r.serving[server] = standby
 	// What the standby inherited parked for the detached normal client.
-	r.inherited = r.standbySvc.Delivery().Pending("noff")
+	r.inherited = standby.Delivery().Pending("noff")
 	// The attached realtime client re-attaches to the promoted standby.
 	sink := core.NewMemoryNotifier()
-	r.standbySvc.RegisterNotifier("ratt", sink)
+	standby.RegisterNotifier("ratt", sink)
 	r.rattSinks = append(r.rattSinks, sink)
 	return nil
 }
@@ -251,8 +235,6 @@ func (r *soakRun) Heal(a, b string) error {
 	return nil
 }
 
-func replStandbyAddr(server string) string { return "repl://" + server + "b" }
-
 // SlowStandby implements chaos.Fabric: degrade the replication stream to
 // the server's standby.
 func (r *soakRun) SlowStandby(server string, drop float64, latency time.Duration) error {
@@ -260,7 +242,7 @@ func (r *soakRun) SlowStandby(server string, drop float64, latency time.Duration
 		return fmt.Errorf("sim: soak has no standby for %q", server)
 	}
 	r.c.Inject.AddRule(transport.FaultRule{
-		To: replStandbyAddr(server), DropRate: drop, ExtraLatency: latency,
+		To: ReplAddr(server + "b"), DropRate: drop, ExtraLatency: latency,
 	})
 	return nil
 }
@@ -272,7 +254,7 @@ func (r *soakRun) HealStandby(ctx context.Context, server string) error {
 		return fmt.Errorf("sim: soak has no standby for %q", server)
 	}
 	r.c.Inject.RemoveRules(func(fr transport.FaultRule) bool {
-		return fr.To == replStandbyAddr(server)
+		return fr.To == ReplAddr(server+"b")
 	})
 	return r.recv.Heartbeat(ctx)
 }
@@ -280,7 +262,7 @@ func (r *soakRun) HealStandby(ctx context.Context, server string) error {
 // FlipMode implements chaos.Fabric: every serving service switches
 // dissemination mode.
 func (r *soakRun) FlipMode(ctx context.Context, mode string) error {
-	m, err := parseRoutingMode(mode)
+	m, err := core.ParseRoutingMode(mode)
 	if err != nil {
 		return err
 	}
@@ -293,7 +275,7 @@ func (r *soakRun) FlipMode(ctx context.Context, mode string) error {
 		}
 	}
 	if r.promoted {
-		if err := r.standbySvc.SetRoutingMode(ctx, m); err != nil {
+		if err := r.recv.Service().SetRoutingMode(ctx, m); err != nil {
 			return fmt.Errorf("sim: flip promoted %s to %s: %w", SoakReplServer, mode, err)
 		}
 	}
@@ -326,35 +308,46 @@ func (r *soakRun) ClearInject() error {
 	return nil
 }
 
-// soakOutcome is one run's observations.
-type soakOutcome struct {
-	live int
-	// Delivered multisets for the loss-critical observed clients.
-	rt, ratt, noff map[string]int
-	rtCount        int
-	rattCount      int
-	noffCount      int
-	// E15-shaped QoS observations at SoakQoSServer.
-	nmPrompt, nmTotal, blkPrompt int
-	digests, digestEvents        int
+// SoakOutcome is one soak run's observations.
+type SoakOutcome struct {
+	LiveProfiles int
+	// Delivered multisets (and their sizes) for the loss-critical observed
+	// clients: realtime at the QoS server (rt), the attached realtime client
+	// through the failover (ratt), the detached normal client whose parked
+	// alerts the standby inherits (noff).
+	Realtime, Failover, Detached                        map[string]int
+	RealtimeDelivered, FailoverDelivered, DetachedTotal int
+
+	// E15-shaped QoS observations at SoakQoSServer: normal deferred-not-lost
+	// and bulk digest-exactly-once.
+	NormalPrompt, NormalTotal, BulkPrompt int
+	Digests, DigestEvents                 int
+
 	// E14-shaped failover observations at SoakReplServer.
-	inherited int
-	promoted  bool
-	resyncs   int64
-	// Loss accounting: pipeline-level drops across serving services.
-	pipelineDropped int64
+	Inherited int
+	Promoted  bool
+	Resyncs   int64
+
+	// PipelineDropped is pipeline-level loss across the serving services.
+	PipelineDropped int64
 	// Transport cost and fault accounting.
-	messages, blocked          int64
-	injectedDrops, injectDelay int64
-	applied                    []chaos.Applied
-	slo                        []SLOReport
-	// Trace accounting (TraceSample > 0).
-	attribution              []StageAttribution
+	Messages, Blocked, InjectedDrops int64
+	// Applied is the schedule as the engine applied it.
+	Applied []chaos.Applied
+	// SLO is the per-class delivery-latency report.
+	SLO []SLOReport
+
+	// Per-stage latency attribution from the traced notify chains (empty
+	// unless TraceSample > 0).
+	Attribution              []StageAttribution
+	TraceSpans, TraceDropped int64
 	traces                   []*trace.Trace
-	traceSpans, traceDropped int64
-	// Health accounting (cfg.Health).
-	healthTransitions []health.Transition
-	healthCycles      int
+
+	// Health-plane observations (empty unless cfg.Health): every component
+	// state transition, and the number of completed fire→clear cycles.
+	HealthTransitions []health.Transition
+	HealthCycles      int
+
 	// Flight-recorder accounting (cfg.FlightRecorder): the auto-captured
 	// bundles with their parsed forms, the per-component ring stats, the
 	// count of transitions into Critical, and the trace IDs the collector
@@ -365,25 +358,16 @@ type soakOutcome struct {
 	critical       int
 	logStats       []logging.ComponentStats
 	retainedTraces map[string]bool
-	wall           time.Duration
-}
 
-func countSoakPrimitives(sink *core.MemoryNotifier) int {
-	n := 0
-	for _, x := range sink.All() {
-		if x.Composite == "" {
-			n++
-		}
-	}
-	return n
+	Wall time.Duration
 }
 
 // runChaosSoak assembles the deployment, plays the workload under the
 // given schedule (empty = baseline) and collects the outcome.
-func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, error) {
+func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, error) {
 	start := time.Now()
 	ctx := context.Background()
-	nodes := maxInt(1, cfg.Servers/4)
+	nodes := max(1, cfg.Servers/4)
 	c, err := NewCluster(ClusterConfig{Seed: cfg.Seed, GDSNodes: nodes, GDSBranching: 3})
 	if err != nil {
 		return nil, err
@@ -562,64 +546,17 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		return nil, err
 	}
 
-	// The replica pair for SoakReplServer, assembled as in E14 but over the
-	// cluster's injectable transport so schedule rules reach the stream.
-	standbyAddr := ServerAddr(SoakReplServer + "b")
-	sbCli := gds.NewClient(SoakReplServer, standbyAddr, c.NodeAddr(0), c.Net)
-	sbStore := collection.NewStore(SoakReplServer)
-	sbCfg := core.Config{
-		ServerName:    SoakReplServer,
-		ServerAddr:    standbyAddr,
-		Transport:     c.Net,
-		GDS:           sbCli,
-		Store:         sbStore,
-		ContentWarmup: -1,
-	}
-	quota(&sbCfg)
-	sbCfg.Tracer = newTracer(SoakReplServer + "b")
-	sbCfg.Log = coreLog
-	standby, err := core.New(sbCfg)
+	// The replica pair for SoakReplServer, configured like its primary.
+	recv, err := c.AddStandby(SoakReplServer, func(cc *core.Config) {
+		quota(cc)
+		cc.Tracer = newTracer(SoakReplServer + "b")
+		cc.Log = coreLog
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer standby.Close()
+	standby := recv.Service()
 	standby.SetQoS(newQoS())
-	sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name:      SoakReplServer,
-		Addr:      standbyAddr,
-		Transport: c.Net,
-		Store:     sbStore,
-		Alerting:  standby,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sbSrv.Close()
-	prim, err := replica.NewPrimary(replica.PrimaryConfig{
-		Service:    replSvc,
-		Transport:  c.Net,
-		ListenAddr: "repl://" + SoakReplServer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer prim.Close()
-	sbStandbyCfg := replica.StandbyConfig{
-		Service:     standby,
-		Transport:   c.Net,
-		ListenAddr:  replStandbyAddr(SoakReplServer),
-		PrimaryAddr: "repl://" + SoakReplServer,
-		GDS:         sbCli,
-		Tracer:      sbCfg.Tracer,
-	}
-	if rec != nil {
-		sbStandbyCfg.Log = rec.For("replica")
-	}
-	recv, err := replica.NewStandby(sbStandbyCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer recv.Close()
 	if err := recv.Join(ctx); err != nil {
 		return nil, err
 	}
@@ -660,14 +597,13 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 	}
 
 	run := &soakRun{
-		cfg:        cfg,
-		c:          c,
-		ctx:        ctx,
-		mode:       cfg.Mode,
-		standbySvc: standby,
-		recv:       recv,
-		serving:    make(map[string]*core.Service),
-		rattSinks:  []*core.MemoryNotifier{rattSink},
+		cfg:       cfg,
+		c:         c,
+		ctx:       ctx,
+		mode:      cfg.Mode,
+		recv:      recv,
+		serving:   make(map[string]*core.Service),
+		rattSinks: []*core.MemoryNotifier{rattSink},
 	}
 	eng, err := chaos.NewEngine(schedule, run)
 	if err != nil {
@@ -705,30 +641,30 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		return nil, flightErr
 	}
 
-	out := &soakOutcome{
-		live:      live,
-		rt:        make(map[string]int),
-		ratt:      make(map[string]int),
-		noff:      make(map[string]int),
-		promoted:  run.promoted,
-		inherited: run.inherited,
-		applied:   eng.Log(),
+	out := &SoakOutcome{
+		LiveProfiles: live,
+		Realtime:     make(map[string]int),
+		Failover:     make(map[string]int),
+		Detached:     make(map[string]int),
+		Promoted:     run.promoted,
+		Inherited:    run.inherited,
+		Applied:      eng.Log(),
 	}
 
 	// E15 shape at the QoS server: prompt counts, then the deferred normal
 	// backlog drains on re-attach, then the coalescing digest flushes.
-	out.rtCount = countKeys(out.rt, rtSink.All())
-	out.nmPrompt = countSoakPrimitives(nmSink)
-	out.blkPrompt = countSoakPrimitives(blkSink)
+	out.RealtimeDelivered = countKeys(out.Realtime, rtSink.All())
+	out.NormalPrompt = countPrimitives(nmSink)
+	out.BulkPrompt = countPrimitives(blkSink)
 	qosSvc.RegisterNotifier("nm", nmSink)
 	run.settle(ctx)
-	out.nmTotal = countSoakPrimitives(nmSink)
+	out.NormalTotal = countPrimitives(nmSink)
 	qosSvc.CompositeTick(time.Now().Add(2 * time.Hour))
 	run.settle(ctx)
 	for _, n := range blkSink.All() {
 		if n.Composite == "digest" && n.ProfileID == blkID {
-			out.digests++
-			out.digestEvents += len(n.Contributing)
+			out.Digests++
+			out.DigestEvents += len(n.Contributing)
 		}
 	}
 
@@ -737,7 +673,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 	// finally attaches at the serving service and drains its (possibly
 	// inherited) mailbox.
 	for _, sink := range run.rattSinks {
-		out.rattCount += countKeys(out.ratt, sink.All())
+		out.FailoverDelivered += countKeys(out.Failover, sink.All())
 	}
 	servingRepl := run.servingFor(SoakReplServer)
 	noffSink := core.NewMemoryNotifier()
@@ -745,26 +681,25 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 	if err := servingRepl.DrainDeliveries(ctx); err != nil {
 		return nil, err
 	}
-	out.noffCount = countKeys(out.noff, noffSink.All())
+	out.DetachedTotal = countKeys(out.Detached, noffSink.All())
 
 	// Accounting: loss, replication catch-ups, transport cost, SLOs.
 	var pipes []*delivery.Metrics
 	for _, name := range names {
 		m := run.servingFor(name).Delivery().Metrics()
 		pipes = append(pipes, m)
-		out.pipelineDropped += m.Snapshot().Dropped
+		out.PipelineDropped += m.Snapshot().Dropped
 	}
-	out.resyncs = recv.ReplicaStats().Resyncs
+	out.Resyncs = recv.ReplicaStats().Resyncs
 	st := c.TR.Stats()
-	out.messages, out.blocked = st.Sent, st.Blocked
-	ist := c.Inject.Stats()
-	out.injectedDrops, out.injectDelay = ist.Dropped, ist.Delayed
-	out.slo = ClassSLOReports(pipes, cfg.SLO)
+	out.Messages, out.Blocked = st.Sent, st.Blocked
+	out.InjectedDrops = c.Inject.Stats().Dropped
+	out.SLO = ClassSLOReports(pipes, cfg.SLO)
 	if tcol != nil {
 		out.traces = tcol.Traces(trace.Filter{})
-		out.attribution = AttributionReports(trace.PathSamples(out.traces, trace.StageNotify))
-		out.traceSpans = tcol.SpansTotal()
-		out.traceDropped = tcol.Dropped()
+		out.Attribution = AttributionReports(trace.PathSamples(out.traces, trace.StageNotify))
+		out.TraceSpans = tcol.SpansTotal()
+		out.TraceDropped = tcol.Dropped()
 	}
 	if rec != nil {
 		out.bundles = bundles
@@ -777,10 +712,10 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*soakOutcome, e
 		}
 	}
 	if heng != nil {
-		out.healthTransitions = heng.Transitions()
-		out.healthCycles = healthCycles(out.healthTransitions)
+		out.HealthTransitions = heng.Transitions()
+		out.HealthCycles = healthCycles(out.HealthTransitions)
 	}
-	out.wall = time.Since(start)
+	out.Wall = time.Since(start)
 	return out, nil
 }
 
@@ -796,63 +731,22 @@ func healthCycles(trs []health.Transition) int {
 	return n
 }
 
-// ChaosSoakResult compares a chaos run against its failure-free baseline —
-// one E16 row.
+// ChaosSoakResult is one E16 row: the run under the chaos schedule (the
+// embedded outcome) and the failure-free baseline it is compared with.
 type ChaosSoakResult struct {
 	Servers, Rounds, Events int
 	Burst                   int
 	Seed                    int64
 	Mode                    string
-	LiveProfiles            int
-
-	// Composition of the applied schedule.
-	Applied     []chaos.Applied
+	// FaultCounts is the composition of the configured schedule.
 	FaultCounts map[chaos.Kind]int
 
-	// Realtime loss-freedom: delivered counts and multiset equality with
-	// the baseline, at the QoS server (rt) and through the failover (ratt).
-	RealtimeDelivered int
-	RealtimeIdentical bool
-	FailoverDelivered int
-	FailoverIdentical bool
-
-	// Normal deferred-not-lost, at the QoS server and through the failover.
-	NormalPrompt, NormalTotal int
-	DetachedTotal             int
-	DetachedIdentical         bool
-	Inherited                 int
-
-	// Bulk digest-exactly-once.
-	BulkPrompt, Digests, DigestEvents int
-
-	// Loss and fault accounting (chaos run).
-	Promoted        bool
-	Resyncs         int64
-	PipelineDropped int64
-	Messages        int64
-	Blocked         int64
-	InjectedDrops   int64
-
-	// Per-class latency SLOs, chaos run and baseline.
-	SLO         []SLOReport
-	BaselineSLO []SLOReport
-
-	// Per-stage latency attribution from the chaos run's traced notify
-	// chains (empty unless TraceSample > 0).
-	Attribution              []StageAttribution
-	TraceSpans, TraceDropped int64
-
-	// Health-plane observations from the chaos run (empty unless
-	// cfg.Health): every component state transition, and the number of
-	// completed fire→clear cycles.
-	HealthTransitions []health.Transition
-	HealthCycles      int
-
-	WallChaos, WallBaseline time.Duration
+	*SoakOutcome
+	Baseline *SoakOutcome
 }
 
 // RunChaosSoak plays the soak twice — failure-free baseline, then under the
-// chaos schedule — and compares the delivered multisets.
+// chaos schedule — so the delivered multisets can be compared.
 func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	if cfg.Servers < 4 {
 		return nil, fmt.Errorf("sim: soak needs >= 4 servers, got %d", cfg.Servers)
@@ -865,45 +759,32 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: E16 chaos: %w", err)
 	}
-	r := &ChaosSoakResult{
-		Servers:           cfg.Servers,
-		Rounds:            cfg.Rounds,
-		Events:            cfg.Rounds * cfg.EventsPerRound,
-		Burst:             cfg.Burst,
-		Seed:              cfg.Seed,
-		Mode:              cfg.Mode.String(),
-		LiveProfiles:      chaosRun.live,
-		Applied:           chaosRun.applied,
-		FaultCounts:       cfg.Schedule.Counts(),
-		RealtimeDelivered: chaosRun.rtCount,
-		RealtimeIdentical: sameMultiset(baseline.rt, chaosRun.rt),
-		FailoverDelivered: chaosRun.rattCount,
-		FailoverIdentical: sameMultiset(baseline.ratt, chaosRun.ratt),
-		NormalPrompt:      chaosRun.nmPrompt,
-		NormalTotal:       chaosRun.nmTotal,
-		DetachedTotal:     chaosRun.noffCount,
-		DetachedIdentical: sameMultiset(baseline.noff, chaosRun.noff),
-		Inherited:         chaosRun.inherited,
-		BulkPrompt:        chaosRun.blkPrompt,
-		Digests:           chaosRun.digests,
-		DigestEvents:      chaosRun.digestEvents,
-		Promoted:          chaosRun.promoted,
-		Resyncs:           chaosRun.resyncs,
-		PipelineDropped:   chaosRun.pipelineDropped + baseline.pipelineDropped,
-		Messages:          chaosRun.messages,
-		Blocked:           chaosRun.blocked,
-		InjectedDrops:     chaosRun.injectedDrops,
-		SLO:               chaosRun.slo,
-		BaselineSLO:       baseline.slo,
-		Attribution:       chaosRun.attribution,
-		TraceSpans:        chaosRun.traceSpans,
-		TraceDropped:      chaosRun.traceDropped,
-		HealthTransitions: chaosRun.healthTransitions,
-		HealthCycles:      chaosRun.healthCycles,
-		WallChaos:         chaosRun.wall,
-		WallBaseline:      baseline.wall,
-	}
-	return r, nil
+	return &ChaosSoakResult{
+		Servers:     cfg.Servers,
+		Rounds:      cfg.Rounds,
+		Events:      cfg.Rounds * cfg.EventsPerRound,
+		Burst:       cfg.Burst,
+		Seed:        cfg.Seed,
+		Mode:        cfg.Mode.String(),
+		FaultCounts: cfg.Schedule.Counts(),
+		SoakOutcome: chaosRun,
+		Baseline:    baseline,
+	}, nil
+}
+
+// RealtimeIdentical, FailoverIdentical and DetachedIdentical report multiset
+// equality of the chaos run's deliveries with the baseline's, per observed
+// client.
+func (r *ChaosSoakResult) RealtimeIdentical() bool {
+	return sameMultiset(r.Baseline.Realtime, r.Realtime)
+}
+
+func (r *ChaosSoakResult) FailoverIdentical() bool {
+	return sameMultiset(r.Baseline.Failover, r.Failover)
+}
+
+func (r *ChaosSoakResult) DetachedIdentical() bool {
+	return sameMultiset(r.Baseline.Detached, r.Detached)
 }
 
 // Check asserts the E16 acceptance bar on a result.
@@ -919,17 +800,17 @@ func (r *ChaosSoakResult) Check() error {
 		return fmt.Errorf("sim: E16 schedule kills a primary but no promotion happened")
 	case r.RealtimeDelivered != r.Events:
 		return fmt.Errorf("sim: E16 realtime delivered %d of %d — loss under chaos", r.RealtimeDelivered, r.Events)
-	case !r.RealtimeIdentical:
+	case !r.RealtimeIdentical():
 		return fmt.Errorf("sim: E16 realtime multiset differs from the failure-free run")
-	case r.FailoverDelivered != r.Events || !r.FailoverIdentical:
+	case r.FailoverDelivered != r.Events || !r.FailoverIdentical():
 		return fmt.Errorf("sim: E16 failover client delivered %d of %d (identical=%v) — promotion lost or duplicated alerts",
-			r.FailoverDelivered, r.Events, r.FailoverIdentical)
+			r.FailoverDelivered, r.Events, r.FailoverIdentical())
 	case r.NormalPrompt != r.Burst || r.NormalTotal != r.Events:
 		return fmt.Errorf("sim: E16 normal prompt/total = %d/%d, want %d/%d — deferral lost alerts",
 			r.NormalPrompt, r.NormalTotal, r.Burst, r.Events)
-	case r.DetachedTotal != r.Events || !r.DetachedIdentical:
+	case r.DetachedTotal != r.Events || !r.DetachedIdentical():
 		return fmt.Errorf("sim: E16 detached client total %d of %d (identical=%v) — parked alerts lost across promotion",
-			r.DetachedTotal, r.Events, r.DetachedIdentical)
+			r.DetachedTotal, r.Events, r.DetachedIdentical())
 	case counts[chaos.KindKillPrimary] > 0 && r.Inherited <= 0:
 		return fmt.Errorf("sim: E16 standby inherited %d parked alerts, want > 0", r.Inherited)
 	case r.BulkPrompt != r.Burst || r.Digests != 1 || r.DigestEvents != shed:
@@ -937,14 +818,14 @@ func (r *ChaosSoakResult) Check() error {
 			r.BulkPrompt, r.Digests, r.DigestEvents, r.Burst, shed)
 	case counts[chaos.KindSlowStandby] > 0 && r.Resyncs < 1:
 		return fmt.Errorf("sim: E16 standby lagged but never resynced")
-	case r.PipelineDropped != 0:
-		return fmt.Errorf("sim: E16 %d notifications dropped from pipelines — actual loss", r.PipelineDropped)
+	case r.PipelineDropped+r.Baseline.PipelineDropped != 0:
+		return fmt.Errorf("sim: E16 %d notifications dropped from pipelines — actual loss", r.PipelineDropped+r.Baseline.PipelineDropped)
 	case counts[chaos.KindPartition] > 0 && r.Blocked == 0:
 		return fmt.Errorf("sim: E16 schedule partitions a link but nothing was blocked — the cut missed")
 	case counts[chaos.KindSlowStandby] > 0 && r.InjectedDrops == 0:
 		return fmt.Errorf("sim: E16 standby was degraded but no message was injected-dropped")
 	}
-	for _, s := range append(append([]SLOReport(nil), r.SLO...), r.BaselineSLO...) {
+	for _, s := range append(append([]SLOReport(nil), r.SLO...), r.Baseline.SLO...) {
 		if !s.OK {
 			return fmt.Errorf("sim: E16 class %s p99 %v exceeds SLO %v", s.Class, s.P99, s.Bound)
 		}
@@ -974,14 +855,14 @@ func ChaosSoakTable(r *ChaosSoakResult) *metrics.Table {
 		fmt.Sprintf("E16 — chaos soak (%d servers, %d live profiles, %d events, %d faults, seed %d)",
 			r.Servers, r.LiveProfiles, r.Events, len(r.Applied), r.Seed),
 		"check", "value")
-	t.AddRow("realtime delivered / identical", fmt.Sprintf("%d / %v", r.RealtimeDelivered, r.RealtimeIdentical))
-	t.AddRow("failover delivered / identical", fmt.Sprintf("%d / %v", r.FailoverDelivered, r.FailoverIdentical))
+	t.AddRow("realtime delivered / identical", fmt.Sprintf("%d / %v", r.RealtimeDelivered, r.RealtimeIdentical()))
+	t.AddRow("failover delivered / identical", fmt.Sprintf("%d / %v", r.FailoverDelivered, r.FailoverIdentical()))
 	t.AddRow("normal prompt → total", fmt.Sprintf("%d → %d", r.NormalPrompt, r.NormalTotal))
-	t.AddRow("detached total / identical", fmt.Sprintf("%d / %v", r.DetachedTotal, r.DetachedIdentical))
+	t.AddRow("detached total / identical", fmt.Sprintf("%d / %v", r.DetachedTotal, r.DetachedIdentical()))
 	t.AddRow("inherited parked", r.Inherited)
 	t.AddRow("bulk prompt / digests / digest events", fmt.Sprintf("%d / %d / %d", r.BulkPrompt, r.Digests, r.DigestEvents))
 	t.AddRow("promoted / resyncs", fmt.Sprintf("%v / %d", r.Promoted, r.Resyncs))
-	t.AddRow("pipeline dropped", r.PipelineDropped)
+	t.AddRow("pipeline dropped", r.PipelineDropped+r.Baseline.PipelineDropped)
 	t.AddRow("messages / blocked / injected drops", fmt.Sprintf("%d / %d / %d", r.Messages, r.Blocked, r.InjectedDrops))
 	for _, s := range r.SLO {
 		t.AddRow(fmt.Sprintf("%s p50/p99 (SLO %v)", s.Class, s.Bound),
@@ -993,6 +874,6 @@ func ChaosSoakTable(r *ChaosSoakResult) *metrics.Table {
 	if len(r.HealthTransitions) > 0 {
 		t.AddRow("health transitions / fire→clear cycles", fmt.Sprintf("%d / %d", len(r.HealthTransitions), r.HealthCycles))
 	}
-	t.AddRow("wall chaos / baseline", fmt.Sprintf("%v / %v", r.WallChaos.Round(time.Millisecond), r.WallBaseline.Round(time.Millisecond)))
+	t.AddRow("wall chaos / baseline", fmt.Sprintf("%v / %v", r.Wall.Round(time.Millisecond), r.Baseline.Wall.Round(time.Millisecond)))
 	return t
 }

@@ -8,13 +8,15 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
+	"io"
+	"slices"
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/filter"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
+	"github.com/gsalert/gsalert/internal/replica"
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
@@ -26,17 +28,15 @@ type ClusterConfig struct {
 	GDSNodes int
 	// GDSBranching is the tree fan-out (>= 1).
 	GDSBranching int
-	// LinkLatency is the virtual per-hop latency (default 1ms).
-	LinkLatency time.Duration
 }
 
 // Cluster is an assembled simulated deployment.
 type Cluster struct {
 	TR *transport.Memory
-	// Inject wraps TR with a chaos rule set; every component the cluster
-	// assembles sends through it (Net), so a fault schedule can degrade or
-	// sever any slice of the traffic. With no rules armed it is a
-	// passthrough.
+	// Inject wraps TR with a chaos rule set (seeded with the cluster seed);
+	// every component the cluster assembles sends through it (Net), so a
+	// fault schedule can degrade or sever any slice of the traffic. With no
+	// rules armed it is a passthrough.
 	Inject *transport.FaultInjector
 	// Net is the transport handed to assembled components (= Inject).
 	Net   transport.Transport
@@ -47,6 +47,8 @@ type Cluster struct {
 	clients   map[string]*gds.Client
 	notifiers map[string]map[string]*core.MemoryNotifier // server -> client -> sink
 	nodeAddrs []string
+	nodeOf    map[string]int // server -> index of the GDS node it registered at
+	standbys  []io.Closer    // AddStandby's components, closed last-built first
 }
 
 // NewCluster builds the directory tree; servers are added with AddServer.
@@ -57,10 +59,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.GDSBranching < 1 {
 		cfg.GDSBranching = 2
 	}
-	tr := transport.NewMemory(cfg.Seed)
-	if cfg.LinkLatency > 0 {
-		tr.SetDefaultLatency(cfg.LinkLatency)
-	}
+	tr := transport.NewMemory()
 	inj := transport.NewFaultInjector(tr, cfg.Seed)
 	c := &Cluster{
 		TR:        tr,
@@ -70,6 +69,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		services:  make(map[string]*core.Service),
 		clients:   make(map[string]*gds.Client),
 		notifiers: make(map[string]map[string]*core.MemoryNotifier),
+		nodeOf:    make(map[string]int),
 	}
 	ctx := context.Background()
 	for i := 0; i < cfg.GDSNodes; i++ {
@@ -92,6 +92,35 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// NewTree builds the deployment most experiments open with: a directory
+// tree of one node per four servers (fan-out 3) and `servers` alerting
+// servers named S000, S001, … spread round-robin over the nodes, each
+// switched to mode (0 leaves the default, broadcast). mutate, if non-nil,
+// adjusts every server's core configuration. The server names are returned
+// in creation order.
+func NewTree(seed int64, servers int, mode core.RoutingMode, mutate func(*core.Config)) (*Cluster, []string, error) {
+	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: max(1, servers/4), GDSBranching: 3})
+	if err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, 0, servers)
+	for i := 0; i < servers; i++ {
+		name := fmt.Sprintf("S%03d", i)
+		if _, err := c.AddServerWith(name, -1, mutate); err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+		if mode != 0 {
+			if err := c.Service(name).SetRoutingMode(context.Background(), mode); err != nil {
+				c.Close()
+				return nil, nil, err
+			}
+		}
+		names = append(names, name)
+	}
+	return c, names, nil
+}
+
 // treeDepth computes the depth of node i in a complete b-ary tree laid out
 // in breadth-first order (node 0 is the root).
 func treeDepth(i, b int) int {
@@ -105,6 +134,9 @@ func treeDepth(i, b int) int {
 
 // Close shuts down all components.
 func (c *Cluster) Close() {
+	for i := len(c.standbys) - 1; i >= 0; i-- {
+		_ = c.standbys[i].Close()
+	}
 	for _, s := range c.servers {
 		_ = s.Close()
 	}
@@ -131,10 +163,10 @@ func (c *Cluster) Settle(ctx context.Context) {
 // ServerAddr is the canonical transport address of a named server.
 func ServerAddr(name string) string { return "gs://" + name }
 
-// NodeAddr is the transport address of the GDS node with index i (standby
-// construction in the replication experiments registers at the primary's
-// node).
-func (c *Cluster) NodeAddr(i int) string { return c.nodeAddrs[i] }
+// ReplAddr is the replication-stream address of a named server; its
+// standby is named name+"b", so the standby's stream end is
+// ReplAddr(name+"b") and its serving address ServerAddr(name+"b").
+func ReplAddr(name string) string { return "repl://" + name }
 
 // AddServer creates a Greenstone server with alerting, registered at the
 // GDS node with index nodeIdx (-1 picks round-robin by current count).
@@ -195,8 +227,81 @@ func (c *Cluster) AddServerWith(name string, nodeIdx int, mutate func(*core.Conf
 	c.servers[name] = srv
 	c.services[name] = svc
 	c.clients[name] = gdsCli
+	c.nodeOf[name] = nodeIdx
 	c.notifiers[name] = make(map[string]*core.MemoryNotifier)
 	return srv, nil
+}
+
+// AddStandby attaches a warm standby to a server: a passive alerting
+// service and Greenstone server under the primary's name at the address
+// ServerAddr(primary+"b"), a replica.Primary streaming the server's state
+// and a replica.Standby applying it — all over Net, so armed fault rules
+// reach the stream. The standby registers nowhere until promotion, which
+// re-registers the inherited name at the primary's GDS node. mutate, if
+// non-nil, adjusts the standby service's configuration; its Tracer and Log
+// also serve the replication stream. The caller Joins (and later Promotes)
+// the returned standby, whose Service() is the standby's alerting service;
+// Cluster.Close closes everything built here.
+func (c *Cluster) AddStandby(primary string, mutate func(*core.Config)) (*replica.Standby, error) {
+	svc := c.services[primary]
+	if svc == nil {
+		return nil, fmt.Errorf("sim: unknown server %q", primary)
+	}
+	addr := ServerAddr(primary + "b")
+	gdsCli := gds.NewClient(primary, addr, c.nodeAddrs[c.nodeOf[primary]], c.Net)
+	store := collection.NewStore(primary)
+	cfg := core.Config{
+		ServerName:    primary,
+		ServerAddr:    addr,
+		Transport:     c.Net,
+		GDS:           gdsCli,
+		Store:         store,
+		ContentWarmup: -1,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	// Each component is handed to Close as soon as it exists, so an error
+	// part-way leaks nothing.
+	standby, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.standbys = append(c.standbys, standby)
+	srv, err := greenstone.NewServer(greenstone.ServerConfig{
+		Name:      primary,
+		Addr:      addr,
+		Transport: c.Net,
+		Store:     store,
+		Alerting:  standby,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.standbys = append(c.standbys, srv)
+	prim, err := replica.NewPrimary(replica.PrimaryConfig{
+		Service:    svc,
+		Transport:  c.Net,
+		ListenAddr: ReplAddr(primary),
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.standbys = append(c.standbys, prim)
+	recv, err := replica.NewStandby(replica.StandbyConfig{
+		Service:     standby,
+		Transport:   c.Net,
+		ListenAddr:  ReplAddr(primary + "b"),
+		PrimaryAddr: ReplAddr(primary),
+		GDS:         gdsCli,
+		Tracer:      cfg.Tracer,
+		Log:         cfg.Log.Recorder().For("replica"),
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.standbys = append(c.standbys, recv)
+	return recv, nil
 }
 
 // Resolve looks up a server name through another server's directory client
@@ -221,16 +326,8 @@ func (c *Cluster) ServerNames() []string {
 	for n := range c.servers {
 		out = append(out, n)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Notifier returns (creating on demand) the recording sink for a client at
@@ -314,7 +411,7 @@ func (c *Cluster) IsolateServer(name string, isolated bool) {
 
 // NewReceptionist builds a receptionist connected to the named hosts.
 func (c *Cluster) NewReceptionist(name string, hosts ...string) *greenstone.Receptionist {
-	r := greenstone.NewReceptionist(name, c.TR)
+	r := greenstone.NewReceptionist(name, c.Net)
 	for _, h := range hosts {
 		r.Connect(h, ServerAddr(h))
 	}

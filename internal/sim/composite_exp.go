@@ -68,23 +68,12 @@ func expectedCompositeAlerts(rounds int) (sequence, sequenceWindowed, count, dig
 
 // RunCompositeAlerts plays the E13 scenario through one routing mode.
 func RunCompositeAlerts(servers, rounds int, mode core.RoutingMode, seed int64) (CompositeAlertsResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: maxInt(1, servers/4), GDSBranching: 3})
+	c, names, err := NewTree(seed, servers, mode, nil)
 	if err != nil {
 		return CompositeAlertsResult{}, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("K%03d", i)
-		if _, err := c.AddServer(name, -1); err != nil {
-			return CompositeAlertsResult{}, err
-		}
-		if err := c.Service(name).SetRoutingMode(ctx, mode); err != nil {
-			return CompositeAlertsResult{}, err
-		}
-		names = append(names, name)
-	}
 	pub, sub := names[0], names[1]
 	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {

@@ -10,12 +10,12 @@ import (
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
+	"github.com/gsalert/gsalert/internal/transport"
 )
 
 // This file implements the experiment suite of docs/EXPERIMENTS.md. Each
 // function returns structured results plus a rendered table so the same
-// code backs the unit tests, the Go benchmarks in bench_test.go and the
-// alert-bench command.
+// code backs the unit tests and the alert-bench command.
 
 // ---------------------------------------------------------------------------
 // E1 — build overhead: "the filtering acts as an additional step in the
@@ -144,7 +144,7 @@ type GDSScaleResult struct {
 // RunGDSScale builds a cluster of the given size, publishes one event from
 // one server and measures flood cost and reach.
 func RunGDSScale(servers, branching int, seed int64) (GDSScaleResult, error) {
-	gdsNodes := maxInt(1, servers/8)
+	gdsNodes := max(1, servers/8)
 	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: gdsNodes, GDSBranching: branching})
 	if err != nil {
 		return GDSScaleResult{}, err
@@ -186,10 +186,7 @@ func RunGDSScale(servers, branching int, seed int64) (GDSScaleResult, error) {
 		Messages:  st.Sent,
 	}
 	for _, n := range names {
-		for _, notif := range c.Notifications(n, "u") {
-			out.Delivered++
-			_ = notif
-		}
+		out.Delivered += len(c.Notifications(n, "u"))
 	}
 	// Hop/latency shape from the per-delivery envelope metadata is not
 	// retained by the service; derive the worst case from tree depth.
@@ -434,48 +431,41 @@ type LossResult struct {
 // RunLossyBroadcast publishes events through a lossy GDS and measures the
 // delivery ratio (paper §6: "messages are delivered using best effort").
 func RunLossyBroadcast(servers, events int, dropRate float64, seed int64) (LossResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: maxInt(1, servers/4), GDSBranching: 3})
+	c, names, err := NewTree(seed, servers, 0, nil)
 	if err != nil {
 		return LossResult{}, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("L%03d", i)
-		if _, err := c.AddServer(name, -1); err != nil {
-			return LossResult{}, err
-		}
-		names = append(names, name)
-	}
+	pub := c.Server(names[0])
 	// Subscribe to the per-build summary event only, so expected
 	// notifications are exactly one per server per build.
 	for _, n := range names {
 		c.Notifier(n, "u")
 		if _, err := c.Service(n).Subscribe("u",
-			profile.MustParse(`collection = "L000.X" AND event.type = "collection-rebuilt"`)); err != nil {
+			profile.MustParse(fmt.Sprintf(`collection = "%s.X" AND event.type = "collection-rebuilt"`, names[0]))); err != nil {
 			return LossResult{}, err
 		}
 	}
-	if _, err := c.Server("L000").AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
+	if _, err := pub.AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
 		return LossResult{}, err
 	}
 	// Build once reliably to initialise, then inject loss. Settle so the
 	// initialisation notifications land before the counters reset.
-	if _, _, err := c.Server("L000").Build(ctx, "X", syntheticDocs(1, 0)); err != nil {
+	if _, _, err := pub.Build(ctx, "X", syntheticDocs(1, 0)); err != nil {
 		return LossResult{}, err
 	}
 	c.Settle(ctx)
 	for _, n := range names {
 		c.Notifier(n, "u").Reset()
 	}
-	c.TR.SetDropRate(dropRate)
+	c.Inject.SetRules(transport.FaultRule{DropRate: dropRate})
 	for e := 0; e < events; e++ {
-		if _, _, err := c.Server("L000").Build(ctx, "X", syntheticDocs(1, e+1)); err != nil {
+		if _, _, err := pub.Build(ctx, "X", syntheticDocs(1, e+1)); err != nil {
 			return LossResult{}, err
 		}
 	}
-	c.TR.SetDropRate(0)
+	c.Inject.ClearRules()
 	c.Settle(ctx)
 
 	out := LossResult{DropRate: dropRate, Servers: servers, Events: events}
@@ -665,78 +655,4 @@ func RunContinuousSearch(docs int, seed int64) (ContinuousSearchResult, error) {
 		WatchAlerts:   len(watchedAlerted),
 		WatchExpected: 2,
 	}, nil
-}
-
-// RenderAll runs the full experiment suite with moderate sizes and returns
-// the rendered tables (the alert-bench command's payload).
-func RenderAll(seed int64) ([]string, error) {
-	var out []string
-
-	t1, err := BuildOverheadTable([]int{100, 1000, 5000}, []int{0, 100, 1000, 10000}, 3, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t1.Render())
-
-	t2, err := GDSScaleTable([]int{10, 50, 100, 250}, []int{2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t2.Render())
-
-	t3, err := RoutingComparisonTable(64, []float64{0, 0.3, 0.6, 0.9}, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t3.Render())
-
-	t5, err := AuxChainTable([]int{1, 2, 3, 4, 5}, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t5.Render())
-
-	t7, err := LossTable(24, 10, []float64{0, 0.01, 0.05, 0.1, 0.2}, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t7.Render())
-
-	pr, err := RunPartitionRecovery(5, seed)
-	if err != nil {
-		return nil, err
-	}
-	t6 := metrics.NewTable("E6 — partition recovery (rebuilds under a cut super/sub link)",
-		"cycles", "notifs during cut", "notifs after heal", "peak queue")
-	t6.AddRow(pr.Cycles, pr.DuringPartition, pr.AfterHeal, pr.QueuedPeak)
-	out = append(out, t6.Render())
-
-	cs, err := RunContinuousSearch(2000, seed)
-	if err != nil {
-		return nil, err
-	}
-	t8 := metrics.NewTable("E8 — continuous search & watch-this fidelity",
-		"docs", "search hits", "alerted docs", "agreement", "watch alerts", "watch expected")
-	t8.AddRow(cs.Docs, cs.SearchHits, cs.AlertedDocs, fmt.Sprintf("%v", cs.Agreement), cs.WatchAlerts, cs.WatchExpected)
-	out = append(out, t8.Render())
-
-	t12, err := ContentRoutingTable(16, 4, 5, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t12.Render())
-
-	t13, err := CompositeAlertsTable(16, 4, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t13.Render())
-
-	t14, err := ReplicaFailoverTable(16, 6, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t14.Render())
-
-	return out, nil
 }

@@ -123,15 +123,15 @@ func RunFlightSoak(cfg ChaosSoakConfig) (*FlightSoakResult, error) {
 		Rounds:              cfg.Rounds,
 		Events:              cfg.Rounds * cfg.EventsPerRound,
 		Seed:                cfg.Seed,
-		LiveProfiles:        a.live,
-		Promoted:            a.promoted,
+		LiveProfiles:        a.LiveProfiles,
+		Promoted:            a.Promoted,
 		CriticalTransitions: a.critical,
 		Dumps:               len(a.dumps),
-		TraceRingDropped:    a.traceDropped,
+		TraceRingDropped:    a.TraceDropped,
 		LoggingStats:        a.logStats,
-		HealthTransitions:   a.healthTransitions,
-		Wall:                a.wall,
-		WallReplay:          b.wall,
+		HealthTransitions:   a.HealthTransitions,
+		Wall:                a.Wall,
+		WallReplay:          b.Wall,
 	}
 	if len(a.dumps) > 0 {
 		d := a.dumps[0]

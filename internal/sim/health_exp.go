@@ -11,14 +11,11 @@ import (
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/qos"
-	"github.com/gsalert/gsalert/internal/replica"
 )
 
 // E18 — the self-alerting health plane, dogfooded through the pipeline. A
@@ -94,23 +91,12 @@ func transitionSig(trs []health.Transition) string {
 
 // RunHealthMode plays the E18 dogfood scenario through one routing mode.
 func RunHealthMode(servers, rounds, eventsPerRound, burst int, mode core.RoutingMode, seed int64) (*HealthModeResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: maxInt(1, servers/4), GDSBranching: 3})
+	c, names, err := NewTree(seed, servers, mode, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("H%03d", i)
-		if _, err := c.AddServer(name, -1); err != nil {
-			return nil, err
-		}
-		if err := c.Service(name).SetRoutingMode(ctx, mode); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
 	pub, watched, ops := names[0], names[1], names[2]
 	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
@@ -333,21 +319,12 @@ type ReadinessStage struct {
 // promoted (ready), asserting along the way that the standby's replicated
 // QoS buckets carry the primary's charged quota across the promotion.
 func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
-	const servers = 4
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: 1, GDSBranching: 3})
+	c, names, err := NewTree(seed, 4, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("W%03d", i)
-		if _, err := c.AddServer(name, -1); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
 	primaryName, pub := names[0], names[1]
 	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
@@ -367,64 +344,17 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 		return nil, err
 	}
 
-	// The standby, joined over the cluster transport (E14's assembly).
-	standbyAddr := ServerAddr(primaryName + "b")
-	sbCli := gds.NewClient(primaryName, standbyAddr, c.NodeAddr(0), c.TR)
-	sbStore := collection.NewStore(primaryName)
-	standby, err := core.New(core.Config{
-		ServerName:    primaryName,
-		ServerAddr:    standbyAddr,
-		Transport:     c.TR,
-		GDS:           sbCli,
-		Store:         sbStore,
-		ContentWarmup: -1,
-	})
+	recv, err := c.AddStandby(primaryName, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer standby.Close()
+	standby := recv.Service()
 	standby.SetQoS(newQoS())
-	sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-		Name: primaryName, Addr: standbyAddr, Transport: c.TR, Store: sbStore, Alerting: standby,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sbSrv.Close()
-	prim, err := replica.NewPrimary(replica.PrimaryConfig{
-		Service: primary, Transport: c.TR, ListenAddr: "repl://" + primaryName,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer prim.Close()
-	recv, err := replica.NewStandby(replica.StandbyConfig{
-		Service:     standby,
-		Transport:   c.TR,
-		ListenAddr:  "repl://" + primaryName + "b",
-		PrimaryAddr: "repl://" + primaryName,
-		GDS:         sbCli,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer recv.Close()
 
-	// The standby-side health engine: readiness gates on the catch-up state
-	// exactly as cmd/gs-server wires it.
+	// The standby-side health engine gates readiness on the same rule
+	// cmd/gs-server wires.
 	heng := health.NewEngine(obs.NewRegistry(), nil, health.Options{})
-	heng.AddReadiness("standby-caught-up", func() error {
-		if recv.Promoted() {
-			return nil
-		}
-		if !recv.Synced() {
-			return fmt.Errorf("standby has not applied a snapshot")
-		}
-		if err := recv.ProbeErr(); err != nil {
-			return fmt.Errorf("primary unreachable: %w", err)
-		}
-		return nil
-	})
+	heng.AddReadiness("standby-caught-up", recv.Ready)
 	readyz := health.ReadyzHandler(heng)
 	probe := func(stage string, out *HealthReadinessResult) {
 		rec := httptest.NewRecorder()
@@ -461,12 +391,12 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 	}
 
 	// Cut the replication link: the next heartbeat fails and /readyz flips.
-	c.TR.SetNodeDown("repl://"+primaryName, true)
+	c.TR.SetNodeDown(ReplAddr(primaryName), true)
 	_ = recv.Heartbeat(ctx)
 	probe("partitioned", out) // probe error → 503
 
 	// Heal: the heartbeat goes through again and /readyz recovers.
-	c.TR.SetNodeDown("repl://"+primaryName, false)
+	c.TR.SetNodeDown(ReplAddr(primaryName), false)
 	if err := recv.Heartbeat(ctx); err != nil {
 		return nil, err
 	}
@@ -474,7 +404,7 @@ func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
 
 	// Kill + promote: readiness passes on the promotion flag.
 	c.TR.SetNodeDown(ServerAddr(primaryName), true)
-	c.TR.SetNodeDown("repl://"+primaryName, true)
+	c.TR.SetNodeDown(ReplAddr(primaryName), true)
 	if err := recv.Promote(ctx, 0); err != nil {
 		return nil, err
 	}

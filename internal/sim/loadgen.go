@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -217,7 +218,7 @@ func mergedQuantile(hists []*metrics.LatencyHistogram, q float64) time.Duration 
 	for u := range merged {
 		uppers = append(uppers, u)
 	}
-	sortDurations(uppers)
+	slices.Sort(uppers)
 	rank := int64(q * float64(total))
 	if rank < 1 {
 		rank = 1
@@ -230,14 +231,6 @@ func mergedQuantile(hists []*metrics.LatencyHistogram, q float64) time.Duration 
 		}
 	}
 	return uppers[len(uppers)-1]
-}
-
-func sortDurations(d []time.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 // ClassSLOReports evaluates per-class delivery-latency SLOs across a set of

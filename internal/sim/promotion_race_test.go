@@ -29,7 +29,7 @@ import (
 // flushes — because the interesting output is the race detector's.
 func TestPromotionConcurrentWithQoSAndFlush(t *testing.T) {
 	ctx := context.Background()
-	tr := transport.NewMemory(77)
+	tr := transport.NewMemory()
 	defer tr.Close()
 	inj := transport.NewFaultInjector(tr, 77)
 

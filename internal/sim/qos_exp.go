@@ -61,29 +61,17 @@ type QoSOverloadResult struct {
 
 // RunQoSOverload plays the E15 scenario through one routing mode.
 func RunQoSOverload(servers, events, burst int, mode core.RoutingMode, seed int64) (QoSOverloadResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: maxInt(1, servers/4), GDSBranching: 3})
+	// A retry interval beyond the run keeps the deferred-redelivery loop out
+	// of the measurement: deferred traffic drains only on the explicit
+	// re-attach below, making prompt-vs-deferred counts exact.
+	c, names, err := NewTree(seed, servers, mode, func(cfg *core.Config) {
+		cfg.DeliveryConfig = &delivery.Config{RetryInterval: time.Hour}
+	})
 	if err != nil {
 		return QoSOverloadResult{}, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("Q%03d", i)
-		// A retry interval beyond the run keeps the deferred-redelivery
-		// loop out of the measurement: deferred traffic drains only on the
-		// explicit re-attach below, making prompt-vs-deferred counts exact.
-		_, err := c.AddServerWith(name, -1, func(cfg *core.Config) {
-			cfg.DeliveryConfig = &delivery.Config{RetryInterval: time.Hour}
-		})
-		if err != nil {
-			return QoSOverloadResult{}, err
-		}
-		if err := c.Service(name).SetRoutingMode(ctx, mode); err != nil {
-			return QoSOverloadResult{}, err
-		}
-		names = append(names, name)
-	}
 	pub, sub := names[0], names[1]
 	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
@@ -142,15 +130,6 @@ func RunQoSOverload(servers, events, burst int, mode core.RoutingMode, seed int6
 		Events:  events,
 		Burst:   burst,
 	}
-	countPrimitives := func(sink *core.MemoryNotifier) int {
-		n := 0
-		for _, x := range sink.All() {
-			if x.Composite == "" {
-				n++
-			}
-		}
-		return n
-	}
 	out.RealtimeDelivered = countPrimitives(rtSink)
 	out.NormalPrompt = countPrimitives(nmSink)
 	out.BulkPrompt = countPrimitives(blkSink)
@@ -179,6 +158,17 @@ func RunQoSOverload(servers, events, burst int, mode core.RoutingMode, seed int6
 	out.Coalesced = st.QoSCoalesced
 	out.RealtimeP99 = svc.Delivery().Metrics().ClassLatency[qos.ClassRealtime].Quantile(0.99)
 	return out, nil
+}
+
+// countPrimitives counts a sink's non-composite notifications.
+func countPrimitives(sink *core.MemoryNotifier) int {
+	n := 0
+	for _, x := range sink.All() {
+		if x.Composite == "" {
+			n++
+		}
+	}
+	return n
 }
 
 // qosOverloadCheck asserts the E15 acceptance bar on one row.
@@ -212,7 +202,7 @@ func qosOverloadCheck(r QoSOverloadResult, p99Bound time.Duration) error {
 func QoSOverloadTable(servers, events, burst int, seed int64) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("E15 — QoS under %dx overload (%d servers, %d events vs budget %d, per class realtime/normal/bulk)",
-			events/maxInt(1, burst), servers, events, burst),
+			events/max(1, burst), servers, events, burst),
 		"mode", "rt delivered", "rt p99", "nm prompt", "nm total", "blk prompt", "digests", "digest events",
 		"admitted", "deferred", "coalesced")
 	for _, mode := range []core.RoutingMode{core.RouteBroadcast, core.RouteMulticast, core.RouteContent} {

@@ -8,8 +8,6 @@ import (
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/gds"
-	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/replica"
@@ -111,23 +109,12 @@ func sameMultiset(a, b map[string]int) bool {
 // runReplicaScenario plays the E14 workload once. With failover set, the
 // primary is killed after rounds/2 builds and its standby promoted.
 func runReplicaScenario(servers, rounds int, mode core.RoutingMode, seed int64, failover bool) (*replicaRunOutcome, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, GDSNodes: maxInt(1, servers/4), GDSBranching: 3})
+	c, names, err := NewTree(seed, servers, mode, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	ctx := context.Background()
-	names := make([]string, 0, servers)
-	for i := 0; i < servers; i++ {
-		name := fmt.Sprintf("R%03d", i)
-		if _, err := c.AddServer(name, -1); err != nil {
-			return nil, err
-		}
-		if err := c.Service(name).SetRoutingMode(ctx, mode); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
 	primaryName, pub := names[0], names[1]
 	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
@@ -143,57 +130,11 @@ func runReplicaScenario(servers, rounds int, mode core.RoutingMode, seed int64, 
 		return nil, err
 	}
 
-	// The standby: the primary's name, its own address, registered nowhere
-	// until promotion. The first server added always lands on GDS node 0.
-	var standby *core.Service
 	var recv *replica.Standby
 	if failover {
-		standbyAddr := ServerAddr(primaryName + "b")
-		sbCli := gds.NewClient(primaryName, standbyAddr, c.NodeAddr(0), c.TR)
-		sbStore := collection.NewStore(primaryName)
-		standby, err = core.New(core.Config{
-			ServerName:    primaryName,
-			ServerAddr:    standbyAddr,
-			Transport:     c.TR,
-			GDS:           sbCli,
-			Store:         sbStore,
-			ContentWarmup: -1,
-		})
-		if err != nil {
+		if recv, err = c.AddStandby(primaryName, nil); err != nil {
 			return nil, err
 		}
-		defer standby.Close()
-		sbSrv, err := greenstone.NewServer(greenstone.ServerConfig{
-			Name:      primaryName,
-			Addr:      standbyAddr,
-			Transport: c.TR,
-			Store:     sbStore,
-			Alerting:  standby,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer sbSrv.Close()
-		prim, err := replica.NewPrimary(replica.PrimaryConfig{
-			Service:    primary,
-			Transport:  c.TR,
-			ListenAddr: "repl://" + primaryName,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer prim.Close()
-		recv, err = replica.NewStandby(replica.StandbyConfig{
-			Service:     standby,
-			Transport:   c.TR,
-			ListenAddr:  "repl://" + primaryName + "b",
-			PrimaryAddr: "repl://" + primaryName,
-			GDS:         sbCli,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer recv.Close()
 		if err := recv.Join(ctx); err != nil {
 			return nil, err
 		}
@@ -251,7 +192,7 @@ func runReplicaScenario(servers, rounds int, mode core.RoutingMode, seed int64, 
 		if err := recv.Promote(ctx, 0); err != nil {
 			return nil, err
 		}
-		serving = standby
+		serving = recv.Service()
 		// What the standby inherited parked: the detached client's alerts,
 		// undelivered at the moment of death.
 		out.inherited = serving.Delivery().Pending("off")

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/gsalert/gsalert/internal/core"
+	"github.com/gsalert/gsalert/internal/profile"
+	"github.com/gsalert/gsalert/internal/transport"
 )
 
 func TestGenerateTopologyShape(t *testing.T) {
@@ -267,6 +270,47 @@ func TestClusterAddServerErrors(t *testing.T) {
 	}
 }
 
+// TestStandbyStreamGoesThroughInjector pins the injector-bypass fix: the
+// replica pair AddStandby assembles sends over Cluster.Net, so a fault rule
+// armed on the standby's stream address severs the stream (the hand-built
+// E14/E18 pairs sent over the raw TR and never saw it), and the standby
+// resyncs by snapshot once the rule is cleared.
+func TestStandbyStreamGoesThroughInjector(t *testing.T) {
+	c, names, err := NewTree(1, 4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	primary := names[0]
+	recv, err := c.AddStandby(primary, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	c.Inject.SetRules(transport.FaultRule{To: ReplAddr(primary + "b"), DropRate: 1})
+	if _, err := c.Service(primary).Subscribe("u", profile.MustParse(`collection = "S001.X"`)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Inject.Stats().Dropped == 0 {
+		t.Fatal("a rule armed on the standby's stream address dropped nothing — the pair bypasses the injector")
+	}
+	if got := recv.ReplicaStats().Resyncs; got != 0 {
+		t.Fatalf("resyncs = %d while the stream is still cut", got)
+	}
+
+	c.Inject.ClearRules()
+	if err := recv.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := recv.ReplicaStats().Resyncs; got < 1 {
+		t.Fatalf("resyncs = %d after the heal, want >= 1 (the standby missed a record)", got)
+	}
+}
+
 func TestTreeDepth(t *testing.T) {
 	cases := []struct{ i, b, want int }{
 		{0, 2, 0}, {1, 2, 1}, {2, 2, 1}, {3, 2, 2}, {6, 2, 2}, {7, 2, 3},
@@ -322,9 +366,9 @@ func TestRunContentRoutingAcceptance(t *testing.T) {
 	// delivers at least the multicast-mode match count with strictly fewer
 	// total GDS messages than flooding.
 	const servers, interested, rounds = 12, 3, 4
-	results := make(map[string]ContentRoutingResult, 3)
+	results := make(map[string]DisseminationResult, 3)
 	for _, mode := range []core.RoutingMode{core.RouteBroadcast, core.RouteMulticast, core.RouteContent} {
-		r, err := RunContentRouting(servers, interested, rounds, mode, 2005)
+		r, err := RunDissemination(servers, interested, rounds, mode, 2005)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

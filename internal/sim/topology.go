@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/gsalert/gsalert/internal/baseline"
 )
@@ -74,7 +75,7 @@ func GenerateTopology(cfg TopologyConfig) *Topology {
 	// Partition linked servers into islands, each internally a random tree.
 	islands := cfg.Islands
 	if islands > len(linked) {
-		islands = maxInt(1, len(linked))
+		islands = max(1, len(linked))
 	}
 	for i := range linked {
 		island := i % islands
@@ -104,16 +105,9 @@ func GenerateTopology(cfg TopologyConfig) *Topology {
 		net.AddLink(linked[a], linked[b])
 	}
 
-	sortStrings(solitary)
-	sortStrings(linked)
+	slices.Sort(solitary)
+	slices.Sort(linked)
 	return &Topology{Net: net, Servers: servers, Solitary: solitary, Linked: linked, rng: rng}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WorkloadConfig shapes the subscription/event workload for E3.

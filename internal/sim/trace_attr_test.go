@@ -26,9 +26,9 @@ func TestSoakTraceTreeConnected(t *testing.T) {
 	if len(out.traces) == 0 {
 		t.Fatal("fully sampled soak produced no traces")
 	}
-	if out.traceDropped > 0 {
+	if out.TraceDropped > 0 {
 		// Connectivity can only be asserted while the ring kept everything.
-		t.Fatalf("trace ring dropped %d of %d spans; grow the soak collector", out.traceDropped, out.traceSpans)
+		t.Fatalf("trace ring dropped %d of %d spans; grow the soak collector", out.TraceDropped, out.TraceSpans)
 	}
 	orphans, incomplete := 0, 0
 	for _, tr := range out.traces {
@@ -70,12 +70,12 @@ func TestSoakTraceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
-	if len(out.attribution) == 0 {
+	if len(out.Attribution) == 0 {
 		t.Fatal("fully sampled soak produced no attribution rows")
 	}
 	seenClass := make(map[string]bool)
 	seenStage := make(map[string]bool)
-	for _, a := range out.attribution {
+	for _, a := range out.Attribution {
 		seenClass[a.Class] = true
 		if a.Samples == 0 {
 			t.Errorf("class %s: attribution row with no samples", a.Class)
@@ -102,7 +102,7 @@ func TestSoakTraceAttribution(t *testing.T) {
 		}
 	}
 	if t.Failed() {
-		t.Logf("\n%s", AttributionTable(out.attribution).Render())
+		t.Logf("\n%s", AttributionTable(out.Attribution).Render())
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // ErrInjected marks a send refused by a FaultInjector rule, distinguishable
-// from the Memory transport's own fault vocabulary (partitions, down nodes,
-// probabilistic drops) so tests can assert which layer killed a message.
+// from the Memory transport's own fault vocabulary (partitions, down nodes)
+// so tests can assert which layer killed a message.
 var ErrInjected = errors.New("transport: injected fault")
 
 // FaultRule scopes an injected fault to a slice of the traffic. A rule

@@ -24,7 +24,7 @@ func echoListener(t *testing.T, tr Transport, addr string) *[]*protocol.Envelope
 }
 
 func TestFaultInjectorPassthrough(t *testing.T) {
-	inj := NewFaultInjector(NewMemory(1), 1)
+	inj := NewFaultInjector(NewMemory(), 1)
 	got := echoListener(t, inj, "gs://b")
 	env := protocol.MustEnvelope("a", protocol.MsgPing, nil)
 	if _, err := inj.Send(context.Background(), "gs://b", env); err != nil {
@@ -39,7 +39,7 @@ func TestFaultInjectorPassthrough(t *testing.T) {
 }
 
 func TestFaultInjectorDropScopedByLinkAndType(t *testing.T) {
-	inj := NewFaultInjector(NewMemory(1), 1)
+	inj := NewFaultInjector(NewMemory(), 1)
 	gotB := echoListener(t, inj, "gs://b")
 	gotC := echoListener(t, inj, "gs://c")
 	// Sever only a->b replication traffic, deterministically.
@@ -72,7 +72,7 @@ func TestFaultInjectorDropScopedByLinkAndType(t *testing.T) {
 }
 
 func TestFaultInjectorLatencyAccountsVirtually(t *testing.T) {
-	inj := NewFaultInjector(NewMemory(1), 1)
+	inj := NewFaultInjector(NewMemory(), 1)
 	got := echoListener(t, inj, "gs://b")
 	inj.SetRules(
 		FaultRule{To: "gs://b", ExtraLatency: 3 * time.Millisecond},
@@ -101,7 +101,7 @@ func TestFaultInjectorLatencyAccountsVirtually(t *testing.T) {
 
 func TestFaultInjectorDeterministicWithSeed(t *testing.T) {
 	run := func() (dropped int64) {
-		inj := NewFaultInjector(NewMemory(7), 42)
+		inj := NewFaultInjector(NewMemory(), 42)
 		echoListener(t, inj, "gs://b")
 		inj.SetRules(FaultRule{DropRate: 0.5})
 		for i := 0; i < 200; i++ {
@@ -116,7 +116,7 @@ func TestFaultInjectorDeterministicWithSeed(t *testing.T) {
 }
 
 func TestFaultInjectorRemoveRules(t *testing.T) {
-	inj := NewFaultInjector(NewMemory(1), 1)
+	inj := NewFaultInjector(NewMemory(), 1)
 	inj.SetRules(
 		FaultRule{To: "gs://b", DropRate: 1},
 		FaultRule{To: "gs://c", DropRate: 1},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -13,30 +12,28 @@ import (
 
 // Memory is a deterministic in-process network. Delivery is synchronous in
 // the caller's goroutine; "latency" is accounted virtually on the envelope
-// header instead of by sleeping, so large simulations run in microseconds
-// and every run with the same seed is identical.
+// header (a fixed hopLatency per traversal) instead of by sleeping, so large
+// simulations run in microseconds and every run is identical.
 //
-// Fault injection: links can be partitioned pairwise, whole nodes can be
-// taken down, and a probabilistic drop rate models the best-effort delivery
-// of the paper's GDS (§6).
+// Topology faults live here: links can be partitioned pairwise and whole
+// nodes taken down. Message loss and extra latency are FaultInjector's job
+// (wrap the Memory in one) — there is one lossy link, not two.
 //
 // Handlers are invoked synchronously, therefore handler code must never
 // hold a lock across a Send on the same transport (the echo of the usual
 // distributed-systems rule that a server must not block its event loop on
 // its own RPCs).
 type Memory struct {
-	mu             sync.RWMutex
-	handlers       map[string]Handler
-	downNodes      map[string]bool
-	cuts           map[linkKey]bool
-	latency        map[linkKey]time.Duration
-	defaultLatency time.Duration
-	dropRate       float64
-	rng            *rand.Rand
-	rngMu          sync.Mutex
-	closed         bool
-	stats          MemoryStats
+	mu        sync.RWMutex
+	handlers  map[string]Handler
+	downNodes map[string]bool
+	cuts      map[linkKey]bool
+	closed    bool
+	stats     MemoryStats
 }
+
+// hopLatency is the virtual latency accounted per link traversal.
+const hopLatency = time.Millisecond
 
 type linkKey struct{ a, b string }
 
@@ -51,8 +48,6 @@ func newLinkKey(a, b string) linkKey {
 type MemoryStats struct {
 	// Sent counts Send calls that passed fault checks and were delivered.
 	Sent int64
-	// Dropped counts messages lost to the probabilistic drop rate.
-	Dropped int64
 	// Blocked counts messages refused by partitions or down nodes.
 	Blocked int64
 	// Bytes approximates payload volume (body bytes per delivery).
@@ -61,16 +56,13 @@ type MemoryStats struct {
 	PerType map[protocol.MessageType]int64
 }
 
-// NewMemory builds a simulated network seeded for reproducibility.
-func NewMemory(seed int64) *Memory {
+// NewMemory builds an empty simulated network.
+func NewMemory() *Memory {
 	return &Memory{
-		handlers:       make(map[string]Handler),
-		downNodes:      make(map[string]bool),
-		cuts:           make(map[linkKey]bool),
-		latency:        make(map[linkKey]time.Duration),
-		defaultLatency: time.Millisecond,
-		rng:            rand.New(rand.NewSource(seed)),
-		stats:          MemoryStats{PerType: make(map[protocol.MessageType]int64)},
+		handlers:  make(map[string]Handler),
+		downNodes: make(map[string]bool),
+		cuts:      make(map[linkKey]bool),
+		stats:     MemoryStats{PerType: make(map[protocol.MessageType]int64)},
 	}
 }
 
@@ -110,7 +102,7 @@ func (m *Memory) Listen(addr string, h Handler) (io.Closer, error) {
 }
 
 // Send delivers env to addr synchronously, applying partitions, node
-// down states, probabilistic drops and virtual latency accounting.
+// down states and virtual latency accounting.
 func (m *Memory) Send(ctx context.Context, addr string, env *protocol.Envelope) (*protocol.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -125,11 +117,6 @@ func (m *Memory) Send(ctx context.Context, addr string, env *protocol.Envelope) 
 	h, ok := m.handlers[addr]
 	down := m.downNodes[addr] || (from != "" && m.downNodes[from])
 	cut := from != "" && m.cuts[newLinkKey(from, addr)]
-	lat, hasLat := m.latency[newLinkKey(from, addr)]
-	if !hasLat {
-		lat = m.defaultLatency
-	}
-	drop := m.dropRate
 	m.mu.RUnlock()
 
 	if !ok {
@@ -144,18 +131,9 @@ func (m *Memory) Send(ctx context.Context, addr string, env *protocol.Envelope) 
 		m.count(func(s *MemoryStats) { s.Blocked++ })
 		return nil, fmt.Errorf("%w: %q -> %q", ErrPartitioned, from, addr)
 	}
-	if drop > 0 {
-		m.rngMu.Lock()
-		lost := m.rng.Float64() < drop
-		m.rngMu.Unlock()
-		if lost {
-			m.count(func(s *MemoryStats) { s.Dropped++ })
-			return nil, fmt.Errorf("%w: %q -> %q", ErrDropped, from, addr)
-		}
-	}
 
 	delivered := env.Clone()
-	delivered.Header.VirtualLatencyMicros += lat.Microseconds()
+	delivered.Header.VirtualLatencyMicros += hopLatency.Microseconds()
 	typ := delivered.Header.Type
 	size := int64(len(delivered.Body.Inner))
 	m.count(func(s *MemoryStats) {
@@ -171,7 +149,7 @@ func (m *Memory) Send(ctx context.Context, addr string, env *protocol.Envelope) 
 	if resp != nil {
 		// The response travels the same link back.
 		resp = resp.Clone()
-		resp.Header.VirtualLatencyMicros = delivered.Header.VirtualLatencyMicros + lat.Microseconds()
+		resp.Header.VirtualLatencyMicros = delivered.Header.VirtualLatencyMicros + hopLatency.Microseconds()
 	}
 	return resp, nil
 }
@@ -241,35 +219,6 @@ func (m *Memory) SetNodeDown(addr string, down bool) {
 	} else {
 		delete(m.downNodes, addr)
 	}
-}
-
-// SetDropRate sets the probabilistic loss rate in [0,1] applied to every
-// message (best-effort delivery model).
-func (m *Memory) SetDropRate(p float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	m.dropRate = p
-}
-
-// SetLinkLatency assigns a virtual latency to the a<->b link.
-func (m *Memory) SetLinkLatency(a, b string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.latency[newLinkKey(a, b)] = d
-}
-
-// SetDefaultLatency assigns the virtual latency used by links without an
-// explicit setting.
-func (m *Memory) SetDefaultLatency(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.defaultLatency = d
 }
 
 // Bound reports whether addr currently has a handler.

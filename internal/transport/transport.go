@@ -2,11 +2,13 @@
 //
 // Two implementations are provided. Memory is a deterministic simulated
 // network used by the test suite and the experiment harness: it supports
-// partitions, probabilistic loss, per-link virtual latency and message
-// accounting, and delivers synchronously in the caller's goroutine so
-// experiments are reproducible. HTTP runs the same envelopes over real
-// sockets via stdlib net/http and backs the runnable examples and command
-// line tools.
+// partitions, down nodes, fixed virtual hop latency and message accounting,
+// and delivers synchronously in the caller's goroutine so experiments are
+// reproducible. HTTP runs the same envelopes over real sockets via stdlib
+// net/http and backs the runnable examples and command line tools.
+//
+// There is one fault path for message loss and added latency: FaultInjector,
+// a decorator over any Transport with seeded, scoped drop/latency rules.
 package transport
 
 import (
@@ -47,7 +49,6 @@ type Transport interface {
 var (
 	ErrUnreachable   = errors.New("transport: address unreachable")
 	ErrPartitioned   = errors.New("transport: link partitioned")
-	ErrDropped       = errors.New("transport: message dropped")
 	ErrClosed        = errors.New("transport: closed")
 	ErrAlreadyBound  = errors.New("transport: address already bound")
 	ErrNotBound      = errors.New("transport: address not bound")
