@@ -610,6 +610,11 @@ func unmarshalNotification(raw []byte) (Notification, error) {
 	if err := xml.Unmarshal(raw, &w); err != nil {
 		return Notification{}, fmt.Errorf("delivery: unmarshal notification: %w", err)
 	}
+	return w.notification()
+}
+
+// notification converts the persisted form back to a Notification.
+func (w *walNotification) notification() (Notification, error) {
 	n := Notification{
 		Client:    w.Client,
 		ProfileID: w.ProfileID,

@@ -245,6 +245,11 @@ func UnmarshalXMLBytes(raw []byte) (*Event, error) {
 	if err := xml.Unmarshal(raw, &w); err != nil {
 		return nil, fmt.Errorf("event: unmarshal: %w", err)
 	}
+	return w.event()
+}
+
+// event converts the wire form back to an Event.
+func (w *xmlEvent) event() (*Event, error) {
 	typ, err := ParseType(w.Type)
 	if err != nil {
 		return nil, err
