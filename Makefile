@@ -54,12 +54,19 @@ chaos:
 
 # Run each fuzz target briefly against its committed corpus plus a short
 # exploration budget (regression seeds under testdata/fuzz are always
-# replayed by plain `go test`).
+# replayed by plain `go test`). The three codec targets are differential:
+# the scan decoders against encoding/xml (docs/WIRE.md). Their seeds are
+# whole envelopes, and the fuzzer's default of up to a minute spent
+# minimising each new multi-kilobyte input would eat a short budget whole,
+# hence -fuzzminimizetime.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -fuzz
 fuzz-smoke:
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/profile/
-	$(GO) test -fuzz FuzzParseText -fuzztime $(FUZZTIME) ./internal/profile/
-	$(GO) test -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(FUZZ) 'FuzzParse$$' ./internal/profile/
+	$(FUZZ) FuzzParseText ./internal/profile/
+	$(FUZZ) FuzzUnmarshal ./internal/protocol/
+	$(FUZZ) FuzzDecodePayload ./internal/protocol/
+	$(FUZZ) FuzzEventXML ./internal/event/
 
 # Build and run every example program with a timeout, so the walkthroughs
 # cannot silently rot. Each example is a self-terminating demo; a hang or a

@@ -16,6 +16,7 @@ import (
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/qos"
 	"github.com/gsalert/gsalert/internal/trace"
+	"github.com/gsalert/gsalert/internal/xmlwire"
 )
 
 // A mailbox holds one user's undelivered notifications. Entries move through
@@ -558,7 +559,8 @@ type rawXML struct {
 	Inner []byte `xml:",innerxml"`
 }
 
-// walNotification is the persisted form of a Notification.
+// walNotification is the persisted form of a Notification, as encoding/xml
+// reads it.
 type walNotification struct {
 	XMLName      xml.Name `xml:"Notification"`
 	Client       string   `xml:"Client"`
@@ -572,45 +574,116 @@ type walNotification struct {
 	Contributing []rawXML `xml:"Contributing>Event,omitempty"`
 }
 
+// marshalNotification renders the persisted form: the bytes encoding/xml's
+// Marshal emits for walNotification (testdata/wire is the fence), written
+// without reflection.
 func marshalNotification(n Notification) ([]byte, error) {
-	w := walNotification{
-		Client:    n.Client,
-		ProfileID: n.ProfileID,
-		DocIDs:    n.DocIDs,
-		AtNano:    n.At.UnixNano(),
-		Composite: n.Composite,
-		Trace:     n.Trace.String(),
-	}
-	if n.Class != qos.ClassNormal {
-		w.Class = n.Class.String()
-	}
+	var event []byte
 	if n.Event != nil {
 		raw, err := n.Event.MarshalXMLBytes()
 		if err != nil {
 			return nil, fmt.Errorf("delivery: marshal event: %w", err)
 		}
-		w.Event.Inner = raw
+		event = raw
 	}
+	var contributing [][]byte
 	for _, ev := range n.Contributing {
 		raw, err := ev.MarshalXMLBytes()
 		if err != nil {
 			return nil, fmt.Errorf("delivery: marshal contributing event: %w", err)
 		}
-		w.Contributing = append(w.Contributing, rawXML{Inner: raw})
+		contributing = append(contributing, raw)
 	}
-	out, err := xml.Marshal(&w)
-	if err != nil {
-		return nil, fmt.Errorf("delivery: marshal notification: %w", err)
-	}
-	return out, nil
+	var w xmlwire.Writer
+	n.writeXML(&w, event, contributing)
+	w.Alloc()
+	n.writeXML(&w, event, contributing)
+	return w.Bytes(), nil
 }
 
+func (n *Notification) writeXML(w *xmlwire.Writer, event []byte, contributing [][]byte) {
+	w.Markup("<Notification>")
+	w.Element("Client", n.Client)
+	w.Element("ProfileID", n.ProfileID)
+	w.Markup("<Docs>")
+	for _, id := range n.DocIDs {
+		w.Element("ID", id)
+	}
+	w.Markup("</Docs>")
+	if at := n.At.UnixNano(); at != 0 {
+		w.IntElement("At", at)
+	}
+	w.OptElement("Composite", n.Composite)
+	if n.Class != qos.ClassNormal {
+		w.Element("Class", n.Class.String())
+	}
+	w.OptElement("Trace", n.Trace.String())
+	w.RawElement("Event", event)
+	w.Markup("<Contributing>")
+	for _, raw := range contributing {
+		w.RawElement("Event", raw)
+	}
+	w.Markup("</Contributing></Notification>")
+}
+
+// unmarshalNotification parses a persisted notification. Input outside
+// xmlwire's dialect goes through encoding/xml instead.
 func unmarshalNotification(raw []byte) (Notification, error) {
 	var w walNotification
-	if err := xml.Unmarshal(raw, &w); err != nil {
-		return Notification{}, fmt.Errorf("delivery: unmarshal notification: %w", err)
+	if !w.scanXML(raw) {
+		if err := xml.Unmarshal(raw, &w); err != nil {
+			return Notification{}, fmt.Errorf("delivery: unmarshal notification: %w", err)
+		}
 	}
 	return w.notification()
+}
+
+// scanXML decodes raw without reflection and reports whether it understood
+// all of it; on false w is untouched.
+func (w *walNotification) scanXML(raw []byte) bool {
+	v := walNotification{XMLName: xml.Name{Local: "Notification"}}
+	s := xmlwire.NewScanner(raw)
+	for s.Root("Notification"); s.Next(); {
+		switch string(s.Name()) {
+		case "Client":
+			v.Client = s.String()
+		case "ProfileID":
+			v.ProfileID = s.String()
+		case "Docs":
+			for s.Next() {
+				if string(s.Name()) != "ID" {
+					s.Reject()
+					break
+				}
+				v.DocIDs = append(v.DocIDs, s.String())
+			}
+		case "At":
+			v.AtNano = s.Int64()
+		case "Composite":
+			v.Composite = s.String()
+		case "Class":
+			v.Class = s.String()
+		case "Trace":
+			v.Trace = s.String()
+		case "Event":
+			v.Event.Inner = s.Raw()
+		case "Contributing":
+			for s.Next() {
+				if string(s.Name()) != "Event" {
+					s.Reject()
+					break
+				}
+				v.Contributing = append(v.Contributing, rawXML{Inner: s.Raw()})
+			}
+		default:
+			s.Reject()
+		}
+	}
+	if !s.Done() {
+		return false
+	}
+	*w = v
+	return true
 }
 
 // notification converts the persisted form back to a Notification.

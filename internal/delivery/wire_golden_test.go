@@ -83,6 +83,9 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !new(walNotification).scanXML(golden) {
+				t.Fatal("the scan decoder rejected a canonical notification")
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("unmarshalNotification differs from the reflective decoder:\n got %+v\nwant %+v", got, want)
 			}
@@ -94,5 +97,26 @@ func TestWireGolden(t *testing.T) {
 				t.Fatalf("marshal(unmarshal(golden)) != golden:\n got %s\nwant %s", again, golden)
 			}
 		})
+	}
+}
+
+// A record outside the scan decoder's dialect — written by another version,
+// or by hand — goes to encoding/xml whole and decodes as it always did.
+func TestNotificationFallback(t *testing.T) {
+	for _, doc := range []string{
+		`<Notification><!-- spooled --><Client>c</Client><ProfileID>p</ProfileID><At>5</At><Event></Event></Notification>`,
+		`<Notification><Client>c</Client><ProfileID>p</ProfileID><Priority>1</Priority><Docs><ID>d</ID></Docs></Notification>`,
+		`<Notification xmlns="urn:x"><Client>c</Client><ProfileID>p</ProfileID></Notification>`,
+		"<Notification>\r\n<Client>c</Client><ProfileID>p</ProfileID></Notification>",
+	} {
+		raw := []byte(doc)
+		if new(walNotification).scanXML(raw) {
+			t.Errorf("the scan decoder accepted %s", doc)
+		}
+		got, err := unmarshalNotification(raw)
+		want, wantErr := referenceUnmarshalNotification(raw)
+		if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v, %v\nwant %+v, %v", doc, got, err, want, wantErr)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -13,12 +12,16 @@ import (
 // loops and duplicates of event messages").
 //
 // Eviction is FIFO over a fixed capacity, which matches the traffic pattern:
-// duplicates arrive close together in time.
+// duplicates arrive close together in time. The window is a ring of the IDs
+// themselves beside a set: a full window holds one heap object per ID (the
+// string the caller already had), so the garbage collector's marking work
+// does not grow threefold while the window fills under sustained traffic.
 type Dedup struct {
-	mu    sync.Mutex
-	cap   int
-	seen  map[string]*list.Element
-	order *list.List
+	mu   sync.Mutex
+	seen map[string]struct{}
+	ring []string // len == capacity; the window is ring[head], ring[head+1], … (mod len), n entries
+	head int
+	n    int
 	// hits is atomic so monitoring paths read it without contending on mu
 	// against the hot Observe path.
 	hits atomic.Int64
@@ -34,9 +37,8 @@ func NewDedup(capacity int) *Dedup {
 		capacity = DefaultDedupCapacity
 	}
 	return &Dedup{
-		cap:   capacity,
-		seen:  make(map[string]*list.Element, capacity),
-		order: list.New(),
+		seen: make(map[string]struct{}, capacity),
+		ring: make([]string, capacity),
 	}
 }
 
@@ -49,15 +51,16 @@ func (d *Dedup) Observe(id string) bool {
 		d.hits.Add(1)
 		return true
 	}
-	el := d.order.PushBack(id)
-	d.seen[id] = el
-	if d.order.Len() > d.cap {
-		oldest := d.order.Front()
-		d.order.Remove(oldest)
-		if key, ok := oldest.Value.(string); ok {
-			delete(d.seen, key)
-		}
+	if d.n == len(d.ring) {
+		// Full: the oldest entry's slot is the one the newest takes.
+		delete(d.seen, d.ring[d.head])
+		d.ring[d.head] = id
+		d.head = (d.head + 1) % len(d.ring)
+	} else {
+		d.ring[(d.head+d.n)%len(d.ring)] = id
+		d.n++
 	}
+	d.seen[id] = struct{}{}
 	return false
 }
 
@@ -75,11 +78,9 @@ func (d *Dedup) Seen(id string) bool {
 func (d *Dedup) IDs() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, d.order.Len())
-	for el := d.order.Front(); el != nil; el = el.Next() {
-		if id, ok := el.Value.(string); ok {
-			out = append(out, id)
-		}
+	out := make([]string, 0, d.n)
+	for i := 0; i < d.n; i++ {
+		out = append(out, d.ring[(d.head+i)%len(d.ring)])
 	}
 	return out
 }
@@ -88,7 +89,7 @@ func (d *Dedup) IDs() []string {
 func (d *Dedup) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.order.Len()
+	return d.n
 }
 
 // Hits reports how many duplicates have been suppressed. It reads the
@@ -101,7 +102,8 @@ func (d *Dedup) Hits() int64 {
 func (d *Dedup) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.seen = make(map[string]*list.Element, d.cap)
-	d.order = list.New()
+	d.seen = make(map[string]struct{}, len(d.ring))
+	clear(d.ring)
+	d.head, d.n = 0, 0
 	d.hits.Store(0)
 }

@@ -6,11 +6,14 @@
 package event
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/gsalert/gsalert/internal/xmlwire"
 )
 
 // Type classifies an event.
@@ -67,12 +70,18 @@ func (t Type) String() string {
 	return fmt.Sprintf("event-type-%d", int(t))
 }
 
+var typeByName = func() map[string]Type {
+	m := make(map[string]Type, len(typeNames))
+	for t, name := range typeNames {
+		m[name] = t
+	}
+	return m
+}()
+
 // ParseType maps a canonical name back to a Type.
 func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, nil
-		}
+	if t, ok := typeByName[s]; ok {
+		return t, nil
 	}
 	return 0, fmt.Errorf("event: unknown type %q", s)
 }
@@ -183,7 +192,8 @@ func (c *CycleError) Error() string {
 		c.Event, c.Repeat, strings.Join(parts, " -> "))
 }
 
-// xmlEvent is the wire form; metadata maps flatten into field lists.
+// xmlEvent is the wire form as encoding/xml reads it; metadata maps flatten
+// into field lists.
 type xmlEvent struct {
 	XMLName      xml.Name  `xml:"AlertEvent"`
 	ID           string    `xml:"ID"`
@@ -208,39 +218,172 @@ type xmlField struct {
 }
 
 // MarshalXMLBytes renders the event as a standalone XML fragment for
-// embedding in protocol payloads.
+// embedding in protocol payloads: the bytes encoding/xml's Marshal emits for
+// xmlEvent (testdata/wire is the fence), written without reflection.
 func (e *Event) MarshalXMLBytes() ([]byte, error) {
-	w := xmlEvent{
-		ID:           e.ID,
-		Type:         e.Type.String(),
-		Collection:   e.Collection,
-		Origin:       e.Origin,
-		Chain:        e.Chain,
-		BuildVersion: e.BuildVersion,
-		OccurredAt:   e.OccurredAt.UTC(),
+	at, err := e.OccurredAt.UTC().MarshalText()
+	if err != nil {
+		return nil, fmt.Errorf("event: marshal %s: %w", e.ID, err)
 	}
-	w.Docs = make([]xmlDoc, 0, len(e.Docs))
-	for _, d := range e.Docs {
-		xd := xmlDoc{ID: d.ID, Snippet: d.Snippet}
-		names := make([]string, 0, len(d.Metadata))
+	var w xmlwire.Writer
+	names := e.writeXML(&w, at, nil)
+	w.Alloc()
+	e.writeXML(&w, at, names)
+	return w.Bytes(), nil
+}
+
+// writeXML writes the event's wire form; names is scratch space for sorting
+// one document's metadata field names, returned for the next pass to reuse.
+func (e *Event) writeXML(w *xmlwire.Writer, at []byte, names []string) []string {
+	w.Markup("<AlertEvent>")
+	w.Element("ID", e.ID)
+	w.Element("Type", e.Type.String())
+	e.Collection.writeXML(w, "Collection")
+	e.Origin.writeXML(w, "Origin")
+	w.Markup("<Chain>")
+	for _, q := range e.Chain {
+		q.writeXML(w, "Entry")
+	}
+	w.Markup("</Chain><Docs>")
+	for i := range e.Docs {
+		d := &e.Docs[i]
+		w.Markup("<Doc>")
+		w.Element("ID", d.ID)
+		w.OptElement("Snippet", d.Snippet)
+		names = names[:0]
 		for name := range d.Metadata {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			xd.Meta = append(xd.Meta, xmlField{Name: name, Values: d.Metadata[name]})
+			w.Markup(`<Meta name="`)
+			w.String(name)
+			w.Markup(`">`)
+			for _, v := range d.Metadata[name] {
+				w.Element("Value", v)
+			}
+			w.Markup("</Meta>")
 		}
-		w.Docs = append(w.Docs, xd)
+		w.Markup("</Doc>")
 	}
-	out, err := xml.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("event: marshal %s: %w", e.ID, err)
-	}
-	return out, nil
+	w.Markup("</Docs>")
+	w.IntElement("BuildVersion", int64(e.BuildVersion))
+	w.Open("OccurredAt")
+	w.Text(at)
+	w.Markup("</OccurredAt></AlertEvent>")
+	return names
+}
+
+func (q QName) writeXML(w *xmlwire.Writer, name string) {
+	w.Open(name)
+	w.Element("Host", q.Host)
+	w.Element("Collection", q.Collection)
+	w.Close(name)
 }
 
 // UnmarshalXMLBytes parses an event fragment produced by MarshalXMLBytes.
+// Input outside xmlwire's dialect goes through encoding/xml instead.
 func UnmarshalXMLBytes(raw []byte) (*Event, error) {
+	if e := scanEvent(raw); e != nil {
+		return e, nil
+	}
+	return unmarshalReflect(raw)
+}
+
+// scanEvent decodes a fragment without reflection, or returns nil for
+// anything it does not fully understand.
+func scanEvent(raw []byte) *Event {
+	// '<' never occurs unescaped in text, so this counts the <Doc> elements.
+	e := &Event{Docs: make([]DocRef, 0, bytes.Count(raw, []byte("<Doc>")))}
+	s := xmlwire.NewScanner(raw)
+	for s.Root("AlertEvent"); s.Next(); {
+		switch string(s.Name()) {
+		case "ID":
+			e.ID = s.String()
+		case "Type":
+			e.Type = typeByName[string(s.Text())]
+		case "Collection":
+			e.Collection.scan(&s)
+		case "Origin":
+			e.Origin.scan(&s)
+		case "Chain":
+			for s.Next() {
+				if string(s.Name()) != "Entry" {
+					s.Reject()
+					break
+				}
+				var q QName
+				q.scan(&s)
+				e.Chain = append(e.Chain, q)
+			}
+		case "Docs":
+			for s.Next() {
+				if string(s.Name()) != "Doc" {
+					s.Reject()
+					break
+				}
+				e.Docs = append(e.Docs, DocRef{})
+				e.Docs[len(e.Docs)-1].scan(&s)
+			}
+		case "BuildVersion":
+			e.BuildVersion = s.Int()
+		case "OccurredAt":
+			if err := e.OccurredAt.UnmarshalText(s.Text()); err != nil {
+				s.Reject()
+			}
+		default:
+			s.Reject()
+		}
+	}
+	if !s.Done() || e.Type == 0 {
+		return nil // a missing or unknown type is the reflective path's error to report
+	}
+	return e
+}
+
+func (q *QName) scan(s *xmlwire.Scanner) {
+	for s.Next() {
+		switch string(s.Name()) {
+		case "Host":
+			q.Host = s.String()
+		case "Collection":
+			q.Collection = s.String()
+		default:
+			s.Reject()
+		}
+	}
+}
+
+func (d *DocRef) scan(s *xmlwire.Scanner) {
+	for s.Next() {
+		switch string(s.Name()) {
+		case "ID":
+			d.ID = s.String()
+		case "Snippet":
+			d.Snippet = s.String()
+		case "Meta":
+			name := s.AttrString("name")
+			var values []string
+			for s.Next() {
+				if string(s.Name()) != "Value" {
+					s.Reject()
+					break
+				}
+				values = append(values, s.String())
+			}
+			if d.Metadata == nil {
+				d.Metadata = make(map[string][]string)
+			}
+			d.Metadata[name] = values
+		default:
+			s.Reject()
+		}
+	}
+}
+
+// unmarshalReflect is UnmarshalXMLBytes through encoding/xml: the decoder of
+// input outside xmlwire's dialect and the oracle scanEvent is fuzzed against.
+func unmarshalReflect(raw []byte) (*Event, error) {
 	var w xmlEvent
 	if err := xml.Unmarshal(raw, &w); err != nil {
 		return nil, fmt.Errorf("event: unmarshal: %w", err)

@@ -190,6 +190,60 @@ func TestDedupEviction(t *testing.T) {
 	}
 }
 
+// TestDedupWindowWraps drives the ring several times round and checks that
+// IDs still lists the window oldest first, that Reset empties it, and that a
+// refilled window evicts in admission order again.
+func TestDedupWindowWraps(t *testing.T) {
+	d := NewDedup(4)
+	for i := 0; i < 11; i++ {
+		if d.Observe(fmt.Sprintf("id-%d", i)) {
+			t.Fatalf("id-%d reported duplicate", i)
+		}
+	}
+	if got, want := strings.Join(d.IDs(), " "), "id-7 id-8 id-9 id-10"; got != want {
+		t.Fatalf("IDs = %q, want %q", got, want)
+	}
+	if d.Seen("id-6") || !d.Observe("id-7") {
+		t.Error("window does not hold exactly the last four")
+	}
+	d.Reset()
+	if len(d.IDs()) != 0 || d.Hits() != 0 {
+		t.Fatal("reset incomplete")
+	}
+	for _, id := range []string{"a", "b", "c", "d", "e"} {
+		d.Observe(id)
+	}
+	if got, want := strings.Join(d.IDs(), " "), "b c d e"; got != want {
+		t.Errorf("IDs after refill = %q, want %q", got, want)
+	}
+}
+
+// TestDedupFullWindowAllocs pins what the ring is for: once the window is
+// full, remembering one more ID costs no allocation (the list-backed window
+// allocated an element and a boxed string per ID, three live objects per
+// entry for the collector to mark).
+func TestDedupFullWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d := NewDedup(1024)
+	ids := make([]string, 4096)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("id-%d", i)
+	}
+	for _, id := range ids[:1024] {
+		d.Observe(id)
+	}
+	i := 1024
+	const ceiling = 0
+	if got := testing.AllocsPerRun(2000, func() {
+		d.Observe(ids[i%len(ids)])
+		i++
+	}); got > ceiling {
+		t.Errorf("Observe on a full window: %.2f allocs/op, ceiling %d", got, ceiling)
+	}
+}
+
 func TestDedupDefaultCapacity(t *testing.T) {
 	d := NewDedup(0)
 	for i := 0; i < DefaultDedupCapacity+10; i++ {

@@ -2,7 +2,6 @@ package event
 
 import (
 	"bytes"
-	"encoding/xml"
 	"flag"
 	"fmt"
 	"os"
@@ -48,16 +47,6 @@ func wireEvents() map[string]*Event {
 
 func wireGoldenPath(name string) string { return filepath.Join("testdata", "wire", name+".xml") }
 
-// referenceUnmarshal is UnmarshalXMLBytes as the reflective decoder performs
-// it: the oracle every other event decoder is compared against.
-func referenceUnmarshal(raw []byte) (*Event, error) {
-	var w xmlEvent
-	if err := xml.Unmarshal(raw, &w); err != nil {
-		return nil, err
-	}
-	return w.event()
-}
-
 func TestWireGolden(t *testing.T) {
 	for name, ev := range wireEvents() {
 		name, ev := name, ev
@@ -85,9 +74,12 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := referenceUnmarshal(golden)
+			want, err := unmarshalReflect(golden)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if scanEvent(golden) == nil {
+				t.Fatal("the scan decoder rejected a canonical event")
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("UnmarshalXMLBytes differs from the reflective decoder:\n got %+v\nwant %+v", got, want)

@@ -194,14 +194,7 @@ func (n *Node) handleRouteContent(ctx context.Context, env *protocol.Envelope) (
 	hopCtx := n.hopSpan(env, hopStart, mode)
 
 	for _, addr := range targets {
-		delivery := inner.Clone()
-		delivery.Header.VirtualLatencyMicros = env.Header.VirtualLatencyMicros
-		delivery.Header.Hops = env.Header.Hops
-		delivery.Header.From = n.id
-		if hopCtx != "" {
-			delivery.Header.Trace = hopCtx
-		}
-		_ = transport.SendOneWay(ctx, n.tr, addr, delivery) // best effort
+		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
 		n.m.Deliveries.Inc()
 	}
 	if env.Forwardable() {

@@ -469,17 +469,9 @@ func (n *Node) handleBroadcast(ctx context.Context, env *protocol.Envelope) (*pr
 
 	hopCtx := n.hopSpan(env, hopStart, "broadcast")
 
-	// Deliver to local servers: the inner envelope inherits the broadcast's
-	// accumulated virtual latency and hop count for measurement.
+	// Deliver to local servers.
 	for _, addr := range targets {
-		delivery := inner.Clone()
-		delivery.Header.VirtualLatencyMicros = env.Header.VirtualLatencyMicros
-		delivery.Header.Hops = env.Header.Hops
-		delivery.Header.From = n.id
-		if hopCtx != "" {
-			delivery.Header.Trace = hopCtx
-		}
-		_ = transport.SendOneWay(ctx, n.tr, addr, delivery) // best effort
+		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
 		n.m.Deliveries.Inc()
 	}
 	// Relay through the tree.
@@ -494,6 +486,22 @@ func (n *Node) handleBroadcast(ctx context.Context, env *protocol.Envelope) (*pr
 		}
 	}
 	return protocol.Ack(n.id, env), nil
+}
+
+// deliveryOf returns the wrapped envelope as this node delivers it to a
+// server: inner's header re-stamped with the carrying envelope's accumulated
+// virtual latency and hop count (for measurement), this node as the sender
+// and, when the hop is traced, its span as the new parent. The copy shares
+// inner's body — envelope bodies are never modified once built.
+func (n *Node) deliveryOf(inner, env *protocol.Envelope, hopCtx string) *protocol.Envelope {
+	d := *inner
+	d.Header.VirtualLatencyMicros = env.Header.VirtualLatencyMicros
+	d.Header.Hops = env.Header.Hops
+	d.Header.From = n.id
+	if hopCtx != "" {
+		d.Header.Trace = hopCtx
+	}
+	return &d
 }
 
 func (n *Node) handleJoinGroup(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
@@ -621,14 +629,7 @@ func (n *Node) handleMulticast(ctx context.Context, env *protocol.Envelope) (*pr
 	hopCtx := n.hopSpan(env, hopStart, "multicast")
 
 	for _, addr := range direct {
-		delivery := inner.Clone()
-		delivery.Header.VirtualLatencyMicros = env.Header.VirtualLatencyMicros
-		delivery.Header.Hops = env.Header.Hops
-		delivery.Header.From = n.id
-		if hopCtx != "" {
-			delivery.Header.Trace = hopCtx
-		}
-		_ = transport.SendOneWay(ctx, n.tr, addr, delivery) // best effort
+		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
 		n.m.Deliveries.Inc()
 	}
 	if env.Forwardable() {

@@ -245,8 +245,9 @@ func MustEnvelope(from string, typ MessageType, payload any) *Envelope {
 	return env
 }
 
-// Decode unmarshals the envelope payload into dst, checking the declared
-// message type first.
+// Decode unmarshals the envelope payload into dst — a pointer to a zero
+// payload value — checking the declared message type first. Byte slices in
+// the decoded payload may alias the envelope's body.
 func Decode(env *Envelope, want MessageType, dst any) error {
 	if env == nil || len(env.Body.Inner) == 0 {
 		return ErrNoPayload
@@ -254,39 +255,17 @@ func Decode(env *Envelope, want MessageType, dst any) error {
 	if env.Header.Type != want {
 		return fmt.Errorf("%w: have %q want %q", ErrTypeMismatch, env.Header.Type, want)
 	}
+	if p, ok := dst.(scanDecoder); ok && p.scanXML(env.Body.Inner) {
+		return nil
+	}
 	if err := xml.Unmarshal(env.Body.Inner, dst); err != nil {
 		return fmt.Errorf("protocol: unmarshal %s payload: %w", want, err)
 	}
 	return nil
 }
 
-// Marshal renders the envelope as a standalone XML document.
-func Marshal(env *Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(&buf)
-	if err := enc.Encode(env); err != nil {
-		return nil, fmt.Errorf("protocol: encode envelope: %w", err)
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, fmt.Errorf("protocol: flush envelope: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal parses a standalone XML document into an Envelope.
-func Unmarshal(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedFrame, err)
-	}
-	if env.Header.Type == "" {
-		return nil, fmt.Errorf("%w: missing header type", ErrMalformedFrame)
-	}
-	return &env, nil
-}
-
-// Clone deep-copies an envelope so relays can mutate headers independently.
+// Clone deep-copies an envelope: the copy shares nothing with the original
+// (the in-memory transport's isolation between sender and receiver).
 func (e *Envelope) Clone() *Envelope {
 	cp := *e
 	cp.Body.Inner = bytes.Clone(e.Body.Inner)
@@ -296,13 +275,15 @@ func (e *Envelope) Clone() *Envelope {
 // Forwardable reports whether the envelope may be relayed one more hop.
 func (e *Envelope) Forwardable() bool { return e.Header.TTL > 0 }
 
-// NextHop returns a clone with TTL decremented and hop count incremented,
-// ready to be relayed.
+// NextHop returns a copy with TTL decremented and hop count incremented,
+// ready to be relayed. The copy has a header of its own and shares the body:
+// envelope bodies are never modified once built, so a relay re-stamps
+// headers without copying the payload it does not read.
 func (e *Envelope) NextHop() *Envelope {
-	cp := e.Clone()
+	cp := *e
 	cp.Header.TTL--
 	cp.Header.Hops++
-	return cp
+	return &cp
 }
 
 // Ack builds the canonical acknowledgement for a request envelope.

@@ -137,9 +137,8 @@ func wireCases() []wireCase {
 	ack.Header.VirtualLatencyMicros = 1500
 	errEnv := fixed(Errorf("London", "not-found", "collection %q unknown: <%s>", "X&Y", "tag"), 16)
 
-	asBroadcast := func(v any) []byte { return v.(*Broadcast).Inner }
 	return []wireCase{
-		{"gds.broadcast", broadcast, func() any { return new(Broadcast) }, asBroadcast},
+		{"gds.broadcast", broadcast, func() any { return new(Broadcast) }, func(v any) []byte { return v.(*Broadcast).Inner }},
 		{"gds.multicast", multicast, func() any { return new(Multicast) }, func(v any) []byte { return v.(*Multicast).Inner }},
 		{"gds.route-content", route, func() any { return new(RouteContent) }, func(v any) []byte { return v.(*RouteContent).Inner }},
 		{"gds.route-content-noattrs", routeNoAttrs, func() any { return new(RouteContent) }, nil},
@@ -169,34 +168,25 @@ func readWireGolden(tb testing.TB, name string) []byte {
 	return raw
 }
 
-// referenceUnmarshal is the reflective envelope decoder every other decoder
-// is compared against.
-func referenceUnmarshal(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, err
-	}
-	if env.Header.Type == "" {
-		return nil, ErrMalformedFrame
-	}
-	return &env, nil
-}
-
 // checkAgainstReference asserts that raw decodes, through the package's
 // entry points, to exactly what the reflective decoder returns — envelope and
-// typed payload.
+// typed payload — and that the scan decoders took it: a canonical document
+// that silently fell back to encoding/xml would pass every other check.
 func checkAgainstReference(t *testing.T, raw []byte, fresh func() any) (payload any) {
 	t.Helper()
 	got, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	want, err := referenceUnmarshal(raw)
+	want, err := unmarshalReflect(raw)
 	if err != nil {
 		t.Fatalf("reference Unmarshal: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Unmarshal differs from the reflective decoder:\n got %+v\nwant %+v", got, want)
+	}
+	if !new(Envelope).scanXML(raw) {
+		t.Fatal("the scan decoder rejected a canonical envelope")
 	}
 	again, err := Marshal(got)
 	if err != nil {
@@ -220,6 +210,9 @@ func checkAgainstReference(t *testing.T, raw []byte, fresh func() any) (payload 
 	}
 	if !reflect.DeepEqual(payload, wantPayload) {
 		t.Fatalf("Decode differs from the reflective decoder:\n got %+v\nwant %+v", payload, wantPayload)
+	}
+	if p, ok := fresh().(scanDecoder); ok && !p.scanXML(got.Body.Inner) {
+		t.Fatalf("the %T scan decoder rejected a canonical payload", p)
 	}
 	return payload
 }

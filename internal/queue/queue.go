@@ -53,6 +53,10 @@ type Queue struct {
 	maxOff  time.Duration
 	now     func() time.Time
 
+	// flushMu serialises Flush: two flushes that snapshot the same items
+	// (the background flusher and an explicit call) would each send them.
+	flushMu sync.Mutex
+
 	mu      sync.Mutex
 	items   map[string]*Item
 	nextSeq uint64
@@ -191,6 +195,8 @@ func (q *Queue) Stats() Stats {
 // succeeded. Items whose backoff window has not elapsed are skipped unless
 // force is set.
 func (q *Queue) Flush(ctx context.Context, force bool) int {
+	q.flushMu.Lock()
+	defer q.flushMu.Unlock()
 	now := q.now()
 	q.mu.Lock()
 	eligible := make([]*Item, 0, len(q.items))

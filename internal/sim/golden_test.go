@@ -20,7 +20,9 @@ var cellGap = regexp.MustCompile(` {2,}`)
 
 // maskColumns re-renders a table with the named columns' cells replaced by
 // "~" and cells joined by " | " (masking changes cell widths, so the
-// aligned layout cannot be kept).
+// aligned layout cannot be kept). The rule under a masked header is fixed at
+// eight dashes: its rendered width follows the widest masked value, which
+// varies with the value.
 func maskColumns(rendered string, masked ...string) string {
 	lines := strings.Split(strings.TrimRight(rendered, "\n"), "\n")
 	var hide map[int]bool
@@ -39,6 +41,11 @@ func maskColumns(rendered string, masked ...string) string {
 				}
 			}
 		case strings.Trim(line, "- ") == "": // rule under the headers
+			for j := range cells {
+				if hide[j] {
+					cells[j] = "--------"
+				}
+			}
 		default:
 			for j := range cells {
 				if hide[j] {

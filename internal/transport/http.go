@@ -3,10 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,6 +22,33 @@ const EnvelopePath = "/gsalert/envelope"
 // maxEnvelopeBytes bounds a single envelope on the wire (16 MiB) to protect
 // servers from unbounded reads.
 const maxEnvelopeBytes = 16 << 20
+
+var errEnvelopeTooLarge = errors.New("envelope too large")
+
+// readEnvelope reads one envelope body of the declared length (-1 when the
+// peer declared none) into a buffer of its own. The buffer is allocated per
+// message and never pooled or reused: the envelope decoded from it aliases
+// it (protocol.Unmarshal) and owns it from then on.
+func readEnvelope(r io.Reader, length int64) ([]byte, error) {
+	if length > maxEnvelopeBytes {
+		return nil, errEnvelopeTooLarge
+	}
+	if length >= 0 {
+		body := make([]byte, length)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(r, maxEnvelopeBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxEnvelopeBytes {
+		return nil, errEnvelopeTooLarge
+	}
+	return body, nil
+}
 
 // HTTP carries envelopes as XML over HTTP POST, the stand-in for the
 // paper's SOAP messaging. Addresses are "host:port" strings.
@@ -49,7 +78,8 @@ type HTTPMetrics struct {
 	// local listeners plus response bodies of our own sends).
 	BytesReceived metrics.Counter
 	// SendErrors counts Send calls that failed before yielding a response
-	// envelope (unreachable peer, HTTP-level failure).
+	// envelope (unreachable peer, HTTP-level failure, over-limit or
+	// malformed response).
 	SendErrors metrics.Counter
 }
 
@@ -147,13 +177,13 @@ func (t *HTTP) serveEnvelope(w http.ResponseWriter, r *http.Request, h Handler) 
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxEnvelopeBytes+1))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
+	body, err := readEnvelope(r.Body, r.ContentLength)
+	if errors.Is(err, errEnvelopeTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if len(body) > maxEnvelopeBytes {
-		http.Error(w, "envelope too large", http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	env, err := protocol.Unmarshal(body)
@@ -177,6 +207,7 @@ func (t *HTTP) serveEnvelope(w http.ResponseWriter, r *http.Request, h Handler) 
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	if _, err := w.Write(raw); err != nil {
 		return // client went away; nothing to do
 	}
@@ -214,17 +245,22 @@ func (t *HTTP) Send(ctx context.Context, addr string, env *protocol.Envelope) (*
 	if httpResp.StatusCode == http.StatusNoContent {
 		return nil, nil
 	}
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxEnvelopeBytes+1))
+	body, err := readEnvelope(httpResp.Body, httpResp.ContentLength)
 	if err != nil {
 		t.m.SendErrors.Inc()
-		return nil, fmt.Errorf("transport: read response: %w", err)
+		return nil, fmt.Errorf("transport: read response from %q: %w", addr, err)
 	}
 	t.m.BytesReceived.Add(int64(len(body)))
 	if httpResp.StatusCode != http.StatusOK {
 		t.m.SendErrors.Inc()
 		return nil, fmt.Errorf("%w: %q: http %d: %s", ErrRemoteFailure, addr, httpResp.StatusCode, truncate(body, 200))
 	}
-	return protocol.Unmarshal(body)
+	resp, err := protocol.Unmarshal(body)
+	if err != nil {
+		t.m.SendErrors.Inc()
+		return nil, fmt.Errorf("transport: response from %q: %w", addr, err)
+	}
+	return resp, nil
 }
 
 // Close shuts down every listener and the client pool.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/protocol"
 )
 
@@ -244,6 +246,110 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 	if p.Seq != 42 {
 		t.Errorf("Seq = %d, want 42", p.Seq)
+	}
+
+	// One envelope of every message type the scan codec handles crosses a
+	// real client/server pair and comes back: marshalled, sent, read into
+	// its own buffer, decoded field by field, re-encoded, and decoded
+	// again. Nothing else in the suite takes the codec over a socket —
+	// the simulations run on Memory, which never marshals.
+	hot := hotEnvelopes(t)
+	srv := NewHTTP()
+	defer func() { _ = srv.Close() }()
+	mirror, err := srv.Listen("127.0.0.1:0", HandlerFunc(func(_ context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
+		for _, c := range hot {
+			if c.env.Header.Type == env.Header.Type {
+				payload := c.fresh()
+				if err := protocol.Decode(env, env.Header.Type, payload); err != nil {
+					return nil, err
+				}
+				back, err := protocol.NewEnvelope("srv", env.Header.Type, payload)
+				if err != nil {
+					return nil, err
+				}
+				back.Header.Trace = env.Header.Trace
+				return back, nil
+			}
+		}
+		return nil, fmt.Errorf("unexpected %s", env.Header.Type)
+	}))
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	for _, c := range hot {
+		resp, err := tr.Send(ctx, BoundAddr(mirror), c.env)
+		if err != nil {
+			t.Fatalf("%s: Send: %v", c.env.Header.Type, err)
+		}
+		if resp.Header.Type != c.env.Header.Type || resp.Header.Trace != c.env.Header.Trace {
+			t.Fatalf("%s: response header %+v", c.env.Header.Type, resp.Header)
+		}
+		sent, got := c.fresh(), c.fresh()
+		if err := protocol.Decode(c.env, c.env.Header.Type, sent); err != nil {
+			t.Fatalf("%s: Decode sent: %v", c.env.Header.Type, err)
+		}
+		if err := protocol.Decode(resp, c.env.Header.Type, got); err != nil {
+			t.Fatalf("%s: Decode response: %v", c.env.Header.Type, err)
+		}
+		if !reflect.DeepEqual(got, sent) {
+			t.Errorf("%s changed on the way:\n got %+v\nsent %+v", c.env.Header.Type, got, sent)
+		}
+	}
+	if n := srv.Metrics().FramesReceived.Value(); n != int64(len(hot)) {
+		t.Errorf("mirror received %d frames, want %d", n, len(hot))
+	}
+}
+
+type hotEnvelope struct {
+	env   *protocol.Envelope
+	fresh func() any
+}
+
+// hotEnvelopes builds one envelope per message type with a scan decoder
+// (plus the composite notification and the error payload, which do not have
+// one), carrying an event whose values need every escape.
+func hotEnvelopes(t *testing.T) []hotEnvelope {
+	t.Helper()
+	ev := event.New("London-17", event.TypeDocumentsAdded, event.QName{Host: "London", Collection: "E"}, 42,
+		[]event.DocRef{
+			{ID: "d1", Metadata: map[string][]string{"dc.Title": {"Māori & <Pacific> \"studies\"\t\n"}, "dc.Creator": {"O'Brien", "李 小龍"}}},
+			{ID: "d2", Snippet: "…"},
+		}, time.Date(2005, 6, 1, 12, 0, 0, 123456789, time.UTC))
+	evXML, err := ev.MarshalXMLBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := protocol.MustEnvelope("London", protocol.MsgEvent, &protocol.EventPayload{Event: protocol.Wrap(evXML)})
+	inner.Header.Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+	innerRaw, err := protocol.Marshal(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notify := protocol.Notify{Client: "alice", ProfileID: "p1", Composite: "count", Class: "realtime",
+		Event: protocol.Wrap(evXML), Contributing: []protocol.RawXML{protocol.Wrap(evXML)}}
+	mk := func(typ protocol.MessageType, payload any, fresh func() any) hotEnvelope {
+		env := protocol.MustEnvelope("cli", typ, payload)
+		env.Header.Trace = inner.Header.Trace
+		return hotEnvelope{env, fresh}
+	}
+	return []hotEnvelope{
+		mk(protocol.MsgBroadcast, &protocol.Broadcast{Inner: innerRaw}, func() any { return new(protocol.Broadcast) }),
+		mk(protocol.MsgMulticast, &protocol.Multicast{Group: "g", Inner: innerRaw}, func() any { return new(protocol.Multicast) }),
+		mk(protocol.MsgRouteContent, &protocol.RouteContent{Flood: true, Inner: innerRaw,
+			Attrs: []protocol.EventAttr{{Name: "collection", Value: "London.E"}, {Name: "a\"b", Value: "<&>"}}},
+			func() any { return new(protocol.RouteContent) }),
+		mk(protocol.MsgEvent, &protocol.EventPayload{TransformTo: "Hamilton.D", Event: protocol.Wrap(evXML)}, func() any { return new(protocol.EventPayload) }),
+		mk(protocol.MsgNotify, &notify, func() any { return new(protocol.Notify) }),
+		mk(protocol.MsgNotifyBatch, &protocol.NotifyBatch{Items: []protocol.Notify{notify, {Client: "bob", ProfileID: "p2", Event: protocol.Wrap(evXML)}}},
+			func() any { return new(protocol.NotifyBatch) }),
+		mk(protocol.MsgNotifyComposite, &protocol.CompositeNotify{Client: "bob", ProfileID: "p9", Kind: "digest", DocIDs: []string{"d1"},
+			Event: protocol.Wrap(evXML), Contributing: []protocol.RawXML{protocol.Wrap(evXML)}}, func() any { return new(protocol.CompositeNotify) }),
+		mk(protocol.MsgReplWAL, &protocol.ReplWAL{Seq: 7, Items: []protocol.ReplWALItem{
+			{Kind: "append", Client: "alice", MailboxSeq: 3, Notification: protocol.Wrap([]byte("<Notification><Client>alice</Client></Notification>"))},
+			{Kind: "dedup", DedupID: "London-17"}}}, func() any { return new(protocol.ReplWAL) }),
+		mk(protocol.MsgReplAck, &protocol.ReplAck{AppliedSeq: 7, QoSBuckets: []protocol.ReplQoSBucket{
+			{Dimension: "subscriber", Key: "alice", Tokens: 12.5, LastUnixNano: 1117627200000000123}}}, func() any { return new(protocol.ReplAck) }),
+		mk(protocol.MsgError, &protocol.ErrorPayload{Code: "c", Message: "m <&>"}, func() any { return new(protocol.ErrorPayload) }),
 	}
 }
 
