@@ -30,8 +30,10 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Render every experiment table alert-bench knows (E1–E15 and E18; E16, E17
-# and E19 run from cmd/loadgen and the internal/sim tests).
+# Render every table of the sim.Experiments registry (E1–E15 and E18; E16, E17
+# and E19 run from cmd/loadgen and the internal/sim tests). alert-bench only
+# loops over the registry, and internal/sim's golden test fences the same
+# list, so this target and testdata/tables.golden cannot drift apart.
 experiments:
 	$(GO) run ./cmd/alert-bench
 

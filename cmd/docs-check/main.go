@@ -13,7 +13,11 @@
 //     metric family (the table /metrics and the health rule grammar share);
 //   - every Benchmark… function the README or docs/ cite is defined by some
 //     _test.go, so a moved or deleted benchmark cannot leave a dangling
-//     "run go test -bench=BenchmarkX" behind.
+//     "run go test -bench=BenchmarkX" behind;
+//   - the frozen benchmark module still builds against this one: the root
+//     go.mod's go directive does not exceed bench/go.mod's (go refuses to
+//     build bench/ otherwise, and the benchmark run is scored a failure),
+//     and bench/go.mod still replaces the root module with "../".
 //
 // It prints one line per violation and exits non-zero if any were found.
 // Run it as `make docs-check`; CI runs it on every push.
@@ -27,6 +31,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	_ "github.com/gsalert/gsalert/internal/health" // declares the engine's own series
@@ -55,6 +60,7 @@ func run(root string) int {
 	checkExperimentRefs(root, complain)
 	checkMetricNames(root, complain)
 	checkBenchmarkRefs(root, complain)
+	checkBenchModule(root, complain)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -63,7 +69,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names and benchmark references are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references and bench/go.mod are consistent")
 	return 0
 }
 
@@ -330,5 +336,49 @@ func checkBenchmarkRefs(root string, complain func(string, ...any)) {
 			complained[name] = true
 			complain("%s cites %s, which no _test.go defines", f, name)
 		}
+	}
+}
+
+var (
+	goDirectiveRe = regexp.MustCompile(`(?m)^go (\d+)\.(\d+)`)
+	moduleRe      = regexp.MustCompile(`(?m)^module (\S+)`)
+)
+
+// checkBenchModule verifies what bench/ (a frozen module of its own, which
+// the root build never compiles) needs of the root go.mod: a go directive no
+// newer than its own, and its replace directive.
+func checkBenchModule(root string, complain func(string, ...any)) {
+	rootMod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		complain("reading go.mod: %v", err)
+		return
+	}
+	benchMod, err := os.ReadFile(filepath.Join(root, "bench", "go.mod"))
+	if err != nil {
+		complain("reading bench/go.mod: %v", err)
+		return
+	}
+	// version returns the go directive as written and as a comparable
+	// number, or -1 after complaining that there is none.
+	version := func(file string, raw []byte) (string, int) {
+		m := goDirectiveRe.FindSubmatch(raw)
+		if m == nil {
+			complain("%s has no go directive", file)
+			return "", -1
+		}
+		major, _ := strconv.Atoi(string(m[1])) // the pattern admits digits only
+		minor, _ := strconv.Atoi(string(m[2]))
+		return string(m[0]), major*1000 + minor
+	}
+	rootGo, rv := version("go.mod", rootMod)
+	benchGo, bv := version("bench/go.mod", benchMod)
+	if bv >= 0 && rv > bv {
+		complain("go.mod says %q but bench/go.mod says %q: `bash bench/run.sh` would stop with \"updates to go.mod needed\"",
+			rootGo, benchGo)
+	}
+	if m := moduleRe.FindSubmatch(rootMod); m == nil {
+		complain("go.mod has no module line")
+	} else if want := "replace " + string(m[1]) + " => ../"; !strings.Contains(string(benchMod), want) {
+		complain("bench/go.mod lacks %q: gsbench would not build against this tree", want)
 	}
 }

@@ -25,11 +25,6 @@ type Network struct {
 	down map[string]bool
 	// cut marks severed GS links.
 	cut map[[2]string]bool
-	// gdsDown marks servers whose GDS connectivity is severed (a server
-	// with no route to its directory node). The paper's design assumption
-	// is that the auxiliary network is more stable than GS links; the
-	// experiment can still break it.
-	gdsDown map[string]bool
 	// gdsNodes is the size of the directory tree, for message accounting.
 	gdsNodes int
 }
@@ -42,7 +37,6 @@ func NewNetwork(servers []string, gdsNodes int) *Network {
 		adj:      make(map[string]map[string]bool),
 		down:     make(map[string]bool),
 		cut:      make(map[[2]string]bool),
-		gdsDown:  make(map[string]bool),
 		gdsNodes: maxInt(gdsNodes, 1),
 	}
 	for _, s := range servers {
@@ -86,24 +80,6 @@ func (n *Network) CutLink(a, b string) { n.cut[linkKey(a, b)] = true }
 // HealLink restores a GS link.
 func (n *Network) HealLink(a, b string) { delete(n.cut, linkKey(a, b)) }
 
-// SetDown marks a server crashed (both networks unreachable).
-func (n *Network) SetDown(s string, down bool) {
-	if down {
-		n.down[s] = true
-	} else {
-		delete(n.down, s)
-	}
-}
-
-// SetGDSDown severs only a server's directory connectivity.
-func (n *Network) SetGDSDown(s string, down bool) {
-	if down {
-		n.gdsDown[s] = true
-	} else {
-		delete(n.gdsDown, s)
-	}
-}
-
 // Servers lists server names, sorted.
 func (n *Network) Servers() []string {
 	out := make([]string, 0, len(n.servers))
@@ -117,8 +93,10 @@ func (n *Network) Servers() []string {
 // Up reports whether a server is alive.
 func (n *Network) Up(s string) bool { return n.servers[s] && !n.down[s] }
 
-// GDSReachable reports whether a server can currently use the directory.
-func (n *Network) GDSReachable(s string) bool { return n.Up(s) && !n.gdsDown[s] }
+// GDSReachable reports whether a server can currently use the directory:
+// the paper's design assumption is that the auxiliary network is more stable
+// than GS links, so only the server itself failing cuts it off.
+func (n *Network) GDSReachable(s string) bool { return n.Up(s) }
 
 // LinkUp reports whether the GS link a<->b is usable right now.
 func (n *Network) LinkUp(a, b string) bool {

@@ -159,8 +159,8 @@ func TestEngineAppliesInOrder(t *testing.T) {
 		}
 		total += len(fired)
 	}
-	if total != s.Len() || eng.Remaining() != 0 {
-		t.Fatalf("applied %d of %d, %d remaining", total, s.Len(), eng.Remaining())
+	if total != s.Len() || len(eng.pending) != 0 {
+		t.Fatalf("applied %d of %d, %d remaining", total, s.Len(), len(eng.pending))
 	}
 	want := []string{
 		"slow-standby C002 1 0s",

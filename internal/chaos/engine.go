@@ -105,9 +105,6 @@ func (e *Engine) apply(ctx context.Context, f Fault) error {
 	}
 }
 
-// Remaining reports faults not yet applied.
-func (e *Engine) Remaining() int { return len(e.pending) }
-
 // Log returns the applied-fault record in firing order.
 func (e *Engine) Log() []Applied { return append([]Applied(nil), e.applied...) }
 

@@ -22,11 +22,7 @@ type Collection struct {
 	idx          *index.Index
 	classifiers  map[string]*index.Classifier
 	buildVersion int
-	builtAt      time.Time
 	fingerprints map[string]string
-	// buildDuration records how long the last index build took; the
-	// alerting overhead experiment (E1) compares against filtering time.
-	buildDuration time.Duration
 }
 
 // New creates an unbuilt collection on the given host.
@@ -105,13 +101,6 @@ func (c *Collection) BuildVersion() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.buildVersion
-}
-
-// BuildDuration reports how long the last index build took.
-func (c *Collection) BuildDuration() time.Duration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.buildDuration
 }
 
 // Doc fetches a local document by ID.
@@ -236,8 +225,6 @@ func (c *Collection) Build(docs []*Document, now time.Time, idgen func() string)
 	c.docs = newDocs
 	c.fingerprints = newPrints
 	c.classifiers = classifiers
-	c.builtAt = now
-	c.buildDuration = indexDuration
 
 	res := &BuildResult{
 		Collection:    c.QName(),

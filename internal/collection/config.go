@@ -91,17 +91,6 @@ func (c *Config) RemoteSubs() []SubRef {
 	return out
 }
 
-// LocalSubs returns sub-collection references on the same host.
-func (c *Config) LocalSubs() []SubRef {
-	var out []SubRef
-	for _, s := range c.Subs {
-		if s.Host == "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // MarshalBytes renders the config file as XML.
 func (c *Config) MarshalBytes() ([]byte, error) {
 	out, err := xml.MarshalIndent(c, "", "  ")

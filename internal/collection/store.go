@@ -65,18 +65,6 @@ func (s *Store) Remove(name string) error {
 	return nil
 }
 
-// Names lists collection names, sorted.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.colls))
-	for n := range s.colls {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // All returns every collection, sorted by name.
 func (s *Store) All() []*Collection {
 	s.mu.RLock()

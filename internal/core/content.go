@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/profile"
-	"github.com/gsalert/gsalert/internal/protocol"
-	"github.com/gsalert/gsalert/internal/trace"
 )
 
 // Content-based dissemination (RouteContent): instead of joining one
@@ -97,22 +94,4 @@ func (s *Service) readvertiseOnChurn(added *profile.Profile) {
 		s.advMu.Unlock()
 	}
 	_ = s.advertiseProfiles(context.Background(), added)
-}
-
-// contentRouteEvent disseminates ev through the directory's content
-// tables, flooding instead while the warm-up window is open.
-func (s *Service) contentRouteEvent(ctx context.Context, ev *event.Event, tctx trace.Context) error {
-	raw, err := ev.MarshalXMLBytes()
-	if err != nil {
-		return err
-	}
-	inner, err := protocol.NewEnvelope(s.name, protocol.MsgEvent, &protocol.EventPayload{Event: protocol.Wrap(raw)})
-	if err != nil {
-		return err
-	}
-	stampTrace(inner, tctx)
-	s.mu.Lock()
-	flood := s.clock().Before(s.contentFloodUntil)
-	s.mu.Unlock()
-	return s.gdsCli.RouteContent(ctx, ev.Attrs(), inner, flood)
 }

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/profile"
-	"github.com/gsalert/gsalert/internal/protocol"
-	"github.com/gsalert/gsalert/internal/trace"
 )
 
 // RoutingMode selects how events are disseminated through the GDS.
@@ -217,24 +214,4 @@ func (s *Service) groupsOf(p *profile.Profile) []string {
 		groups = append(groups, collGroup(c))
 	}
 	return groups
-}
-
-// multicastEvent disseminates ev to its collection's group plus the
-// catch-all group.
-func (s *Service) multicastEvent(ctx context.Context, ev *event.Event, tctx trace.Context) error {
-	raw, err := ev.MarshalXMLBytes()
-	if err != nil {
-		return err
-	}
-	for _, group := range []string{collGroup(ev.Collection.String()), catchAllGroup} {
-		inner, err := protocol.NewEnvelope(s.name, protocol.MsgEvent, &protocol.EventPayload{Event: protocol.Wrap(raw)})
-		if err != nil {
-			return err
-		}
-		stampTrace(inner, tctx)
-		if err := s.gdsCli.Multicast(ctx, group, inner); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -70,14 +70,7 @@ func (s *Service) publishEvent(ctx context.Context, ev *event.Event) (time.Durat
 	// 3. Disseminate to other servers via the GDS (flooding by default,
 	// interest-scoped multicast or content-based routing when enabled).
 	if s.gdsCli != nil {
-		disseminate := s.broadcastEvent
-		switch s.RoutingMode() {
-		case RouteMulticast:
-			disseminate = s.multicastEvent
-		case RouteContent:
-			disseminate = s.contentRouteEvent
-		}
-		if err := disseminate(ctx, ev, tctx); err != nil {
+		if err := s.disseminate(ctx, ev, tctx); err != nil {
 			// Best effort (paper §6): flooding failures are not fatal.
 			s.stats.forwardingFailures.Inc()
 			s.log.WarnCtx(tctx, "dissemination failed",
@@ -252,8 +245,11 @@ func (s *Service) forwardPerAuxProfiles(ctx context.Context, ev *event.Event) {
 	}
 }
 
-// broadcastEvent floods ev through the GDS.
-func (s *Service) broadcastEvent(ctx context.Context, ev *event.Event, tctx trace.Context) error {
+// disseminate hands ev to the directory as one MsgEvent envelope, routed by
+// the current mode. Unsampled trace contexts stay off the wire: absent means
+// unsampled, so pre-trace receivers and untraced runs see byte-identical
+// envelopes.
+func (s *Service) disseminate(ctx context.Context, ev *event.Event, tctx trace.Context) error {
 	raw, err := ev.MarshalXMLBytes()
 	if err != nil {
 		return err
@@ -262,16 +258,26 @@ func (s *Service) broadcastEvent(ctx context.Context, ev *event.Event, tctx trac
 	if err != nil {
 		return err
 	}
-	stampTrace(inner, tctx)
-	return s.gdsCli.Broadcast(ctx, inner)
-}
-
-// stampTrace attaches a sampled trace context to an outgoing envelope.
-// Unsampled contexts stay off the wire: absent means unsampled, so pre-trace
-// receivers and untraced runs see byte-identical envelopes.
-func stampTrace(env *protocol.Envelope, tctx trace.Context) {
 	if tctx.Sampled() {
-		env.Header.Trace = tctx.String()
+		inner.Header.Trace = tctx.String()
+	}
+	switch s.RoutingMode() {
+	case RouteMulticast:
+		// The collection's group, then the catch-all group.
+		for _, group := range []string{collGroup(ev.Collection.String()), catchAllGroup} {
+			if err := s.gdsCli.Multicast(ctx, group, inner); err != nil {
+				return err
+			}
+		}
+		return nil
+	case RouteContent:
+		// Flood instead while the warm-up window is open.
+		s.mu.Lock()
+		flood := s.clock().Before(s.contentFloodUntil)
+		s.mu.Unlock()
+		return s.gdsCli.RouteContent(ctx, ev.Attrs(), inner, flood)
+	default:
+		return s.gdsCli.Broadcast(ctx, inner)
 	}
 }
 

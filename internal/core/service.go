@@ -127,9 +127,6 @@ type Config struct {
 	// duplicate arrives after the original was evicted. Zero selects
 	// event.DefaultDedupCapacity.
 	DedupCapacity int
-	// CompositeMaxInstances caps open sequence instances per composite
-	// profile (internal/composite); zero selects the engine default.
-	CompositeMaxInstances int
 	// QoS enables admission control at the publish path (docs/QOS.md):
 	// per-subscriber and per-collection token-bucket quotas, with
 	// over-quota normal traffic deferred and over-quota bulk traffic
@@ -334,10 +331,7 @@ func New(cfg Config) (*Service, error) {
 		forwardedAux:      make(map[string]string),
 		dedup:             event.NewDedup(cfg.DedupCapacity),
 	}
-	s.composite = composite.NewEngine(composite.Config{
-		MaxInstances: cfg.CompositeMaxInstances,
-		Emit:         s.emitComposite,
-	})
+	s.composite = composite.NewEngine(composite.Config{Emit: s.emitComposite})
 	if s.clock == nil {
 		s.clock = time.Now
 	}
@@ -405,9 +399,6 @@ func (s *Service) SetQoS(c *qos.Controller) { s.qos.Store(c) }
 
 // QoS returns the installed admission controller (nil when disabled).
 func (s *Service) QoS() *qos.Controller { return s.qos.Load() }
-
-// Tracer returns the service's span recorder (nil when tracing is off).
-func (s *Service) Tracer() *trace.Tracer { return s.tracer }
 
 // DrainDeliveries blocks until every enqueued notification is delivered or
 // parked. Simulations and tests call it to observe a quiescent state;

@@ -286,7 +286,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:        cfg,
-		m:          newMetrics(),
+		m:          &Metrics{},
 		deliverers: make(map[string]delivererEntry),
 		mailboxes:  make(map[string]*mailbox),
 		retryAt:    make(map[string]time.Time),
@@ -693,9 +693,6 @@ func (p *Pipeline) SpillDepths() []int {
 	return out
 }
 
-// Shards reports the configured shard count.
-func (p *Pipeline) Shards() int { return len(p.shards) }
-
 // Metrics exposes the pipeline's counters and histograms.
 func (p *Pipeline) Metrics() *Metrics { return p.m }
 
@@ -983,9 +980,7 @@ func (p *Pipeline) flush(client string, b []item) {
 		start := time.Now()
 		err := d(client, ns)
 		sendDur := time.Since(start)
-		p.m.FlushLatency.Observe(sendDur)
-		p.m.BatchSizes.Observe(float64(len(b)))
-		p.m.Batches.Inc()
+		p.m.noteFlush(len(b), sendDur)
 		if err == nil {
 			p.ackItems(client, b)
 			p.m.Delivered.Add(int64(len(b)))

@@ -45,11 +45,17 @@ type Metrics struct {
 	ClassLatency [qos.NumClasses]metrics.LatencyHistogram
 	// FlushLatency samples sink round-trip time per flush.
 	FlushLatency metrics.LatencyHistogram
-	// BatchSizes samples notifications per flush.
-	BatchSizes metrics.Histogram
+	// Batched counts the notifications those flushes carried, delivered or
+	// not: Batched / Batches is the mean batch size.
+	Batched metrics.Counter
 }
 
-func newMetrics() *Metrics { return &Metrics{} }
+// noteFlush accounts one sink call that carried n notifications and took d.
+func (m *Metrics) noteFlush(n int, d time.Duration) {
+	m.FlushLatency.Observe(d)
+	m.Batched.Add(int64(n))
+	m.Batches.Inc()
+}
 
 // ClassSnapshot is the per-class slice of a Snapshot.
 type ClassSnapshot struct {

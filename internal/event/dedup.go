@@ -64,14 +64,6 @@ func (d *Dedup) Observe(id string) bool {
 	return false
 }
 
-// Seen reports whether id is currently remembered, without recording it.
-func (d *Dedup) Seen(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.seen[id]
-	return ok
-}
-
 // IDs returns every remembered ID in admission (FIFO) order. Replication
 // snapshots use it to ship the window to a standby, which replays the list
 // through Observe to reproduce the same eviction order.

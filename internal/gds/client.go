@@ -52,33 +52,27 @@ func NewClient(serverName, serverAddr, nodeAddr string, tr transport.Transport) 
 	}
 }
 
-// NodeAddr reports the GDS node this client is attached to.
-func (c *Client) NodeAddr() string { return c.nodeAddr }
-
 // Register announces the server to its GDS node.
 func (c *Client) Register(ctx context.Context) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgRegisterServer, &protocol.RegisterServer{
-		Name: c.serverName,
-		Addr: c.serverAddr,
-	})
+	err := c.send(ctx, protocol.MsgRegisterServer, &protocol.RegisterServer{Name: c.serverName, Addr: c.serverAddr})
 	if err != nil {
-		return err
-	}
-	if err := transport.SendOneWay(ctx, c.tr, c.nodeAddr, env); err != nil {
 		return fmt.Errorf("gds: register %s: %w", c.serverName, err)
 	}
 	return nil
 }
 
-// Unregister withdraws the server's registration.
-func (c *Client) Unregister(ctx context.Context) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgUnregisterServer, &protocol.UnregisterServer{
-		Name: c.serverName,
-	})
+// send hands one payload to the node in an envelope of its own.
+func (c *Client) send(ctx context.Context, typ protocol.MessageType, payload any) error {
+	env, err := protocol.NewEnvelope(c.serverName, typ, payload)
 	if err != nil {
 		return err
 	}
 	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+}
+
+// Unregister withdraws the server's registration.
+func (c *Client) Unregister(ctx context.Context) error {
+	return c.send(ctx, protocol.MsgUnregisterServer, &protocol.UnregisterServer{Name: c.serverName})
 }
 
 // Resolve maps a server name to its transport address via the directory,
@@ -117,28 +111,30 @@ func (c *Client) InvalidateCache(name string) {
 	c.mu.Unlock()
 }
 
-// SetResolveTTL adjusts cache lifetime (0 disables caching).
-func (c *Client) SetResolveTTL(d time.Duration) {
-	c.mu.Lock()
-	c.ttl = d
-	c.mu.Unlock()
-}
-
-// Broadcast floods inner to every Greenstone server registered in the GDS
-// tree. Delivery is best effort.
-func (c *Client) Broadcast(ctx context.Context, inner *protocol.Envelope) error {
+// disseminate hands inner to the node wrapped for one routing mode: wrapper
+// is the mode's payload and slot its Inner field, which receives the
+// marshalled envelope.
+func (c *Client) disseminate(ctx context.Context, typ protocol.MessageType, inner *protocol.Envelope, wrapper any, slot *[]byte) error {
 	raw, err := protocol.Marshal(inner)
 	if err != nil {
 		return err
 	}
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgBroadcast, &protocol.Broadcast{Inner: raw})
+	*slot = raw
+	env, err := protocol.NewEnvelope(c.serverName, typ, wrapper)
 	if err != nil {
 		return err
 	}
 	// Mirror the inner envelope's trace context on the outer header so
 	// directory nodes can record per-hop spans without unwrapping Inner.
 	env.Header.Trace = inner.Header.Trace
-	if err := transport.SendOneWay(ctx, c.tr, c.nodeAddr, env); err != nil {
+	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+}
+
+// Broadcast floods inner to every Greenstone server registered in the GDS
+// tree. Delivery is best effort.
+func (c *Client) Broadcast(ctx context.Context, inner *protocol.Envelope) error {
+	var bc protocol.Broadcast
+	if err := c.disseminate(ctx, protocol.MsgBroadcast, inner, &bc, &bc.Inner); err != nil {
 		return fmt.Errorf("gds: broadcast from %s: %w", c.serverName, err)
 	}
 	return nil
@@ -146,48 +142,21 @@ func (c *Client) Broadcast(ctx context.Context, inner *protocol.Envelope) error 
 
 // JoinGroup subscribes the server to a multicast group.
 func (c *Client) JoinGroup(ctx context.Context, group string) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgJoinGroup, &protocol.JoinGroup{
-		Group: group,
-		Name:  c.serverName,
-		Addr:  c.serverAddr,
-	})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.send(ctx, protocol.MsgJoinGroup, &protocol.JoinGroup{Group: group, Name: c.serverName, Addr: c.serverAddr})
 }
 
 // LeaveGroup removes the server from a multicast group.
 func (c *Client) LeaveGroup(ctx context.Context, group string) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgLeaveGroup, &protocol.LeaveGroup{
-		Group: group,
-		Name:  c.serverName,
-	})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.send(ctx, protocol.MsgLeaveGroup, &protocol.LeaveGroup{Group: group, Name: c.serverName})
 }
 
 // Multicast delivers inner to the members of a group.
 func (c *Client) Multicast(ctx context.Context, group string, inner *protocol.Envelope) error {
-	raw, err := protocol.Marshal(inner)
-	if err != nil {
-		return err
-	}
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgMulticast, &protocol.Multicast{Group: group, Inner: raw})
-	if err != nil {
-		return err
-	}
-	env.Header.Trace = inner.Header.Trace
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	mc := protocol.Multicast{Group: group}
+	return c.disseminate(ctx, protocol.MsgMulticast, inner, &mc, &mc.Inner)
 }
 
 // Ping probes the node.
 func (c *Client) Ping(ctx context.Context) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgPing, &protocol.Ping{Seq: 1})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.send(ctx, protocol.MsgPing, &protocol.Ping{Seq: 1})
 }

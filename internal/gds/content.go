@@ -3,7 +3,6 @@ package gds
 import (
 	"context"
 	"sort"
-	"time"
 
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/profile"
@@ -138,76 +137,32 @@ func (n *Node) propagateDigest(ctx context.Context) {
 // matches (paper §6's multicast descent, with digests instead of group
 // membership). Flooded (fallback) messages take the broadcast paths.
 func (n *Node) handleRouteContent(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
-	hopStart := time.Now()
-	if n.dedup.Observe(env.Header.ID) {
-		return protocol.Ack(n.id, env), nil
-	}
 	var rc protocol.RouteContent
-	if err := protocol.Decode(env, protocol.MsgRouteContent, &rc); err != nil {
-		return protocol.Errorf(n.id, "decode", "%v", err), nil
-	}
-	inner, err := protocol.Unmarshal(rc.Inner)
-	if err != nil {
-		return protocol.Errorf(n.id, "inner", "%v", err), nil
-	}
-	if rc.Flood {
-		n.m.ContentFlooded.Inc()
-		n.log.Debug("content envelope took flood fallback",
-			logging.String("from", env.Header.From))
-	} else {
-		n.m.ContentRouted.Inc()
-	}
-	attrs := rc.AttrMap()
-
-	n.mu.Lock()
-	from := env.Header.From
-	targets := make([]string, 0, len(n.servers))
-	for name, addr := range n.servers {
-		if name == from {
-			continue // do not echo to the originating server
-		}
-		if rc.Flood || n.linkDigestLocked(name).Matches(attrs) {
-			targets = append(targets, addr)
-		}
-	}
-	relays := make([]string, 0, len(n.children)+1)
-	if n.parentAddr != "" && from != n.parentID {
-		relays = append(relays, n.parentAddr)
-	}
-	for childID, childAddr := range n.children {
-		if childID == from {
-			continue
-		}
-		if rc.Flood || n.linkDigestLocked(childID).Matches(attrs) {
-			relays = append(relays, childAddr)
-		}
-	}
-	n.mu.Unlock()
-	// Deterministic fan-out, as in handleBroadcast.
-	sort.Strings(targets)
-	sort.Strings(relays)
-
-	mode := "content"
-	if rc.Flood {
-		mode = "content-flood"
-	}
-	hopCtx := n.hopSpan(env, hopStart, mode)
-
-	for _, addr := range targets {
-		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
-		n.m.Deliveries.Inc()
-	}
-	if env.Forwardable() {
-		for _, addr := range relays {
-			fwd := env.NextHop()
-			fwd.Header.From = n.id
-			if hopCtx != "" {
-				fwd.Header.Trace = hopCtx
+	return n.hop(ctx, env, &rc, func() hopMode {
+		if rc.Flood {
+			return hopMode{
+				inner: rc.Inner,
+				span:  "content-flood",
+				count: func() {
+					n.m.ContentFlooded.Inc()
+					n.log.Debug("content envelope took flood fallback",
+						logging.String("from", env.Header.From))
+				},
+				links: func(from string) ([]string, []string) { return n.treeLinksLocked(from, nil) },
 			}
-			_ = transport.SendOneWay(ctx, n.tr, addr, fwd) // best effort
 		}
-	}
-	return protocol.Ack(n.id, env), nil
+		attrs := rc.AttrMap()
+		return hopMode{
+			inner: rc.Inner,
+			span:  "content",
+			count: n.m.ContentRouted.Inc,
+			links: func(from string) ([]string, []string) {
+				return n.treeLinksLocked(from, func(link string) bool {
+					return n.linkDigestLocked(link).Matches(attrs)
+				})
+			},
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -218,27 +173,14 @@ func (n *Node) handleRouteContent(ctx context.Context, env *protocol.Envelope) (
 // content-routed events stop descending to this server until a wider
 // digest is advertised.
 func (c *Client) AdvertiseProfiles(ctx context.Context, d profile.Digest) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgAdvertiseProfiles, &protocol.AdvertiseProfiles{
-		Name:   c.serverName,
-		Digest: d.Strings(),
-	})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.send(ctx, protocol.MsgAdvertiseProfiles, &protocol.AdvertiseProfiles{Name: c.serverName, Digest: d.Strings()})
 }
 
 // UnadvertiseProfiles withdraws the server's digest; the directory treats
 // the server as match-all again (the safe default for servers that leave
 // content-routing mode).
 func (c *Client) UnadvertiseProfiles(ctx context.Context) error {
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgUnadvertiseProfiles, &protocol.UnadvertiseProfiles{
-		Name: c.serverName,
-	})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.send(ctx, protocol.MsgUnadvertiseProfiles, &protocol.UnadvertiseProfiles{Name: c.serverName})
 }
 
 // RouteContent disseminates inner to every server whose advertised digest
@@ -246,24 +188,11 @@ func (c *Client) UnadvertiseProfiles(ctx context.Context) error {
 // instead — the warm-up fallback for publishers that cannot yet rely on
 // the routing tables.
 func (c *Client) RouteContent(ctx context.Context, attrs map[string]string, inner *protocol.Envelope, flood bool) error {
-	raw, err := protocol.Marshal(inner)
-	if err != nil {
-		return err
-	}
-	wire := make([]protocol.EventAttr, 0, len(attrs))
+	rc := protocol.RouteContent{Flood: flood, Attrs: make([]protocol.EventAttr, 0, len(attrs))}
 	for _, name := range sortedKeys(attrs) {
-		wire = append(wire, protocol.EventAttr{Name: name, Value: attrs[name]})
+		rc.Attrs = append(rc.Attrs, protocol.EventAttr{Name: name, Value: attrs[name]})
 	}
-	env, err := protocol.NewEnvelope(c.serverName, protocol.MsgRouteContent, &protocol.RouteContent{
-		Flood: flood,
-		Attrs: wire,
-		Inner: raw,
-	})
-	if err != nil {
-		return err
-	}
-	env.Header.Trace = inner.Header.Trace
-	return transport.SendOneWay(ctx, c.tr, c.nodeAddr, env)
+	return c.disseminate(ctx, protocol.MsgRouteContent, inner, &rc, &rc.Inner)
 }
 
 // sortedKeys returns the map keys in sorted order so wire forms are

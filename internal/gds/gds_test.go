@@ -521,7 +521,7 @@ func TestResolveTTLExpiry(t *testing.T) {
 
 	fake := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	cl.now = func() time.Time { return fake }
-	cl.SetResolveTTL(10 * time.Second)
+	cl.ttl = 10 * time.Second
 	if _, err := cl.Resolve(ctx, "S"); err != nil {
 		t.Fatal(err)
 	}

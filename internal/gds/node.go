@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -71,7 +72,6 @@ type Node struct {
 
 	dedup    *event.Dedup
 	listener io.Closer
-	closed   bool
 
 	// tracer records one route-hop span per traced dissemination envelope
 	// relayed through this node; nil disables hop recording (traced
@@ -182,9 +182,6 @@ func (n *Node) ID() string { return n.id }
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.addr }
 
-// Stratum returns the node's stratum.
-func (n *Node) Stratum() int { return n.stratum }
-
 // SetLog installs the node's structured logger (docs/LOGGING.md): server
 // registrations at info, content-routing flood fallbacks at debug. Call it
 // right after NewNode, before traffic; a nil logger (the default) disables
@@ -194,7 +191,6 @@ func (n *Node) SetLog(lg *logging.Logger) { n.log = lg }
 // Close detaches the node from the transport.
 func (n *Node) Close() error {
 	n.mu.Lock()
-	n.closed = true
 	l := n.listener
 	n.listener = nil
 	n.mu.Unlock()
@@ -237,13 +233,13 @@ func (n *Node) AttachToParent(ctx context.Context, parentID, parentAddr string) 
 
 	// Re-propagate names and groups so the new ancestors learn them.
 	for name, addr := range names {
-		if err := n.propagateRegistration(ctx, name, addr); err != nil {
+		if err := n.sendUp(ctx, protocol.MsgRegisterServer, &protocol.RegisterServer{Name: name, Addr: addr}); err != nil {
 			return err
 		}
 	}
 	for g, ms := range groups {
 		for name, m := range ms {
-			if err := n.propagateJoin(ctx, g, name, m.addr); err != nil {
+			if err := n.sendUp(ctx, protocol.MsgJoinGroup, &protocol.JoinGroup{Group: g, Name: name, Addr: m.addr}); err != nil {
 				return err
 			}
 		}
@@ -336,25 +332,24 @@ func (n *Node) handleRegisterServer(ctx context.Context, env *protocol.Envelope)
 			logging.String("server", rs.Name), logging.String("addr", rs.Addr))
 		n.propagateDigest(ctx)
 	}
-	if !changed {
-		return protocol.Ack(n.id, env), nil
-	}
-	if err := n.propagateRegistration(ctx, rs.Name, rs.Addr); err != nil {
+	if changed {
 		// Best effort: the parent may be temporarily unreachable; local
 		// registration still succeeded.
-		return protocol.Ack(n.id, env), nil //nolint:nilerr // best-effort upward propagation
+		_ = n.sendUp(ctx, protocol.MsgRegisterServer, &rs)
 	}
 	return protocol.Ack(n.id, env), nil
 }
 
-func (n *Node) propagateRegistration(ctx context.Context, name, addr string) error {
+// sendUp relays one payload to the parent, if there is one: how names,
+// group joins and their withdrawals propagate towards the root.
+func (n *Node) sendUp(ctx context.Context, typ protocol.MessageType, payload any) error {
 	n.mu.Lock()
 	parentAddr := n.parentAddr
 	n.mu.Unlock()
 	if parentAddr == "" {
 		return nil
 	}
-	env, err := protocol.NewEnvelope(n.id, protocol.MsgRegisterServer, &protocol.RegisterServer{Name: name, Addr: addr})
+	env, err := protocol.NewEnvelope(n.id, typ, payload)
 	if err != nil {
 		return err
 	}
@@ -374,18 +369,14 @@ func (n *Node) handleUnregisterServer(ctx context.Context, env *protocol.Envelop
 	if wasDirect {
 		delete(n.digests, us.Name)
 	}
-	parentAddr := n.parentAddr
 	n.mu.Unlock()
 	if wasDirect {
 		// The departed server's interests no longer hold the aggregate open.
 		n.log.Info("server unregistered", logging.String("server", us.Name))
 		n.propagateDigest(ctx)
 	}
-	if parentAddr != "" && existed {
-		up, err := protocol.NewEnvelope(n.id, protocol.MsgUnregisterServer, &us)
-		if err == nil {
-			_ = transport.SendOneWay(ctx, n.tr, parentAddr, up) // best effort
-		}
+	if existed {
+		_ = n.sendUp(ctx, protocol.MsgUnregisterServer, &us) // best effort
 	}
 	return protocol.Ack(n.id, env), nil
 }
@@ -423,60 +414,56 @@ func (n *Node) handleResolve(ctx context.Context, env *protocol.Envelope) (*prot
 	return protocol.MustEnvelope(n.id, protocol.MsgResolveResult, &rr), nil
 }
 
-// handleBroadcast floods the wrapped envelope to every server in the tree:
-// it delivers to locally registered servers, then forwards up to the parent
-// and down to every child except the link it arrived on (paper §4.1).
-func (n *Node) handleBroadcast(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
+// hopMode is what one dissemination mode contributes to a hop; everything
+// else — dedup, decode, tracing, delivery, relay and the ack — is hop's.
+type hopMode struct {
+	// inner is the marshalled envelope the wrapper carried.
+	inner []byte
+	// span is the mode attribute of the hop's route-hop span.
+	span string
+	// count bumps the mode's relayed counter (post-dedup).
+	count func()
+	// links selects, under n.mu, the addresses of the registered servers to
+	// deliver to and of the tree links to relay over, for an envelope that
+	// arrived from the link named from (which is never sent back to). Both
+	// lists come back in send order, which must not depend on map iteration:
+	// simulations replay seeds expecting identical event interleavings
+	// (E19's byte-identical flight bundles).
+	links func(from string) (deliver, relay []string)
+}
+
+// hop is the directory's one dissemination primitive (paper §4.1, §6): an
+// enveloped event enters this node, is delivered to the servers registered
+// here and relayed up and down the tree. payload is the mode's zero wrapper;
+// mode reads it once it is decoded. Broadcast, multicast and content routing
+// differ only in their hopMode.
+func (n *Node) hop(ctx context.Context, env *protocol.Envelope, payload any, mode func() hopMode) (*protocol.Envelope, error) {
 	hopStart := time.Now()
 	if n.dedup.Observe(env.Header.ID) {
 		return protocol.Ack(n.id, env), nil
 	}
-	var bc protocol.Broadcast
-	if err := protocol.Decode(env, protocol.MsgBroadcast, &bc); err != nil {
+	if err := protocol.Decode(env, env.Header.Type, payload); err != nil {
 		return protocol.Errorf(n.id, "decode", "%v", err), nil
 	}
-	inner, err := protocol.Unmarshal(bc.Inner)
+	m := mode()
+	inner, err := protocol.Unmarshal(m.inner)
 	if err != nil {
 		return protocol.Errorf(n.id, "inner", "%v", err), nil
 	}
-	n.m.Broadcasts.Inc()
+	m.count()
 
 	n.mu.Lock()
-	from := env.Header.From
-	targets := make([]string, 0, len(n.servers))
-	for name, addr := range n.servers {
-		if name == from {
-			continue // do not echo to the originating server
-		}
-		targets = append(targets, addr)
-	}
-	relays := make([]string, 0, len(n.children)+1)
-	if n.parentAddr != "" && from != n.parentID {
-		relays = append(relays, n.parentAddr)
-	}
-	for childID, childAddr := range n.children {
-		if childID == from {
-			continue
-		}
-		relays = append(relays, childAddr)
-	}
+	deliver, relay := m.links(env.Header.From)
 	n.mu.Unlock()
-	// Fan-out order must not depend on map iteration: simulations replay
-	// seeds expecting identical event interleavings (E19's byte-identical
-	// flight bundles), and the slices are a handful of addresses per hop.
-	sort.Strings(targets)
-	sort.Strings(relays)
 
-	hopCtx := n.hopSpan(env, hopStart, "broadcast")
+	hopCtx := n.hopSpan(env, hopStart, m.span)
 
-	// Deliver to local servers.
-	for _, addr := range targets {
+	for _, addr := range deliver {
 		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
 		n.m.Deliveries.Inc()
 	}
-	// Relay through the tree.
 	if env.Forwardable() {
-		for _, addr := range relays {
+		for _, addr := range relay {
 			fwd := env.NextHop()
 			fwd.Header.From = n.id
 			if hopCtx != "" {
@@ -486,6 +473,45 @@ func (n *Node) handleBroadcast(ctx context.Context, env *protocol.Envelope) (*pr
 		}
 	}
 	return protocol.Ack(n.id, env), nil
+}
+
+// treeLinksLocked selects every link want accepts (nil accepts all), except
+// the one the envelope arrived on: servers sorted, then the parent — which
+// is never filtered — and the children sorted together. Callers hold n.mu.
+func (n *Node) treeLinksLocked(from string, want func(link string) bool) (deliver, relay []string) {
+	deliver = make([]string, 0, len(n.servers))
+	relay = make([]string, 0, len(n.children)+1)
+	for name, addr := range n.servers {
+		if name != from && (want == nil || want(name)) {
+			deliver = append(deliver, addr)
+		}
+	}
+	if n.parentAddr != "" && from != n.parentID {
+		relay = append(relay, n.parentAddr)
+	}
+	for childID, addr := range n.children {
+		if childID != from && (want == nil || want(childID)) {
+			relay = append(relay, addr)
+		}
+	}
+	sort.Strings(deliver)
+	sort.Strings(relay)
+	return deliver, relay
+}
+
+// handleBroadcast floods the wrapped envelope to every server in the tree:
+// it delivers to locally registered servers, then forwards up to the parent
+// and down to every child except the link it arrived on (paper §4.1).
+func (n *Node) handleBroadcast(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
+	var bc protocol.Broadcast
+	return n.hop(ctx, env, &bc, func() hopMode {
+		return hopMode{
+			inner: bc.Inner,
+			span:  "broadcast",
+			count: n.m.Broadcasts.Inc,
+			links: func(from string) ([]string, []string) { return n.treeLinksLocked(from, nil) },
+		}
+	})
 }
 
 // deliveryOf returns the wrapped envelope as this node delivers it to a
@@ -530,27 +556,10 @@ func (n *Node) handleJoinGroup(ctx context.Context, env *protocol.Envelope) (*pr
 	ms[jg.Name] = member{addr: jg.Addr, viaChild: viaChild}
 	n.mu.Unlock()
 
-	if !changed {
-		return protocol.Ack(n.id, env), nil
-	}
-	if err := n.propagateJoin(ctx, jg.Group, jg.Name, jg.Addr); err != nil {
-		return protocol.Ack(n.id, env), nil //nolint:nilerr // best-effort upward propagation
+	if changed {
+		_ = n.sendUp(ctx, protocol.MsgJoinGroup, &jg) // best effort
 	}
 	return protocol.Ack(n.id, env), nil
-}
-
-func (n *Node) propagateJoin(ctx context.Context, group, name, addr string) error {
-	n.mu.Lock()
-	parentAddr := n.parentAddr
-	n.mu.Unlock()
-	if parentAddr == "" {
-		return nil
-	}
-	env, err := protocol.NewEnvelope(n.id, protocol.MsgJoinGroup, &protocol.JoinGroup{Group: group, Name: name, Addr: addr})
-	if err != nil {
-		return err
-	}
-	return transport.SendOneWay(ctx, n.tr, parentAddr, env)
 }
 
 func (n *Node) handleLeaveGroup(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
@@ -567,13 +576,9 @@ func (n *Node) handleLeaveGroup(ctx context.Context, env *protocol.Envelope) (*p
 			delete(n.groups, lg.Group)
 		}
 	}
-	parentAddr := n.parentAddr
 	n.mu.Unlock()
-	if parentAddr != "" && existed {
-		up, err := protocol.NewEnvelope(n.id, protocol.MsgLeaveGroup, &lg)
-		if err == nil {
-			_ = transport.SendOneWay(ctx, n.tr, parentAddr, up) // best effort
-		}
+	if existed {
+		_ = n.sendUp(ctx, protocol.MsgLeaveGroup, &lg) // best effort
 	}
 	return protocol.Ack(n.id, env), nil
 }
@@ -582,75 +587,40 @@ func (n *Node) handleLeaveGroup(ctx context.Context, env *protocol.Envelope) (*p
 // registered members receive it here; the message descends only into child
 // subtrees that reported membership and otherwise climbs towards the root.
 func (n *Node) handleMulticast(ctx context.Context, env *protocol.Envelope) (*protocol.Envelope, error) {
-	hopStart := time.Now()
-	if n.dedup.Observe(env.Header.ID) {
-		return protocol.Ack(n.id, env), nil
-	}
 	var mc protocol.Multicast
-	if err := protocol.Decode(env, protocol.MsgMulticast, &mc); err != nil {
-		return protocol.Errorf(n.id, "decode", "%v", err), nil
-	}
-	inner, err := protocol.Unmarshal(mc.Inner)
-	if err != nil {
-		return protocol.Errorf(n.id, "inner", "%v", err), nil
-	}
-	n.m.Multicasts.Inc()
+	return n.hop(ctx, env, &mc, func() hopMode {
+		return hopMode{
+			inner: mc.Inner,
+			span:  "multicast",
+			count: n.m.Multicasts.Inc,
+			links: func(from string) ([]string, []string) { return n.groupLinksLocked(mc.Group, from) },
+		}
+	})
+}
 
-	n.mu.Lock()
-	from := env.Header.From
-	var direct []string
-	childTargets := make(map[string]string) // childID -> addr
-	for name, m := range n.groups[mc.Group] {
-		if m.viaChild == "" {
+// groupLinksLocked selects the group's direct members, sorted, then the
+// parent, then the children whose subtrees reported a member, sorted.
+// Callers hold n.mu.
+func (n *Node) groupLinksLocked(group, from string) (deliver, relay []string) {
+	var below []string
+	for name, m := range n.groups[group] {
+		switch {
+		case m.viaChild == "":
 			if name != from {
-				direct = append(direct, m.addr)
+				deliver = append(deliver, m.addr)
 			}
-			continue
-		}
-		if m.viaChild != from {
-			childTargets[m.viaChild] = n.children[m.viaChild]
+		case m.viaChild != from:
+			if addr := n.children[m.viaChild]; addr != "" {
+				below = append(below, addr)
+			}
 		}
 	}
-	var parentAddr string
+	sort.Strings(deliver)
+	sort.Strings(below)
 	if n.parentAddr != "" && from != n.parentID {
-		parentAddr = n.parentAddr
+		relay = append(relay, n.parentAddr)
 	}
-	n.mu.Unlock()
-	// Deterministic fan-out, as in handleBroadcast.
-	sort.Strings(direct)
-	childAddrs := make([]string, 0, len(childTargets))
-	for _, addr := range childTargets {
-		if addr != "" {
-			childAddrs = append(childAddrs, addr)
-		}
-	}
-	sort.Strings(childAddrs)
-
-	hopCtx := n.hopSpan(env, hopStart, "multicast")
-
-	for _, addr := range direct {
-		_ = transport.SendOneWay(ctx, n.tr, addr, n.deliveryOf(inner, env, hopCtx)) // best effort
-		n.m.Deliveries.Inc()
-	}
-	if env.Forwardable() {
-		if parentAddr != "" {
-			fwd := env.NextHop()
-			fwd.Header.From = n.id
-			if hopCtx != "" {
-				fwd.Header.Trace = hopCtx
-			}
-			_ = transport.SendOneWay(ctx, n.tr, parentAddr, fwd) // best effort
-		}
-		for _, addr := range childAddrs {
-			fwd := env.NextHop()
-			fwd.Header.From = n.id
-			if hopCtx != "" {
-				fwd.Header.Trace = hopCtx
-			}
-			_ = transport.SendOneWay(ctx, n.tr, addr, fwd) // best effort
-		}
-	}
-	return protocol.Ack(n.id, env), nil
+	return deliver, append(relay, slices.Compact(below)...)
 }
 
 // Info describes a node's current state for tooling and tests.

@@ -90,7 +90,7 @@ func TestFigure3OverHTTP(t *testing.T) {
 
 	// Servers: Hamilton at the root node, London and Berlin at the child.
 	hamilton, hamSvc := httpServer(t, tr, "Hamilton", rootAddr)
-	london, _ := httpServer(t, tr, "London", childAddr)
+	london, lonSvc := httpServer(t, tr, "London", childAddr)
 	_, berlinSvc := httpServer(t, tr, "Berlin", childAddr)
 
 	// Hamilton.D ⊃ London.E.
@@ -104,7 +104,7 @@ func TestFigure3OverHTTP(t *testing.T) {
 	}
 	// The aux profile reached London over real sockets (install is
 	// synchronous on the happy path).
-	if got := london.Alerting().AuxProfileCount(); got != 1 {
+	if got := lonSvc.AuxProfileCount(); got != 1 {
 		t.Fatalf("aux profiles at London = %d", got)
 	}
 

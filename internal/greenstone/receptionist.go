@@ -43,13 +43,6 @@ func (r *Receptionist) Connect(host, addr string) {
 	r.hosts[host] = addr
 }
 
-// Disconnect removes a host.
-func (r *Receptionist) Disconnect(host string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.hosts, host)
-}
-
 // RefreshHost re-resolves a connected host's address through the directory
 // and re-points the connection at it — the client side of standby failover:
 // after a promoted standby re-registers the inherited server name, a
@@ -66,18 +59,6 @@ func (r *Receptionist) RefreshHost(ctx context.Context, host string, resolver co
 	}
 	r.Connect(host, addr)
 	return addr, nil
-}
-
-// Hosts lists connected host names, sorted.
-func (r *Receptionist) Hosts() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hosts))
-	for h := range r.hosts {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (r *Receptionist) addrOf(host string) (string, error) {

@@ -26,7 +26,6 @@ import (
 // Server is one Greenstone server installation on a host.
 type Server struct {
 	name  string
-	addr  string
 	tr    transport.Transport
 	store *collection.Store
 	alert *core.Service
@@ -75,7 +74,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		name:     cfg.Name,
-		addr:     cfg.Addr,
 		tr:       cfg.Transport,
 		store:    store,
 		alert:    cfg.Alerting,
@@ -100,15 +98,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
-
-// Addr returns the server's transport address.
-func (s *Server) Addr() string { return s.addr }
-
-// Store exposes the collection store.
-func (s *Server) Store() *collection.Store { return s.store }
-
-// Alerting exposes the alerting service (nil when disabled).
-func (s *Server) Alerting() *core.Service { return s.alert }
 
 // Close stops listening.
 func (s *Server) Close() error {

@@ -533,17 +533,6 @@ func (e *Engine) Transitions() []Transition {
 	return out
 }
 
-// ComponentState reports one component's current state (Healthy for
-// unknown components, matching the "no rule judges it" reading).
-func (e *Engine) ComponentState(name string) State {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.components[name]; ok {
-		return c.state
-	}
-	return Healthy
-}
-
 // The engine's own families, declared into the same obs table as every
 // other series so rules can be written over them too.
 var (
@@ -618,10 +607,4 @@ func (e *Engine) Readiness() (bool, []ReadinessResult) {
 		results = append(results, r)
 	}
 	return ok, results
-}
-
-// Ready reports the aggregate readiness.
-func (e *Engine) Ready() bool {
-	ok, _ := e.Readiness()
-	return ok
 }

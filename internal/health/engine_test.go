@@ -326,7 +326,7 @@ rule crit {
 // TestReadiness checks the check registry and aggregate.
 func TestReadiness(t *testing.T) {
 	e := NewEngine(newFakeSource(), DefaultRules(), Options{})
-	if !e.Ready() {
+	if ok, _ := e.Readiness(); !ok {
 		t.Fatal("no checks registered must read ready")
 	}
 	down := true
@@ -342,7 +342,7 @@ func TestReadiness(t *testing.T) {
 		t.Fatalf("readiness = %v %+v", ok, results)
 	}
 	down = false
-	if !e.Ready() {
+	if ok, _ := e.Readiness(); !ok {
 		t.Fatal("all checks passing must read ready")
 	}
 }

@@ -204,20 +204,6 @@ func (rs *RuleSet) String() string {
 	return b.String()
 }
 
-// Components lists the distinct components named by the rules, sorted.
-func (rs *RuleSet) Components() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range rs.Rules {
-		if !seen[r.Component] {
-			seen[r.Component] = true
-			out = append(out, r.Component)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ParseRules parses the rule-file text against the metric catalog:
 // references to unknown metrics, quantiles over non-histograms and rates
 // over non-counters are rejected at parse time, not discovered as

@@ -45,20 +45,18 @@ const TextField = "text"
 type Index struct {
 	mu     sync.RWMutex
 	fields map[string]*fieldIndex
-	docs   map[string]Doc
 	nDocs  int
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{fields: make(map[string]*fieldIndex), docs: make(map[string]Doc)}
+	return &Index{fields: make(map[string]*fieldIndex)}
 }
 
 // Build (re)indexes docs over the given metadata fields plus full text.
 // A nil fieldNames indexes every metadata field present.
 func (ix *Index) Build(docs []Doc, fieldNames []string) {
 	fields := make(map[string]*fieldIndex)
-	docMap := make(map[string]Doc, len(docs))
 
 	wanted := map[string]bool{}
 	for _, f := range fieldNames {
@@ -84,7 +82,6 @@ func (ix *Index) Build(docs []Doc, fieldNames []string) {
 	}
 
 	for _, d := range docs {
-		docMap[d.ID] = d
 		add(TextField, d.ID, d.Text)
 		for field, values := range d.Fields {
 			if !auto && !wanted[field] {
@@ -102,7 +99,6 @@ func (ix *Index) Build(docs []Doc, fieldNames []string) {
 
 	ix.mu.Lock()
 	ix.fields = fields
-	ix.docs = docMap
 	ix.nDocs = len(docs)
 	ix.mu.Unlock()
 }
@@ -112,14 +108,6 @@ func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.nDocs
-}
-
-// Doc returns an indexed document by ID.
-func (ix *Index) Doc(id string) (Doc, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	d, ok := ix.docs[id]
-	return d, ok
 }
 
 // Tokenize lowercases and splits text into letter/digit runs. It is the
@@ -246,17 +234,6 @@ func (ix *Index) termScores(term string, fi *fieldIndex) map[string]float64 {
 		out[p.docID] = tf * idf
 	}
 	return out
-}
-
-// Terms reports the number of distinct terms indexed for a field.
-func (ix *Index) Terms(field string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	fi := ix.fields[field]
-	if fi == nil {
-		return 0
-	}
-	return len(fi.postings)
 }
 
 // MatchDoc evaluates a query directly against a single document without any

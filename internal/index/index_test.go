@@ -123,11 +123,8 @@ func TestRebuildReplaces(t *testing.T) {
 	if hits := ix.Search(Term("music"), TextField, 0); len(hits) != 0 {
 		t.Errorf("stale hits after rebuild: %v", ids(hits))
 	}
-	if _, ok := ix.Doc("d1"); ok {
-		t.Error("old doc still retrievable")
-	}
-	if _, ok := ix.Doc("x1"); !ok {
-		t.Error("new doc missing")
+	if hits := ix.Search(Term("corpus"), TextField, 0); len(hits) != 1 || hits[0].DocID != "x1" {
+		t.Errorf("new doc not searchable: %v", ids(hits))
 	}
 }
 

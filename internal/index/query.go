@@ -45,12 +45,6 @@ func Term(s string) *Query {
 	}
 }
 
-// And combines children conjunctively; nils are dropped.
-func And(children ...*Query) *Query { return combine(KindAnd, children) }
-
-// Or combines children disjunctively; nils are dropped.
-func Or(children ...*Query) *Query { return combine(KindOr, children) }
-
 // Not inverts q.
 func Not(q *Query) *Query {
 	if q == nil {

@@ -54,9 +54,6 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return &FlightRecorder{cfg: cfg, clock: clock}
 }
 
-// Recorder returns the underlying ring owner.
-func (f *FlightRecorder) Recorder() *Recorder { return f.cfg.Recorder }
-
 // Dumps reports bundles captured since construction (the
 // gsalert_logging_dumps_total series).
 func (f *FlightRecorder) Dumps() int64 { return f.dumps.Load() }

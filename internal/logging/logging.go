@@ -3,12 +3,12 @@
 // registry (internal/obs) and the span collector (internal/trace).
 //
 // Loggers are leveled and component-scoped: a subsystem holds one
-// *Logger obtained from Recorder.For("delivery") (or the package-level
-// For over the process default) and emits key/value records that carry
-// the active trace.Context's trace ID when one is in scope, so a log
-// line, a histogram exemplar and a span tree all pivot on the same ID.
+// *Logger obtained from Recorder.For("delivery") and emits key/value
+// records that carry the active trace.Context's trace ID when one is in
+// scope, so a log line, a histogram exemplar and a span tree all pivot on
+// the same ID.
 //
-// Every record at or above the effective level is written into an
+// Every record at or above the recorder's level is written into an
 // always-on in-memory flight recorder: a lock-free sharded drop-oldest
 // ring per component (metrics.Ring, shared with trace.Collector) that
 // retains the last N records at one atomic swap per record — cheap
@@ -125,10 +125,8 @@ type Record struct {
 // Config assembles a Recorder. The zero value is usable: info level,
 // DefaultRingSize records per component, no sink.
 type Config struct {
-	// Level is the default minimum level kept (ring and sink).
+	// Level is the minimum level kept (ring and sink).
 	Level Level
-	// ComponentLevels overrides the level per component name.
-	ComponentLevels map[string]Level
 	// RingSize is the per-component flight-recorder ring capacity
 	// (rounded up to a multiple of the shard count). Default 256.
 	RingSize int
@@ -168,12 +166,11 @@ type Recorder struct {
 	suppressed atomic.Int64
 }
 
-// component is one scoped stream: its ring, level and rate limiter.
+// component is one scoped stream: its ring and rate limiter.
 type component struct {
-	name  string
-	level atomic.Int32
-	ring  metrics.Ring[Record]
-	seq   atomic.Uint64
+	name string
+	ring metrics.Ring[Record]
+	seq  atomic.Uint64
 
 	emitted    atomic.Int64
 	dropped    atomic.Int64
@@ -230,22 +227,9 @@ func (r *Recorder) component(name string) *component {
 		return c
 	}
 	c = &component{name: name, tokens: float64(r.cfg.RateBurst), tokenLast: r.clock()}
-	lvl := r.cfg.Level
-	if o, ok := r.cfg.ComponentLevels[name]; ok {
-		lvl = o
-	}
-	c.level.Store(int32(lvl))
 	c.ring.Init(r.cfg.RingSize)
 	r.comps[name] = c
 	return c
-}
-
-// SetLevel changes one component's effective level at runtime.
-func (r *Recorder) SetLevel(component string, lvl Level) {
-	if r == nil {
-		return
-	}
-	r.component(component).level.Store(int32(lvl))
 }
 
 // Components returns the known component names, sorted.
@@ -300,12 +284,6 @@ func (r *Recorder) Stats() []ComponentStats {
 // Emitted reports records accepted (ring-written) across all components.
 func (r *Recorder) Emitted() int64 { return r.emitted.Load() }
 
-// Dropped reports ring records overwritten before any snapshot saw them.
-func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
-
-// Suppressed reports sink writes withheld by the rate limiter.
-func (r *Recorder) Suppressed() int64 { return r.suppressed.Load() }
-
 // Snapshot copies out every retained record, sorted by (component, seq) —
 // the deterministic order flight-recorder bundles are written in.
 func (r *Recorder) Snapshot() []*Record {
@@ -336,11 +314,6 @@ type Logger struct {
 	c *component
 }
 
-// Enabled reports whether records at lvl would be kept.
-func (l *Logger) Enabled(lvl Level) bool {
-	return l != nil && int32(lvl) >= l.c.level.Load()
-}
-
 // Recorder returns the logger's owning recorder (nil for a nil logger),
 // letting a subsystem handed one scoped logger derive siblings for the
 // components it builds internally.
@@ -363,16 +336,11 @@ func (l *Logger) Warn(msg string, attrs ...Attr) { l.log(LevelWarn, trace.Contex
 // Error emits an error record with no trace context.
 func (l *Logger) Error(msg string, attrs ...Attr) { l.log(LevelError, trace.Context{}, msg, attrs) }
 
-// DebugCtx, InfoCtx, WarnCtx and ErrorCtx stamp the record with ctx's
-// trace ID when ctx is a valid (sampled or not) trace context, tying the
-// log line to the span tree the trace collector assembles.
+// DebugCtx and WarnCtx stamp the record with ctx's trace ID when ctx is a
+// valid (sampled or not) trace context, tying the log line to the span tree
+// the trace collector assembles.
 func (l *Logger) DebugCtx(ctx trace.Context, msg string, attrs ...Attr) {
 	l.log(LevelDebug, ctx, msg, attrs)
-}
-
-// InfoCtx emits an info record correlated with ctx.
-func (l *Logger) InfoCtx(ctx trace.Context, msg string, attrs ...Attr) {
-	l.log(LevelInfo, ctx, msg, attrs)
 }
 
 // WarnCtx emits a warning record correlated with ctx.
@@ -380,13 +348,8 @@ func (l *Logger) WarnCtx(ctx trace.Context, msg string, attrs ...Attr) {
 	l.log(LevelWarn, ctx, msg, attrs)
 }
 
-// ErrorCtx emits an error record correlated with ctx.
-func (l *Logger) ErrorCtx(ctx trace.Context, msg string, attrs ...Attr) {
-	l.log(LevelError, ctx, msg, attrs)
-}
-
 func (l *Logger) log(lvl Level, ctx trace.Context, msg string, attrs []Attr) {
-	if l == nil || int32(lvl) < l.c.level.Load() {
+	if l == nil || lvl < l.r.cfg.Level {
 		return
 	}
 	rec := &Record{
@@ -447,20 +410,3 @@ func renderLine(rec *Record) string {
 	}
 	return s + "\n"
 }
-
-// ---------------------------------------------------------------------------
-// Process default
-
-var defaultRecorder atomic.Pointer[Recorder]
-
-// SetDefault installs the process-wide recorder the package-level For
-// resolves against. Binaries call it once at startup.
-func SetDefault(r *Recorder) { defaultRecorder.Store(r) }
-
-// Default returns the process-wide recorder (nil until SetDefault).
-func Default() *Recorder { return defaultRecorder.Load() }
-
-// For returns a component logger over the process default recorder — a
-// nil, disabled logger until SetDefault has run, so libraries may call it
-// at init without ordering constraints.
-func For(component string) *Logger { return Default().For(component) }

@@ -133,15 +133,6 @@ func (h *LatencyHistogram) Buckets(f func(upper time.Duration, cumulative int64)
 	return cum
 }
 
-// Mean reports the average latency (0 when empty).
-func (h *LatencyHistogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Quantile reports an upper bound on the q-th (0..1) latency quantile: the
 // top of the bucket containing the nearest-rank sample. Returns 0 when
 // empty.
@@ -168,18 +159,4 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return upperBound(latencyBuckets - 1)
-}
-
-// Max reports an upper bound on the largest sample.
-func (h *LatencyHistogram) Max() time.Duration { return h.Quantile(1) }
-
-// Reset zeroes the histogram. Concurrent observers may interleave with the
-// sweep; counters end consistent enough for the "fresh window" use case.
-func (h *LatencyHistogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.exemplars.Store(nil)
 }

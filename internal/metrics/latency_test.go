@@ -8,7 +8,7 @@ import (
 
 func TestLatencyHistogramBasics(t *testing.T) {
 	var h LatencyHistogram
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Quantile(0.99) != 0 {
 		t.Fatal("zero value not empty")
 	}
 	h.Observe(10 * time.Microsecond)
@@ -23,17 +23,8 @@ func TestLatencyHistogramBasics(t *testing.T) {
 		t.Errorf("p50 = %v, want in [20µs, 40µs]", p50)
 	}
 	// The max sample is 5ms; its bucket tops out below 10ms.
-	if mx := h.Max(); mx < 5*time.Millisecond || mx > 10*time.Millisecond {
+	if mx := h.Quantile(1); mx < 5*time.Millisecond || mx > 10*time.Millisecond {
 		t.Errorf("max = %v, want in [5ms, 10ms]", mx)
-	}
-	mean := h.Mean()
-	want := (10*time.Microsecond + 20*time.Microsecond + 5*time.Millisecond) / 3
-	if mean != want {
-		t.Errorf("mean = %v, want %v", mean, want)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(1) != 0 {
-		t.Error("reset did not clear")
 	}
 }
 
@@ -97,10 +88,6 @@ func TestLatencyHistogramExemplars(t *testing.T) {
 	if got := h.Exemplar(time.Duration(12345)); got != "" {
 		t.Errorf("non-bucket bound returned %q", got)
 	}
-	h.Reset()
-	if got := h.Exemplar(upperBound(bucketOf(5 * time.Millisecond))); got != "" {
-		t.Errorf("reset kept exemplar %q", got)
-	}
 }
 
 // TestExemplarReadDuringObserve is the -race exercise for the exemplar
@@ -160,7 +147,6 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 				return
 			default:
 				_ = h.Quantile(0.99)
-				_ = h.Mean()
 				_ = h.Count()
 			}
 		}

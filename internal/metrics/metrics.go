@@ -1,14 +1,12 @@
-// Package metrics provides the counters, histograms and fixed-width table
-// rendering used by the experiment harness to print the tables recorded in
-// docs/EXPERIMENTS.md.
+// Package metrics provides the counters, latency histograms and fixed-width
+// table rendering used by the experiment harness to print the tables
+// recorded in docs/EXPERIMENTS.md.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,87 +27,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Histogram accumulates observations and reports simple order statistics.
-// It stores raw samples (experiments here are small enough) for exact
-// percentiles.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.samples = append(h.samples, v)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// ObserveDuration records a duration in microseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d.Microseconds()))
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Mean reports the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / float64(len(h.samples))
-}
-
-// Quantile reports the q-th (0..1) sample quantile (nearest-rank).
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
-
-// Max reports the largest sample.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Min reports the smallest sample.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.mu.Unlock()
-}
 
 // Table renders experiment results as an aligned fixed-width text table.
 type Table struct {

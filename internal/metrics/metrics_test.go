@@ -30,39 +30,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
-		t.Error("empty histogram non-zero")
-	}
-	for _, v := range []float64{5, 1, 4, 2, 3} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Mean() != 3 {
-		t.Errorf("mean = %f", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Errorf("min/max = %f/%f", h.Min(), h.Max())
-	}
-	if q := h.Quantile(0.5); q != 3 {
-		t.Errorf("median = %f", q)
-	}
-	if q := h.Quantile(0.2); q != 1 {
-		t.Errorf("p20 = %f", q)
-	}
-	h.ObserveDuration(2 * time.Millisecond)
-	if h.Max() != 2000 {
-		t.Errorf("duration sample = %f", h.Max())
-	}
-	h.Reset()
-	if h.Count() != 0 {
-		t.Error("reset failed")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "name", "count", "ratio", "dur")
 	tb.AddRow("alpha", 10, 0.123456, 1500*time.Microsecond)

@@ -149,7 +149,11 @@ func RegisterDelivery(r *Registry, p *delivery.Pipeline) {
 			}
 			c.Emit(deliverySpillDepth, float64(spills[i]), shard)
 		}
-		c.Emit(deliveryBatchMean, m.BatchSizes.Mean())
+		mean := 0.0
+		if batches := m.Batches.Value(); batches > 0 {
+			mean = float64(m.Batched.Value()) / float64(batches)
+		}
+		c.Emit(deliveryBatchMean, mean)
 	})
 }
 

@@ -160,9 +160,6 @@ func NewExporter(reg *Registry, cfg ExporterConfig) (*Exporter, error) {
 	return e, nil
 }
 
-// Metrics exposes the exporter's live self-monitoring counters.
-func (e *Exporter) Metrics() *ExporterMetrics { return &e.m }
-
 func (e *Exporter) collectLoop() {
 	defer e.wg.Done()
 	defer close(e.queue) // senders drain what is left, then exit

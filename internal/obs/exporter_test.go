@@ -105,11 +105,11 @@ func TestExporterPushesSnapshots(t *testing.T) {
 			t.Errorf("pushed block missing %q:\n%s", want, body)
 		}
 	}
-	if exp.Metrics().Sent.Value() < 2 {
-		t.Errorf("Sent = %d, want >= 2", exp.Metrics().Sent.Value())
+	if exp.m.Sent.Value() < 2 {
+		t.Errorf("Sent = %d, want >= 2", exp.m.Sent.Value())
 	}
-	if exp.Metrics().Dropped.Value() != 0 {
-		t.Errorf("Dropped = %d, want 0", exp.Metrics().Dropped.Value())
+	if exp.m.Dropped.Value() != 0 {
+		t.Errorf("Dropped = %d, want 0", exp.m.Dropped.Value())
 	}
 }
 
@@ -137,7 +137,7 @@ func TestExporterRetriesWithBackoff(t *testing.T) {
 	waitFor(t, "first delivered block", func() bool { return sink.count() >= 1 })
 	exp.Close()
 
-	m := exp.Metrics()
+	m := &exp.m
 	if m.Sent.Value() < 1 {
 		t.Errorf("Sent = %d, want >= 1", m.Sent.Value())
 	}
@@ -171,11 +171,11 @@ func TestExporterDropsOldestWhenQueueFull(t *testing.T) {
 	}
 	// One block occupies the sender (blocked on the gate), two fill the
 	// queue; every further snapshot must evict.
-	waitFor(t, "queue eviction", func() bool { return exp.Metrics().Dropped.Value() > 0 })
+	waitFor(t, "queue eviction", func() bool { return exp.m.Dropped.Value() > 0 })
 	close(sink.gate) // release the sink so Close can drain
 	exp.Close()
 
-	m := exp.Metrics()
+	m := &exp.m
 	if m.Sent.Value() == 0 {
 		t.Errorf("Sent = 0, want > 0 (queue must drain once the sink recovers)")
 	}

@@ -265,22 +265,6 @@ func Walk(e Expr, visit func(Expr)) {
 	}
 }
 
-// Attrs returns the distinct attribute names referenced by e, sorted.
-func Attrs(e Expr) []string {
-	set := map[string]bool{}
-	Walk(e, func(n Expr) {
-		if p, ok := n.(*Pred); ok {
-			set[p.Attr] = true
-		}
-	})
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sortStrings(out)
-	return out
-}
-
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -124,15 +124,3 @@ func EvalConjunction(c Conjunction, ctx *EvalContext) bool {
 	}
 	return true
 }
-
-// EqualityPred returns the first positive equality predicate of c usable as
-// a hash-index access predicate, or nil if the conjunction has none (such
-// conjunctions go to the filter engine's residual scan list).
-func EqualityPred(c Conjunction) *Pred {
-	for _, p := range c {
-		if p.Op == OpEq && !p.Neg {
-			return p
-		}
-	}
-	return nil
-}

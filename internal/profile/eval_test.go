@@ -299,23 +299,3 @@ func TestDNFEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEqualityPred(t *testing.T) {
-	cs, err := ToDNF(MustParse(`dc.Title contains "x" AND collection = "H.C"`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := EqualityPred(cs[0])
-	if p == nil || p.Attr != "collection" {
-		t.Fatalf("EqualityPred = %v", p)
-	}
-	// Negated equality is not an access predicate.
-	cs2, _ := ToDNF(MustParse(`NOT collection = "H.C" AND dc.Title contains "x"`))
-	if EqualityPred(cs2[0]) != nil {
-		t.Error("negated equality used as access predicate")
-	}
-	cs3, _ := ToDNF(MustParse(`dc.Title contains "x"`))
-	if EqualityPred(cs3[0]) != nil {
-		t.Error("no-equality conjunction produced access predicate")
-	}
-}

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -164,15 +163,6 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("((")
-}
-
-func TestAttrs(t *testing.T) {
-	e := MustParse(`collection = "X" AND (dc.Title contains "a" OR dc.Title contains "b") AND year >= 1990`)
-	got := Attrs(e)
-	want := []string{"collection", "dc.Title", "year"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("Attrs = %v, want %v", got, want)
-	}
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -208,7 +208,6 @@ func NewID(sender string) string {
 var (
 	ErrNoPayload      = errors.New("protocol: envelope has no payload")
 	ErrTypeMismatch   = errors.New("protocol: payload type mismatch")
-	ErrUnknownType    = errors.New("protocol: unknown message type")
 	ErrMalformedFrame = errors.New("protocol: malformed frame")
 )
 

@@ -378,9 +378,6 @@ func NewScheduler(weights [NumClasses]int) *Scheduler {
 	return s
 }
 
-// Weights reports the per-class service weights in effect.
-func (s *Scheduler) Weights() [NumClasses]int { return s.weights }
-
 // Credits reports the remaining DRR deficit credit per class — how much of
 // the current recharge cycle each class may still consume. Safe to call
 // concurrently with the owning worker's Pick loop.

@@ -40,9 +40,6 @@ type Item struct {
 	seq uint64
 }
 
-// Attempts reports how many sends have failed so far.
-func (it *Item) Attempts() int { return it.attempts }
-
 // Sender delivers one item; a nil return removes the item from the queue.
 type Sender func(ctx context.Context, item *Item) error
 
@@ -72,18 +69,6 @@ type Queue struct {
 
 // Option configures a Queue.
 type Option func(*Queue)
-
-// WithBackoff sets the base and maximum retry backoff.
-func WithBackoff(base, maxBackoff time.Duration) Option {
-	return func(q *Queue) {
-		if base > 0 {
-			q.baseOff = base
-		}
-		if maxBackoff > 0 {
-			q.maxOff = maxBackoff
-		}
-	}
-}
 
 // WithClock overrides the time source (deterministic tests).
 func WithClock(now func() time.Time) Option {
@@ -137,43 +122,11 @@ func (q *Queue) Remove(id string) bool {
 	return true
 }
 
-// RemoveMatching drops every item the predicate selects, returning how many.
-func (q *Queue) RemoveMatching(pred func(*Item) bool) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for id, it := range q.items {
-		if pred(it) {
-			delete(q.items, id)
-			n++
-		}
-	}
-	q.dropped += int64(n)
-	return n
-}
-
 // Len reports queued items.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
-}
-
-// Pending returns a snapshot of queued items, ordered by enqueue time.
-func (q *Queue) Pending() []Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Item, 0, len(q.items))
-	for _, it := range q.items {
-		out = append(out, *it)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].enqueuedAt.Equal(out[j].enqueuedAt) {
-			return out[i].enqueuedAt.Before(out[j].enqueuedAt)
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
 }
 
 // Stats reports cumulative delivery counters.

@@ -80,9 +80,8 @@ func TestRetryAfterPartitionHeals(t *testing.T) {
 	fs.setFailing("London", true)
 	base := time.Unix(1000, 0)
 	now := base
-	q, _ := New(fs.send,
-		WithClock(func() time.Time { return now }),
-		WithBackoff(time.Second, time.Minute))
+	q, _ := New(fs.send, WithClock(func() time.Time { return now }))
+	q.baseOff, q.maxOff = time.Second, time.Minute
 	q.Add("aux1", "London", "install")
 
 	if n := q.Flush(context.Background(), false); n != 0 {
@@ -113,19 +112,14 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	fs := newFakeSender()
 	fs.setFailing("X", true)
 	now := time.Unix(0, 0)
-	q, _ := New(fs.send,
-		WithClock(func() time.Time { return now }),
-		WithBackoff(time.Second, 8*time.Second))
+	q, _ := New(fs.send, WithClock(func() time.Time { return now }))
+	q.baseOff, q.maxOff = time.Second, 8*time.Second
 	q.Add("i", "X", nil)
 	for i := 0; i < 6; i++ {
 		q.Flush(context.Background(), true) // force ignores backoff window
 	}
-	items := q.Pending()
-	if len(items) != 1 {
-		t.Fatal("item missing")
-	}
-	if items[0].Attempts() != 6 {
-		t.Errorf("attempts = %d", items[0].Attempts())
+	if it := q.items["i"]; it == nil || it.attempts != 6 {
+		t.Fatalf("item after 6 failed flushes = %+v, want 6 attempts", it)
 	}
 	// After 6 failures backoff would be 32s but caps at 8s.
 	// (nextAttempt is private; verify behaviourally: at +7s not eligible,
@@ -154,12 +148,6 @@ func TestReplaceAndRemove(t *testing.T) {
 	}
 	if q.Remove("id1") {
 		t.Error("remove twice = true")
-	}
-	q.Add("a", "X", nil)
-	q.Add("b", "Y", nil)
-	n := q.RemoveMatching(func(it *Item) bool { return it.Dest == "Y" })
-	if n != 1 || q.Len() != 1 {
-		t.Errorf("RemoveMatching = %d, len = %d", n, q.Len())
 	}
 }
 
@@ -333,12 +321,5 @@ func TestFlushDuringHealFIFOPerDestination(t *testing.T) {
 		if wantB := fmt.Sprintf("b-%02d", i); gotB[i] != wantB {
 			t.Fatalf("DestB position %d = %s, want %s (order %v)", i, gotB[i], wantB, gotB)
 		}
-	}
-	// Pending() reports the same deterministic order.
-	q.Add("z-1", "DestA", 1)
-	q.Add("z-0", "DestA", 0)
-	pending := q.Pending()
-	if len(pending) != 2 || pending[0].ID != "z-1" || pending[1].ID != "z-0" {
-		t.Errorf("pending order = %v", pending)
 	}
 }

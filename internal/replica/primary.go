@@ -166,14 +166,6 @@ func (p *Primary) handle(_ context.Context, env *protocol.Envelope) (*protocol.E
 	}
 }
 
-// SyncSnapshot pushes a full snapshot to the attached standby (anti-entropy
-// on demand; joins and resyncs trigger it automatically).
-func (p *Primary) SyncSnapshot(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sendSnapshotLocked(ctx)
-}
-
 // snapshotLocked assembles the full replicable state, stamped with the
 // current stream position. Callers hold p.mu, so no stream record can
 // interleave with the snapshot; a hook whose mutation landed before the
@@ -235,12 +227,6 @@ func (p *Primary) sendSnapshotLocked(ctx context.Context) error {
 	p.confirmed.Store(ack.AppliedSeq)
 	return nil
 }
-
-// ConfirmedSeq reports the stream position the standby last acknowledged.
-// It equals the stream position whenever the pair is in sync; the gap is
-// the primary's un-acknowledged window (zero under the synchronous
-// stream).
-func (p *Primary) ConfirmedSeq() uint64 { return p.confirmed.Load() }
 
 // noteError counts a replication failure that could not take the stream
 // path (e.g. a payload that failed to marshal). The stream is marked

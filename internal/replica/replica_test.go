@@ -227,7 +227,7 @@ func TestSyncSnapshotRepairsBrokenStream(t *testing.T) {
 	if got := p.standby.Delivery().Pending("fay"); got != 2 {
 		t.Errorf("standby parked after stream resumed = %d, want 2", got)
 	}
-	if got, want := p.repl.ConfirmedSeq(), p.recv.AppliedSeq(); got != want {
+	if got, want := p.repl.confirmed.Load(), p.recv.applied.Load(); got != want {
 		t.Errorf("primary confirmed seq %d, standby applied %d — positions diverge", got, want)
 	}
 }

@@ -128,9 +128,6 @@ func (s *Standby) Close() error {
 // Service exposes the standby's alerting service (serving after Promote).
 func (s *Standby) Service() *core.Service { return s.svc }
 
-// AppliedSeq reports the stream position applied so far.
-func (s *Standby) AppliedSeq() uint64 { return s.applied.Load() }
-
 // Promoted reports whether the standby has taken over.
 func (s *Standby) Promoted() bool { return s.promoted.Load() }
 

@@ -400,15 +400,6 @@ func (c *Cluster) HealGDSLink(a, b string) {
 	c.TR.Heal(b, "gds://"+a)
 }
 
-// IsolateServer cuts a server off the entire network (both GS and GDS
-// traffic), modelling a solitary disconnected installation. Both the
-// transport address (inbound) and the logical name (outbound sender) are
-// marked down.
-func (c *Cluster) IsolateServer(name string, isolated bool) {
-	c.TR.SetNodeDown(ServerAddr(name), isolated)
-	c.TR.SetNodeDown(name, isolated)
-}
-
 // NewReceptionist builds a receptionist connected to the named hosts.
 func (c *Cluster) NewReceptionist(name string, hosts ...string) *greenstone.Receptionist {
 	r := greenstone.NewReceptionist(name, c.Net)

@@ -512,11 +512,10 @@ func LossTable(servers, events int, dropRates []float64, seed int64) (*metrics.T
 
 // PartitionRecoveryResult is one E6 measurement.
 type PartitionRecoveryResult struct {
-	Cycles             int
-	DuringPartition    int // notifications that arrived while cut (must be 0)
-	AfterHeal          int // notifications delivered after heal+flush
-	QueuedPeak         int
-	SpuriousAfterWheal int // false positives after cancellation under cut
+	Cycles          int
+	DuringPartition int // notifications that arrived while cut (must be 0)
+	AfterHeal       int // notifications delivered after heal+flush
+	QueuedPeak      int
 }
 
 // RunPartitionRecovery repeatedly partitions the super/sub link while the

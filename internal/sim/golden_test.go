@@ -8,8 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"github.com/gsalert/gsalert/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
@@ -60,53 +58,28 @@ func maskColumns(rendered string, masked ...string) string {
 }
 
 // TestExperimentTablesGolden is the byte fence around the experiment
-// harness: every seed-deterministic table alert-bench prints, at
-// alert-bench's own seed and (E2's 250- and 1000-server rows aside) its own
-// parameters, must render exactly as testdata/tables.golden records. Two
-// columns vary between runs of one binary and are masked: E14 "messages"
-// (replication acks ride delivery flush batching, ±1) and E15 "rt p99"
-// (wall-clock latency). Regenerate with `go test ./internal/sim -run
-// TestExperimentTablesGolden -update` — but a refactor of the harness must
-// not need to.
+// harness: every table of the Experiments registry that is not Unfenced — so
+// what alert-bench prints, at its default seed and parameters — must render
+// exactly as testdata/tables.golden records, with the registry's Masked
+// columns masked. The one override is E2's size list: the 250- and
+// 1000-server rows take minutes. Regenerate with `go test ./internal/sim
+// -run TestExperimentTablesGolden -update` — but a refactor of the harness
+// must not need to.
 func TestExperimentTablesGolden(t *testing.T) {
-	const seed = 2005
-	type tableFn func() (*metrics.Table, error)
-	steps := []struct {
-		id     string
-		run    tableFn
-		masked []string
-	}{
-		{"e2", func() (*metrics.Table, error) { return GDSScaleTable([]int{10, 50, 100}, []int{2, 4, 8}, seed) }, nil},
-		{"e3", func() (*metrics.Table, error) { return RoutingComparisonTable(64, []float64{0, 0.3, 0.6, 0.9}, seed) }, nil},
-		{"e5", func() (*metrics.Table, error) { return AuxChainTable([]int{1, 2, 3, 4, 5}, seed) }, nil},
-		{"e6", func() (*metrics.Table, error) {
-			r, err := RunPartitionRecovery(5, seed)
-			if err != nil {
-				return nil, err
-			}
-			tbl := metrics.NewTable("E6 — partition recovery (rebuilds under a cut super/sub link)",
-				"cycles", "notifs during cut", "notifs after heal", "peak queue")
-			tbl.AddRow(r.Cycles, r.DuringPartition, r.AfterHeal, r.QueuedPeak)
-			return tbl, nil
-		}, nil},
-		{"e7", func() (*metrics.Table, error) { return LossTable(24, 10, []float64{0, 0.01, 0.05, 0.1, 0.2}, seed) }, nil},
-		{"e9", func() (*metrics.Table, error) { return MulticastAblationTable(32, 10, []int{1, 4, 8, 16, 31}, seed) }, nil},
-		{"e10", func() (*metrics.Table, error) { return DeliveryRecoveryTable([]int{1, 5, 25, 100}, seed) }, nil},
-		{"e12", func() (*metrics.Table, error) { return ContentRoutingTable(16, 4, 5, seed) }, nil},
-		{"e13", func() (*metrics.Table, error) { return CompositeAlertsTable(16, 4, seed) }, nil},
-		{"e14", func() (*metrics.Table, error) { return ReplicaFailoverTable(16, 6, seed) }, []string{"messages"}},
-		{"e15", func() (*metrics.Table, error) { return QoSOverloadTable(16, 30, 3, seed) }, []string{"rt p99"}},
-		{"e18", func() (*metrics.Table, error) { return HealthTable(8, 8, 2, 4, seed) }, nil},
-	}
+	p := DefaultParams()
+	p.GDSSizes = p.GDSSizes[:3]
 	var got bytes.Buffer
-	for _, s := range steps {
-		tbl, err := s.run()
+	for _, e := range Experiments() {
+		if e.Unfenced {
+			continue
+		}
+		tbl, err := e.Table(p)
 		if err != nil {
-			t.Fatalf("%s: %v", s.id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
 		out := tbl.Render()
-		if len(s.masked) > 0 {
-			out = maskColumns(out, s.masked...)
+		if len(e.Masked) > 0 {
+			out = maskColumns(out, e.Masked...)
 		}
 		got.WriteString(out)
 		got.WriteByte('\n')

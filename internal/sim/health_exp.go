@@ -3,9 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sort"
 	"strings"
 	"time"
 
@@ -294,165 +291,4 @@ func HealthTable(servers, rounds, eventsPerRound, burst int, seed int64) (*metri
 			fmt.Sprintf("%v/%v", r.TransitionsIdentical, r.DeliveredIdentical))
 	}
 	return t, nil
-}
-
-// HealthReadinessResult is the E18 readiness sub-scenario's observation
-// log: /readyz probed at each lifecycle stage of a replica pair.
-type HealthReadinessResult struct {
-	// Stages maps stage name → the HTTP status /readyz returned.
-	Stages []ReadinessStage
-	// DeferredAfterPromotion is the promoted standby's deferred count after
-	// post-promotion publishes — evidence the replicated QoS buckets (not
-	// fresh ones) admitted the traffic.
-	DeferredAfterPromotion int64
-	AdmittedAfterPromotion int64
-}
-
-// ReadinessStage is one probed lifecycle point.
-type ReadinessStage struct {
-	Stage string
-	Code  int
-}
-
-// RunHealthReadiness drives /readyz through a replica pair's lifecycle:
-// synced (ready) → replication link cut (not ready) → healed (ready) →
-// promoted (ready), asserting along the way that the standby's replicated
-// QoS buckets carry the primary's charged quota across the promotion.
-func RunHealthReadiness(seed int64) (*HealthReadinessResult, error) {
-	c, names, err := NewTree(seed, 4, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	ctx := context.Background()
-	primaryName, pub := names[0], names[1]
-	coll := pub + ".X"
-	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
-		return nil, err
-	}
-	const burst = 4
-	newQoS := func() *qos.Controller {
-		return qos.NewController(qos.Config{SubscriberBurst: burst, BulkDigestEvery: time.Hour})
-	}
-	primary := c.Service(primaryName)
-	primary.SetQoS(newQoS())
-	c.Notifier(primaryName, "nm")
-	nmProf := profile.NewUser("nm-prof", "nm", primaryName,
-		profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll)))
-	nmProf.Class = qos.ClassNormal
-	if err := primary.SubscribeProfile(nmProf); err != nil {
-		return nil, err
-	}
-
-	recv, err := c.AddStandby(primaryName, nil)
-	if err != nil {
-		return nil, err
-	}
-	standby := recv.Service()
-	standby.SetQoS(newQoS())
-
-	// The standby-side health engine gates readiness on the same rule
-	// cmd/gs-server wires.
-	heng := health.NewEngine(obs.NewRegistry(), nil, health.Options{})
-	heng.AddReadiness("standby-caught-up", recv.Ready)
-	readyz := health.ReadyzHandler(heng)
-	probe := func(stage string, out *HealthReadinessResult) {
-		rec := httptest.NewRecorder()
-		readyz.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
-		out.Stages = append(out.Stages, ReadinessStage{Stage: stage, Code: rec.Code})
-	}
-
-	out := &HealthReadinessResult{}
-	probe("pre-join", out) // not yet synced → 503
-
-	if err := recv.Join(ctx); err != nil {
-		return nil, err
-	}
-	probe("synced", out) // snapshot applied, primary reachable → 200
-
-	// Charge 3 of the 4 subscriber tokens, then a heartbeat ships the
-	// bucket levels to the standby. The base build creates the collection
-	// (no documents-added yet); each following build adds one document and
-	// charges one token.
-	docs := []*collection.Document{{ID: "base", Content: "stable document"}}
-	if _, _, err := c.Server(pub).Build(ctx, "X", docs); err != nil {
-		return nil, err
-	}
-	c.Settle(ctx)
-	for r := 1; r <= 3; r++ {
-		docs = append(docs, &collection.Document{ID: fmt.Sprintf("extra-%d", r), Content: "doc"})
-		if _, _, err := c.Server(pub).Build(ctx, "X", docs); err != nil {
-			return nil, err
-		}
-	}
-	c.Settle(ctx)
-	if err := recv.Heartbeat(ctx); err != nil {
-		return nil, err
-	}
-
-	// Cut the replication link: the next heartbeat fails and /readyz flips.
-	c.TR.SetNodeDown(ReplAddr(primaryName), true)
-	_ = recv.Heartbeat(ctx)
-	probe("partitioned", out) // probe error → 503
-
-	// Heal: the heartbeat goes through again and /readyz recovers.
-	c.TR.SetNodeDown(ReplAddr(primaryName), false)
-	if err := recv.Heartbeat(ctx); err != nil {
-		return nil, err
-	}
-	probe("healed", out) // → 200
-
-	// Kill + promote: readiness passes on the promotion flag.
-	c.TR.SetNodeDown(ServerAddr(primaryName), true)
-	c.TR.SetNodeDown(ReplAddr(primaryName), true)
-	if err := recv.Promote(ctx, 0); err != nil {
-		return nil, err
-	}
-	probe("promoted", out) // → 200
-
-	// The replicated buckets must carry the 3 already-charged tokens: of
-	// two post-promotion events, exactly one is admitted and one deferred.
-	standby.RegisterNotifier("nm", core.NewMemoryNotifier())
-	for r := 4; r <= 5; r++ {
-		docs = append(docs, &collection.Document{ID: fmt.Sprintf("extra-%d", r), Content: "doc"})
-		if _, _, err := c.Server(pub).Build(ctx, "X", docs); err != nil {
-			return nil, err
-		}
-	}
-	c.Settle(ctx)
-	_ = standby.DrainDeliveries(ctx)
-	st := standby.Stats()
-	out.DeferredAfterPromotion = st.QoSDeferred
-	out.AdmittedAfterPromotion = st.QoSAdmitted
-	return out, nil
-}
-
-// Check asserts the readiness walk: 503 pre-join, 200 synced, 503 cut,
-// 200 healed, 200 promoted — and the carried quota.
-func (r *HealthReadinessResult) Check() error {
-	want := map[string]int{
-		"pre-join":    http.StatusServiceUnavailable,
-		"synced":      http.StatusOK,
-		"partitioned": http.StatusServiceUnavailable,
-		"healed":      http.StatusOK,
-		"promoted":    http.StatusOK,
-	}
-	if len(r.Stages) != len(want) {
-		return fmt.Errorf("sim: E18 readiness probed %d stages, want %d", len(r.Stages), len(want))
-	}
-	var bad []string
-	for _, s := range r.Stages {
-		if s.Code != want[s.Stage] {
-			bad = append(bad, fmt.Sprintf("%s=%d(want %d)", s.Stage, s.Code, want[s.Stage]))
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return fmt.Errorf("sim: E18 readiness walk wrong: %s", strings.Join(bad, " "))
-	}
-	if r.DeferredAfterPromotion != 1 {
-		return fmt.Errorf("sim: E18 promoted standby deferred %d of the post-promotion events, want 1 — QoS buckets reset across failover",
-			r.DeferredAfterPromotion)
-	}
-	return nil
 }

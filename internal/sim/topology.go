@@ -173,6 +173,3 @@ func (t *Topology) RandomLinkedPair() (a, b string, ok bool) {
 	}
 	return t.Linked[i], t.Linked[j], true
 }
-
-// Rand exposes the topology's seeded RNG for workload phases.
-func (t *Topology) Rand() *rand.Rand { return t.rng }

@@ -25,14 +25,8 @@ type SpanRecord struct {
 	Retained bool `json:"retained,omitempty"`
 }
 
-// Start returns the span's start time.
-func (r *SpanRecord) Start() time.Time { return time.Unix(0, r.StartUnixNano) }
-
 // Duration returns the span's duration.
 func (r *SpanRecord) Duration() time.Duration { return time.Duration(r.DurationNanos) }
-
-// End returns the span's end time.
-func (r *SpanRecord) End() time.Time { return time.Unix(0, r.StartUnixNano+r.DurationNanos) }
 
 // DefaultCapacity is the collector's span capacity when NewCollector is
 // given zero: enough for a few thousand recent traces at ~6 spans each.
@@ -113,16 +107,6 @@ type Trace struct {
 
 // Duration returns the trace's end-to-end duration.
 func (t *Trace) Duration() time.Duration { return time.Duration(t.DurationNanos) }
-
-// Root returns the trace's root span (nil when incomplete).
-func (t *Trace) Root() *SpanRecord {
-	for _, s := range t.Spans {
-		if s.ParentID == "" {
-			return s
-		}
-	}
-	return nil
-}
 
 // Assemble groups spans by trace ID into span trees, most recent trace
 // first.

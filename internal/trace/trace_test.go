@@ -60,10 +60,10 @@ func TestHeadSamplingDeterministicAndProportional(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sa := a.StartRoot(StagePublish)
 		sb := b.StartRoot(StagePublish)
-		if sa.Recording() != sb.Recording() {
+		if sa.record != sb.record {
 			t.Fatalf("same seed diverged at root %d", i)
 		}
-		if sa.Recording() {
+		if sa.record {
 			sampled++
 		}
 	}
@@ -71,7 +71,7 @@ func TestHeadSamplingDeterministicAndProportional(t *testing.T) {
 		t.Fatalf("rate-0.5 sampled %d of %d", sampled, n)
 	}
 	off := testTracer(t, 0, 0, 64)
-	if s := off.StartRoot(StagePublish); s.Recording() {
+	if s := off.StartRoot(StagePublish); s.record {
 		t.Fatalf("rate-0 root is recording")
 	}
 }
@@ -187,7 +187,7 @@ func TestAssembleAndFilters(t *testing.T) {
 		t.Fatalf("got %d traces", len(traces))
 	}
 	tc := traces[0]
-	if !tc.Complete || len(tc.Spans) != 2 || tc.Root() == nil {
+	if !tc.Complete || len(tc.Spans) != 2 {
 		t.Fatalf("assembled trace malformed: %+v", tc)
 	}
 	if tc.Duration() != 4*time.Millisecond {

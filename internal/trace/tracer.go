@@ -199,9 +199,6 @@ type Attr struct {
 // span is a no-op).
 func (s Span) Context() Context { return s.ctx }
 
-// Recording reports whether Finish will emit a record.
-func (s Span) Recording() bool { return s.record }
-
 // SetClass tags the span with a QoS class name (a first-class field so
 // /traces and the attribution table can filter without scanning attrs).
 func (s *Span) SetClass(class string) {

@@ -151,13 +151,6 @@ func (f *FaultInjector) RemoveRules(pred func(FaultRule) bool) int {
 	return removed
 }
 
-// Rules returns a copy of the active rule set.
-func (f *FaultInjector) Rules() []FaultRule {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return append([]FaultRule(nil), f.rules...)
-}
-
 // Stats snapshots the intervention counters.
 func (f *FaultInjector) Stats() FaultInjectorStats {
 	return FaultInjectorStats{Dropped: f.dropped.Load(), Delayed: f.delayed.Load()}

@@ -124,7 +124,7 @@ func TestFaultInjectorRemoveRules(t *testing.T) {
 	if n := inj.RemoveRules(func(r FaultRule) bool { return r.To == "gs://b" }); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
-	if rules := inj.Rules(); len(rules) != 1 || rules[0].To != "gs://c" {
+	if rules := inj.rules; len(rules) != 1 || rules[0].To != "gs://c" {
 		t.Fatalf("rules after removal: %+v", rules)
 	}
 }

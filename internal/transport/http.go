@@ -102,8 +102,7 @@ func NewHTTP() *HTTP {
 	}
 }
 
-// Listen binds h to a local TCP address. Use "127.0.0.1:0" to pick a free
-// port; BoundAddr on the returned listener reports the resolved address.
+// Listen binds h to a local TCP address ("127.0.0.1:0" picks a free port).
 func (t *HTTP) Listen(addr string, h Handler) (io.Closer, error) {
 	if h == nil {
 		return nil, fmt.Errorf("transport: nil handler for %q", addr)
@@ -150,9 +149,6 @@ type httpListener struct {
 	srv  *http.Server
 }
 
-// BoundAddr reports the resolved listen address ("127.0.0.1:54321").
-func (l *httpListener) BoundAddr() string { return l.addr }
-
 // Close stops the listener.
 func (l *httpListener) Close() error {
 	l.t.mu.Lock()
@@ -161,15 +157,6 @@ func (l *httpListener) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return l.srv.Shutdown(ctx)
-}
-
-// BoundAddr extracts the resolved address from a listener returned by
-// HTTP.Listen; it returns "" for other listener types.
-func BoundAddr(c io.Closer) string {
-	if l, ok := c.(*httpListener); ok {
-		return l.addr
-	}
-	return ""
 }
 
 func (t *HTTP) serveEnvelope(w http.ResponseWriter, r *http.Request, h Handler) {

@@ -202,14 +202,6 @@ func (m *Memory) Heal(a, b string) {
 	delete(m.cuts, newLinkKey(a, b))
 }
 
-// HealAll removes every partition and brings every node back up.
-func (m *Memory) HealAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cuts = make(map[linkKey]bool)
-	m.downNodes = make(map[string]bool)
-}
-
 // SetNodeDown marks addr unreachable in both directions (crash model).
 func (m *Memory) SetNodeDown(addr string, down bool) {
 	m.mu.Lock()
@@ -219,12 +211,4 @@ func (m *Memory) SetNodeDown(addr string, down bool) {
 	} else {
 		delete(m.downNodes, addr)
 	}
-}
-
-// Bound reports whether addr currently has a handler.
-func (m *Memory) Bound(addr string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.handlers[addr]
-	return ok
 }
