@@ -14,6 +14,9 @@
 //   - every Benchmark… function the README or docs/ cite is defined by some
 //     _test.go, so a moved or deleted benchmark cannot leave a dangling
 //     "run go test -bench=BenchmarkX" behind;
+//   - every `-flag` a README or docs/ table row documents in its first cell
+//     is defined by some binary (cmd/*) or by the shared ops flags
+//     (internal/ops), so a deleted flag cannot leave its row behind;
 //   - the frozen benchmark module still builds against this one: the root
 //     go.mod's go directive does not exceed bench/go.mod's (go refuses to
 //     build bench/ otherwise, and the benchmark run is scored a failure),
@@ -25,6 +28,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -60,6 +64,7 @@ func run(root string) int {
 	checkExperimentRefs(root, complain)
 	checkMetricNames(root, complain)
 	checkBenchmarkRefs(root, complain)
+	checkFlagRefs(root, complain)
 	checkBenchModule(root, complain)
 
 	if len(problems) > 0 {
@@ -69,7 +74,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references and bench/go.mod are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references, flag references and bench/go.mod are consistent")
 	return 0
 }
 
@@ -337,6 +342,91 @@ func checkBenchmarkRefs(root string, complain func(string, ...any)) {
 			complain("%s cites %s, which no _test.go defines", f, name)
 		}
 	}
+}
+
+var (
+	// tableFirstCellRe captures the first cell of a markdown table row;
+	// flagRefRe a backticked flag in it ("`-a` / `-b`" documents both).
+	tableFirstCellRe = regexp.MustCompile(`(?m)^\|([^|\n]*)\|`)
+	flagRefRe        = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+	// flagDefinerRe matches the flag package's definition functions, on the
+	// package (flag.String) or on a FlagSet (fs.StringVar).
+	flagDefinerRe = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Text|Func|BoolFunc)(Var)?$|^Var$`)
+)
+
+// checkFlagRefs verifies every flag a README.md or docs/*.md table documents
+// in a row's first cell against the flags the binaries define.
+func checkFlagRefs(root string, complain func(string, ...any)) {
+	defined, err := definedFlags(root)
+	if err != nil {
+		complain("scanning flag definitions: %v", err)
+		return
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // the pattern is constant
+	for _, f := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			complain("reading %s: %v", f, err)
+			continue
+		}
+		complained := make(map[string]bool)
+		for _, cell := range tableFirstCellRe.FindAllStringSubmatch(string(raw), -1) {
+			for _, m := range flagRefRe.FindAllStringSubmatch(cell[1], -1) {
+				if defined[m[1]] || complained[m[1]] {
+					continue
+				}
+				complained[m[1]] = true
+				complain("%s documents -%s, which no binary defines", f, m[1])
+			}
+		}
+	}
+}
+
+// definedFlags collects the flag names defined in cmd/* and internal/ops:
+// the string-literal name argument of every flag.* or fs.* definition call.
+func definedFlags(root string) (map[string]bool, error) {
+	files, err := filepath.Glob(filepath.Join(root, "cmd", "*", "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	ops, err := filepath.Glob(filepath.Join(root, "internal", "ops", "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	defined := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, f := range append(files, ops...) {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		parsed, err := parser.ParseFile(fset, f, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(parsed, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagDefinerRe.MatchString(sel.Sel.Name) {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" && pkg.Name != "fs" {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						defined[name] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	return defined, nil
 }
 
 var (

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,6 +27,63 @@ func TestBenchModuleVets(t *testing.T) {
 	out, err := exec.Command("go", "-C", "../../bench", "vet", "./...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go -C bench vet ./...: %v\n%s", err, out)
+	}
+}
+
+func TestCheckFlagRefs(t *testing.T) {
+	const binary = `package main
+
+import "flag"
+
+func main() {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.IntVar(new(int), "depth", 1, "")
+	_ = flag.String("name", "", "")
+}
+`
+	const ops = `package ops
+
+import "flag"
+
+func register(fs *flag.FlagSet) { fs.Bool("health", false, "") }
+`
+	cases := []struct {
+		name, readme, want string
+	}{
+		{"defined", "| `-depth` | 1 | queue depth |\n| `-name` | x | name |\n", ""},
+		{"ops flag", "| `-health` | off | health plane |\n", ""},
+		{"undefined", "| `-overflow` | block | policy |\n", "-overflow"},
+		{"slash pair", "| `-depth` / `-weights` | 1 / 8:4:1 | knobs |\n", "-weights"},
+		{"outside first cell", "| `-depth` | 1 | also see `-gone` |\nprose `-gone`\n", ""},
+		{"flag set name", "| `-x` | | |\n", "-x"},
+		{"test-only flag", "| `-test-only` | | |\n", "-test-only"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, body := range map[string]string{
+				"README.md":              tc.readme,
+				"cmd/x/main.go":          binary,
+				"internal/ops/ops.go":    ops,
+				"internal/ops/x_test.go": "package ops\n\nimport \"flag\"\n\nvar _ = flag.Int(\"test-only\", 0, \"\")\n",
+			} {
+				path := filepath.Join(dir, file)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			checkFlagRefs(dir, func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+			switch {
+			case tc.want == "" && len(got) > 0:
+				t.Errorf("complained: %v", got)
+			case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)):
+				t.Errorf("complaints = %v, want one naming %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/obs"
 	"github.com/gsalert/gsalert/internal/ops"
@@ -38,7 +37,6 @@ func run() int {
 		stratum    = flag.Int("stratum", 1, "stratum of this node (1 = primary)")
 		parentID   = flag.String("parent-id", "", "parent node identifier (non-root nodes)")
 		parentAddr = flag.String("parent-addr", "", "parent node address (non-root nodes)")
-		dedupCap   = flag.Int("dedup-capacity", event.DefaultDedupCapacity, "message-ID dedup window (IDs remembered); larger windows cost ~100 B per ID but tolerate longer broadcast echo delays, smaller ones risk relaying late duplicates")
 	)
 	// The ops plane (internal/ops, docs/OBSERVABILITY.md): the flags shared
 	// with gs-server, plus -trace. A directory node never samples — it
@@ -60,9 +58,6 @@ func run() int {
 		return 1
 	}
 	defer func() { _ = node.Close() }()
-	if *dedupCap != event.DefaultDedupCapacity {
-		node.SetDedupCapacity(*dedupCap)
-	}
 
 	ocfg.Service, ocfg.LogSink = *id, os.Stderr
 	ocfg.Stats = func() any { return node.Snapshot() }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -31,7 +30,6 @@ import (
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
 	"github.com/gsalert/gsalert/internal/delivery"
-	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
 	"github.com/gsalert/gsalert/internal/health"
@@ -52,8 +50,6 @@ func main() {
 type options struct {
 	name, addr, gdsAddr string
 	mode                core.RoutingMode
-	warmup, compTick    time.Duration
-	dedupCap            int
 
 	demo         bool
 	demoName     string
@@ -77,9 +73,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8001", "listen address")
 	fs.StringVar(&o.gdsAddr, "gds", "127.0.0.1:7001", "GDS node address to register with")
 	routing := fs.String("routing", "broadcast", "GDS dissemination mode: broadcast, multicast or content (see docs/ROUTING.md)")
-	fs.DurationVar(&o.warmup, "content-warmup", core.DefaultContentWarmup, "flood-fallback window after entering content routing, while digest advertisements propagate; 0 disables")
-	fs.IntVar(&o.dedupCap, "dedup-capacity", event.DefaultDedupCapacity, "event-ID dedup window (IDs remembered); larger windows cost ~100 B per ID but survive longer broadcast echo delays, smaller ones risk re-delivering late duplicates")
-	fs.DurationVar(&o.compTick, "composite-tick", time.Second, "composite-engine tick interval: bounds digest flush latency and window-GC promptness (see docs/COMPOSITE.md)")
 	fs.BoolVar(&o.demo, "demo", false, "create a demo collection and rebuild it periodically")
 	fs.StringVar(&o.demoName, "demo-name", "Demo", "demo collection name")
 	fs.DurationVar(&o.demoInterval, "demo-interval", 15*time.Second, "demo rebuild interval")
@@ -87,8 +80,7 @@ func parseFlags(args []string) (*options, error) {
 
 	// Delivery pipeline knobs (internal/delivery).
 	fs.IntVar(&o.delivery.Shards, "delivery-shards", delivery.DefaultShards, "delivery worker shards (clients hash onto shards)")
-	fs.IntVar(&o.delivery.QueueDepth, "delivery-queue-depth", delivery.DefaultQueueDepth, "per-shard delivery queue depth")
-	overflow := fs.String("delivery-overflow", "block", "full-queue policy: block, drop-oldest or spill")
+	fs.IntVar(&o.delivery.QueueDepth, "delivery-queue-depth", delivery.DefaultQueueDepth, "per-shard, per-class delivery queue depth; a full queue blocks the publisher")
 	fs.IntVar(&o.delivery.BatchSize, "delivery-batch", delivery.DefaultBatchSize, "notifications per delivery batch (flush on size)")
 	fs.DurationVar(&o.delivery.FlushInterval, "delivery-flush-interval", delivery.DefaultFlushInterval, "max delivery batching latency (flush on interval)")
 	fs.StringVar(&o.delivery.Dir, "mailbox-dir", "", "directory for durable per-user mailboxes (WAL); empty = memory only")
@@ -101,7 +93,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.qos.CollectionRate, "qos-collection-rate", 1000, "sustained events/sec one collection may fan out through non-realtime subscriptions")
 	fs.IntVar(&o.qos.CollectionBurst, "qos-collection-burst", 2000, "per-collection token-bucket capacity; 0 disables the collection quota dimension")
 	fs.DurationVar(&o.qos.BulkDigestEvery, "qos-bulk-digest", qos.DefaultBulkDigestEvery, "coalescing period for over-quota bulk traffic: shed bulk notifications accrue and flush as one digest per period")
-	weights := fs.String("qos-weights", "", "delivery WFQ class weights as realtime:normal:bulk (e.g. 8:4:1); empty = defaults")
 
 	// Replication knobs (internal/replica, docs/REPLICATION.md).
 	fs.StringVar(&o.replListen, "replica-listen", "", "replication endpoint to listen on (host:port); primaries accept standby joins here, standbys receive the stream")
@@ -127,23 +118,12 @@ func parseFlags(args []string) (*options, error) {
 		if o.replicaOf != "" && o.replListen == "" {
 			return errors.New("-replica-of requires -replica-listen")
 		}
-		if o.mode, err = core.ParseRoutingMode(*routing); err != nil {
-			return err
-		}
-		if o.delivery.Overflow, err = delivery.ParseOverflowPolicy(*overflow); err != nil {
-			return err
-		}
-		o.delivery.ClassWeights, err = parseClassWeights(*weights)
+		o.mode, err = core.ParseRoutingMode(*routing)
 		return err
 	}()
 	if err != nil {
 		fmt.Fprintf(fs.Output(), "gs-server: %v\n", err)
 		return nil, err
-	}
-	// At the config layer zero means "use the default", so translate the
-	// flag's explicit 0 ("no warm-up") to the negative sentinel.
-	if o.warmup == 0 {
-		o.warmup = -1
 	}
 	o.ops.Trace = o.ops.TraceSample > 0 || o.ops.TraceSlow > 0
 	return o, nil
@@ -254,15 +234,13 @@ func assemble(ctx context.Context, o *options) (_ *server, err error) {
 	s.gdsCli = gds.NewClient(o.name, o.addr, o.gdsAddr, tr)
 	store := collection.NewStore(o.name)
 	ccfg := core.Config{
-		ServerName:    o.name,
-		ServerAddr:    o.addr,
-		Transport:     tr,
-		GDS:           s.gdsCli,
-		Store:         store,
-		Delivery:      s.pipeline,
-		ContentWarmup: o.warmup,
-		DedupCapacity: o.dedupCap,
-		QoS:           ctrl,
+		ServerName: o.name,
+		ServerAddr: o.addr,
+		Transport:  tr,
+		GDS:        s.gdsCli,
+		Store:      store,
+		Delivery:   s.pipeline,
+		QoS:        ctrl,
 	}
 	s.plane.WireCore(&ccfg)
 	if s.svc, err = core.New(ccfg); err != nil {
@@ -271,7 +249,7 @@ func assemble(ctx context.Context, o *options) (_ *server, err error) {
 	s.onClose(func() { _ = s.svc.Close() })
 	// Composite profiles need the periodic tick for digest flushes and
 	// window garbage collection.
-	if err = s.svc.StartCompositeTicker(o.compTick); err != nil {
+	if err = s.svc.StartCompositeTicker(time.Second); err != nil {
 		return nil, fmt.Errorf("composite ticker: %w", err)
 	}
 	s.srv, err = greenstone.NewServer(greenstone.ServerConfig{
@@ -456,28 +434,6 @@ func (s *server) shutdown() {
 		fmt.Printf("gs-server: flushed %d spooled server-to-server ops\n", n)
 	}
 	fmt.Println("gs-server: shutdown complete")
-}
-
-// parseClassWeights parses "realtime:normal:bulk" WFQ weights (e.g. 8:4:1);
-// the empty string selects the delivery defaults.
-func parseClassWeights(s string) ([qos.NumClasses]int, error) {
-	var w [qos.NumClasses]int
-	if s == "" {
-		return w, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != qos.NumClasses {
-		return w, fmt.Errorf("bad -qos-weights %q (want realtime:normal:bulk, e.g. 8:4:1)", s)
-	}
-	order := []qos.Class{qos.ClassRealtime, qos.ClassNormal, qos.ClassBulk}
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return w, fmt.Errorf("bad -qos-weights entry %q (want a positive integer)", p)
-		}
-		w[order[i]] = v
-	}
-	return w, nil
 }
 
 // runPromote orders the standby at addr to promote itself, then exits:

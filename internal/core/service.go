@@ -120,13 +120,6 @@ type Config struct {
 	// routing tables. Negative disables the warm-up (deterministic
 	// simulations); zero selects DefaultContentWarmup.
 	ContentWarmup time.Duration
-	// DedupCapacity bounds the window of remembered event IDs (the
-	// duplicate-suppression ring of paper §1 problem 2). Larger windows
-	// cost memory (~100 B per remembered ID) but survive longer broadcast
-	// echo delays; smaller windows risk re-delivering an event whose
-	// duplicate arrives after the original was evicted. Zero selects
-	// event.DefaultDedupCapacity.
-	DedupCapacity int
 	// QoS enables admission control at the publish path (docs/QOS.md):
 	// per-subscriber and per-collection token-bucket quotas, with
 	// over-quota normal traffic deferred and over-quota bulk traffic
@@ -329,7 +322,7 @@ func New(cfg Config) (*Service, error) {
 		profilesByClient:  make(map[string]map[string]bool),
 		compositeProfiles: make(map[string]*profile.Profile),
 		forwardedAux:      make(map[string]string),
-		dedup:             event.NewDedup(cfg.DedupCapacity),
+		dedup:             event.NewDedup(0),
 	}
 	s.composite = composite.NewEngine(composite.Config{Emit: s.emitComposite})
 	if s.clock == nil {

@@ -35,18 +35,28 @@ func compactionFixture(t *testing.T, dir string) (live []uint64) {
 	// the real snapshot writer (compaction's first phase) keeps the test
 	// honest about the on-disk bytes.
 	mb.mu.Lock()
-	err = mb.writeSnapshotLocked(mb.walPath + ".tmp")
+	snap, err := mb.writeSnapshotLocked(mb.walPath + ".tmp")
 	mb.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The crash: the WAL handle dies with the process; no close(), which
+	// The crash: both handles die with the process; no close(), which
 	// would compact cleanly.
+	crash(t, mb, snap)
+	return seqs[4:]
+}
+
+// crash drops a mailbox's WAL handle and a snapshot handle the way a killed
+// process would: the files stay as written.
+func crash(t *testing.T, mb *mailbox, snap *os.File) {
+	t.Helper()
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := mb.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mb.wal = nil
-	return seqs[4:]
 }
 
 func pendingSeqs(mb *mailbox) []uint64 {
@@ -154,15 +164,12 @@ func TestCompactionSurvivesRepeatedCrashCycles(t *testing.T) {
 		live = append(live, added[1:]...)
 
 		mb.mu.Lock()
-		err = mb.writeSnapshotLocked(mb.walPath + ".tmp")
+		snap, err := mb.writeSnapshotLocked(mb.walPath + ".tmp")
 		mb.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mb.wal != nil {
-			mb.wal.Close()
-			mb.wal = nil
-		}
+		crash(t, mb, snap)
 		boxes, err := recoverMailboxes(dir, 100, 1<<30)
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@
 //	                               │ realtime ─┐
 //	                               │ normal  ──┼─ WFQ dequeue ──▶ worker
 //	                               │ bulk    ──┘ (qos.Scheduler)
-//	                               │ overflow: block / drop-oldest / spill
+//	                               │ full: Enqueue blocks (backpressure)
 //	                               ▼
 //	                     per-client batch (flush on size / interval)
 //	                               ▼
@@ -85,50 +85,6 @@ type Notification struct {
 // client is treated as temporarily unreachable).
 type Deliverer func(client string, batch []Notification) error
 
-// OverflowPolicy selects what Enqueue does when a shard queue is full.
-type OverflowPolicy int
-
-const (
-	// Block applies backpressure: Enqueue waits for queue space. This is
-	// the default — producers (collection builds) slow down rather than
-	// lose alerts.
-	Block OverflowPolicy = iota
-	// DropOldest displaces the oldest queued notification to its mailbox
-	// (parked, not lost) to admit the new one. Freshness over latency.
-	DropOldest
-	// SpillToDisk diverts the overflow to a per-shard disk FIFO that the
-	// worker re-ingests as the queue empties. Requires Config.Dir.
-	SpillToDisk
-)
-
-// String names the policy (flag values of cmd/gs-server).
-func (p OverflowPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropOldest:
-		return "drop-oldest"
-	case SpillToDisk:
-		return "spill"
-	default:
-		return fmt.Sprintf("overflow-policy-%d", int(p))
-	}
-}
-
-// ParseOverflowPolicy maps a flag value back to a policy.
-func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "block", "":
-		return Block, nil
-	case "drop-oldest":
-		return DropOldest, nil
-	case "spill":
-		return SpillToDisk, nil
-	default:
-		return 0, fmt.Errorf("delivery: unknown overflow policy %q (want block, drop-oldest or spill)", s)
-	}
-}
-
 // Defaults used by Config when fields are zero.
 const (
 	DefaultShards        = 4
@@ -144,18 +100,18 @@ type Config struct {
 	// Shards is the number of worker pools; clients are FNV-hashed onto
 	// shards so one client's notifications stay ordered. Default 4.
 	Shards int
-	// QueueDepth bounds each shard's in-memory queue. Default 1024.
+	// QueueDepth bounds each shard's in-memory queue per class; a full
+	// queue blocks Enqueue until the worker frees a slot, so producers
+	// (collection builds) slow down rather than lose alerts. Default 1024.
 	QueueDepth int
-	// Overflow selects the full-queue behaviour. Default Block.
-	Overflow OverflowPolicy
 	// BatchSize flushes a client's batch when it reaches this many
 	// notifications. Default 32.
 	BatchSize int
 	// FlushInterval flushes all open batches at least this often, bounding
 	// delivery latency for slow trickles. Default 25ms.
 	FlushInterval time.Duration
-	// Dir enables durability: per-user write-ahead logs (and the spill
-	// files of SpillToDisk) live here. Empty keeps mailboxes memory-only.
+	// Dir enables durability: per-user write-ahead logs live here. Empty
+	// keeps mailboxes memory-only.
 	Dir string
 	// MailboxCap bounds parked notifications per user; beyond it the
 	// oldest parked alerts are dropped (counted). Default 4096.
@@ -168,16 +124,13 @@ type Config struct {
 	// that detaches is drained by its next Attach instead). Default 1s.
 	// QoS-deferred notifications (Defer) ride the same schedule.
 	RetryInterval time.Duration
-	// ClassWeights sets the per-class WFQ service weights of the shard
-	// workers; non-positive entries fall back to qos.DefaultWeights.
-	ClassWeights [qos.NumClasses]int
 	// Tracer records the pipeline's queue-wait, flush and notify spans for
 	// sampled notifications. nil disables tracing.
 	Tracer *trace.Tracer
 	// Log is the pipeline's component logger (docs/LOGGING.md): QoS
-	// deferrals at debug, displacements, evictions and failed deliveries at
-	// warn, carrying the notification's trace ID where one is in scope. A
-	// nil logger disables every site at one pointer check.
+	// deferrals at debug, mailbox evictions and failed deliveries at warn,
+	// carrying the notification's trace ID where one is in scope. A nil
+	// logger disables every site at one pointer check.
 	Log *logging.Logger
 }
 
@@ -208,8 +161,7 @@ func (c *Config) fillDefaults() {
 // item is one queued delivery: the notification plus its mailbox sequence.
 // For traced notifications, qw is the open queue-wait span (admit →
 // dequeue) and deq the dequeue time the flush span starts from; both are
-// zero on the untraced hot path and after a disk-spill round trip (the
-// trace context itself survives in n.Trace, so later stages still chain).
+// zero on the untraced hot path.
 type item struct {
 	n   Notification
 	seq uint64
@@ -217,25 +169,15 @@ type item struct {
 	deq time.Time
 }
 
-// shard is one worker pool: one bounded queue per QoS class, an optional
-// disk spill and a goroutine batching per client. The worker services the
-// class queues by weighted deficit round-robin.
+// shard is one worker pool: one bounded queue per QoS class and a goroutine
+// batching per client. The worker services the class queues by weighted
+// deficit round-robin.
 type shard struct {
 	chs [qos.NumClasses]chan item
 	// sched is the worker's WFQ policy. Only the worker calls Pick;
 	// observability scrapes read the atomic credits via sched.Credits().
 	sched *qos.Scheduler
-	// spills are the per-class disk FIFOs of SpillToDisk (nil entries
-	// otherwise). One spill per class keeps re-ingestion independent: a
-	// class's spilled backlog drains as soon as its own queue idles, never
-	// waiting on another class's sustained load.
-	spills [qos.NumClasses]*spillQueue
-	// admitMu serialises SpillToDisk admissions: the spill-empty check and
-	// the queue/spill placement must be atomic or two concurrent admits
-	// for one client could land out of order.
-	admitMu sync.Mutex
-	poke    chan struct{}
-	done    chan struct{}
+	poke  chan struct{}
 }
 
 // delivererEntry is a registered sink plus the generation of the Attach
@@ -265,8 +207,8 @@ type Pipeline struct {
 	// the pending set on a standby (SetObserver).
 	obs func([]MailboxOp)
 
-	// inflight counts notifications admitted to a shard queue (or spill)
-	// and not yet delivered, parked or displaced. Drain waits for zero.
+	// inflight counts notifications admitted to a shard queue and not yet
+	// delivered or parked. Drain waits for zero.
 	inflight atomic.Int64
 
 	stop chan struct{}
@@ -281,9 +223,6 @@ var ErrClosed = errors.New("delivery: pipeline closed")
 // parked until the owning clients attach).
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	cfg.fillDefaults()
-	if cfg.Overflow == SpillToDisk && cfg.Dir == "" {
-		return nil, errors.New("delivery: SpillToDisk requires Config.Dir")
-	}
 	p := &Pipeline{
 		cfg:        cfg,
 		m:          &Metrics{},
@@ -303,22 +242,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
-			sched: qos.NewScheduler(cfg.ClassWeights),
-			poke:  make(chan struct{}, 1),
-			done:  make(chan struct{}),
-		}
+		sh := &shard{sched: qos.NewScheduler(), poke: make(chan struct{}, 1)}
 		for c := range sh.chs {
 			sh.chs[c] = make(chan item, cfg.QueueDepth)
-		}
-		if cfg.Overflow == SpillToDisk {
-			for c := 0; c < qos.NumClasses; c++ {
-				sq, err := newSpillQueue(cfg.Dir, i, qos.Class(c))
-				if err != nil {
-					return nil, err
-				}
-				sh.spills[c] = sq
-			}
 		}
 		p.shards = append(p.shards, sh)
 		p.wg.Add(1)
@@ -344,48 +270,47 @@ func (p *Pipeline) retryLoop() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		type drain struct {
-			client string
-			mb     *mailbox
-			items  []item
-		}
-		var due []drain
+		var due []string
 		p.mu.Lock()
 		for client, at := range p.retryAt {
-			if now.Before(at) {
-				continue
-			}
-			delete(p.retryAt, client)
-			if _, attached := p.deliverers[client]; !attached {
-				continue // the next Attach drains instead
-			}
-			if mb := p.mailboxes[client]; mb != nil {
-				if items := mb.takePending(); len(items) > 0 {
-					due = append(due, drain{client: client, mb: mb, items: items})
-				}
+			if !now.Before(at) {
+				delete(p.retryAt, client)
+				due = append(due, client)
 			}
 		}
 		p.mu.Unlock()
-		for _, d := range due {
-			for i, it := range d.items {
-				if err := p.admit(it, d.mb); err != nil {
-					// admit parked the failed item itself; return the rest
-					// of the snapshot too and re-arm the client's retry so
-					// a transient spill/shutdown error delays the drain
-					// rather than stranding it until the next Attach. The
-					// loop itself must survive: Defer's delayed-not-lost
-					// promise rides on it.
-					for _, rest := range d.items[i+1:] {
-						d.mb.park(rest.seq)
-					}
-					p.mu.Lock()
-					if !p.closed {
-						p.retryAt[d.client] = time.Now().Add(p.cfg.RetryInterval)
-					}
-					p.mu.Unlock()
-					break
-				}
+		for _, client := range due {
+			p.redrain(client, nil)
+		}
+	}
+}
+
+// redrain feeds everything parked in a client's mailbox back through the
+// shard queues: the reconnect drain of Attach, which first installs d as
+// the client's sink, and the retry loop's re-drain (d nil), which skips a
+// client that has since detached — its next Attach drains instead. Only
+// Close makes admit fail; admit parks the item it refused and redrain
+// parks the rest of the snapshot, so nothing is left marked inflight.
+func (p *Pipeline) redrain(client string, d Deliverer) {
+	p.mu.Lock()
+	if d != nil && !p.closed {
+		p.attachGen++
+		p.deliverers[client] = delivererEntry{fn: d, gen: p.attachGen}
+	}
+	_, attached := p.deliverers[client]
+	mb := p.mailboxes[client]
+	if p.closed || !attached || mb == nil {
+		p.mu.Unlock()
+		return
+	}
+	items := mb.takePending()
+	p.mu.Unlock()
+	for i, it := range items {
+		if err := p.admit(it, mb); err != nil {
+			for _, rest := range items[i+1:] {
+				mb.park(rest.seq)
 			}
+			return
 		}
 	}
 }
@@ -418,29 +343,38 @@ func (p *Pipeline) mailboxOf(client string) (*mailbox, error) {
 // (write-ahead: with durability on, a process crash after Enqueue returns
 // cannot lose the alert — appends are buffered writes, so power-loss
 // durability is bounded by the OS page cache; the WAL is fsynced on
-// compaction and close), then queues it for asynchronous delivery, applying
-// the configured overflow policy when the shard is saturated.
+// compaction and close), then queues it for asynchronous delivery, blocking
+// while the shard's queue for its class is full.
 func (p *Pipeline) Enqueue(n Notification) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.mu.Unlock()
-
-	mb, err := p.mailboxOf(n.Client)
+	mb, seq, _, err := p.accept(n)
 	if err != nil {
 		return err
+	}
+	p.m.Enqueued.Inc()
+	return p.admit(item{n: n, seq: seq}, mb)
+}
+
+// accept appends n to its client's mailbox, the one way a notification
+// enters the pipeline, and replicates the append with any cap evictions
+// before the item can be delivered: its eventual ack then always follows
+// its append on the standby's stream. It returns the mailbox, the assigned
+// sequence and how many parked notifications the cap evicted.
+func (p *Pipeline) accept(n Notification) (*mailbox, uint64, int, error) {
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil, 0, 0, ErrClosed
+	}
+	mb, err := p.mailboxOf(n.Client)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	seq, evicted, err := mb.add(n)
 	if err != nil {
-		return err
+		return nil, 0, 0, err
 	}
 	p.m.Dropped.Add(int64(len(evicted)))
-	p.m.Enqueued.Inc()
-	// Replicate the append (and any cap evictions) before the item can be
-	// delivered: its eventual ack then always follows its append on the
-	// standby's stream.
 	if obs := p.observer(); obs != nil {
 		ops := make([]MailboxOp, 0, 1+len(evicted))
 		ops = append(ops, MailboxOp{Client: n.Client, Seq: seq, N: n})
@@ -449,7 +383,7 @@ func (p *Pipeline) Enqueue(n Notification) error {
 		}
 		obs(ops)
 	}
-	return p.admit(item{n: n, seq: seq}, mb)
+	return mb, seq, len(evicted), nil
 }
 
 // classOf bounds a notification's class to a valid queue index (a corrupt
@@ -461,87 +395,27 @@ func classOf(n Notification) qos.Class {
 	return n.Class
 }
 
-// admit places an item on its shard's queue for the item's class, honouring
-// the overflow policy. The item must already be present (inflight) in mb.
-// Class queues are independent: a saturated bulk queue never blocks (Block)
-// nor displaces (DropOldest) realtime admissions.
+// admit places an item on its shard's queue for the item's class, blocking
+// while that queue is full. The item must already be present (inflight) in
+// mb. Class queues are independent: a saturated bulk queue never blocks
+// realtime admissions.
 func (p *Pipeline) admit(it item, mb *mailbox) error {
-	sh := p.shardOf(it.n.Client)
 	class := classOf(it.n)
-	ch := sh.chs[class]
 	p.inflight.Add(1)
-	// Queue-wait starts at admission; Block-policy backpressure time counts
-	// as queue wait, which is exactly what the attribution table should say
-	// about a saturated shard.
+	// Queue-wait starts at admission; backpressure time counts as queue
+	// wait, which is exactly what the attribution table should say about a
+	// saturated shard.
 	it.qw = p.cfg.Tracer.StartChild(it.n.Trace, trace.StageQueueWait)
 	it.qw.SetClass(class.String())
-	switch p.cfg.Overflow {
-	case DropOldest:
-		for {
-			select {
-			case ch <- it:
-				return nil
-			default:
-			}
-			select {
-			case old := <-ch:
-				// Displace the oldest queued item of the same class back to
-				// its mailbox: parked, deliverable on the next attach/drain.
-				old.qw.SetAttr("outcome", "displaced")
-				old.qw.Finish()
-				p.parkItems([]item{old})
-				p.m.Displaced.Inc()
-				p.inflight.Add(-1)
-				p.cfg.Log.WarnCtx(old.n.Trace, "queued notification displaced",
-					logging.String("client", old.n.Client), logging.String("class", class.String()))
-			default:
-				// Queue drained concurrently; retry the send.
-			}
-		}
-	case SpillToDisk:
-		// Once anything of a class is spilled, later items of that class
-		// must also spill: the worker drains a class's queue before its
-		// spill, so admitting a newer item to the queue while older
-		// same-class ones sit on disk would reorder a client's
-		// notifications. admitMu makes the check-and-place atomic against
-		// concurrent admits.
-		sh.admitMu.Lock()
-		if sh.spills[class].len() == 0 {
-			select {
-			case ch <- it:
-				sh.admitMu.Unlock()
-				return nil
-			default:
-			}
-		}
-		// The span cannot ride to disk: close the in-memory leg here. The
-		// context in it.n.Trace survives the round trip, so flush/notify
-		// spans still chain (under the qos span) after re-ingestion.
-		it.qw.SetAttr("outcome", "spilled")
-		it.qw.Finish()
-		it.qw = trace.Span{}
-		err := sh.spills[class].push(it)
-		sh.admitMu.Unlock()
-		if err != nil {
-			p.inflight.Add(-1)
-			p.parkItems([]item{it})
-			return err
-		}
-		p.m.Spilled.Inc()
-		p.cfg.Log.DebugCtx(it.n.Trace, "notification spilled to disk",
-			logging.String("client", it.n.Client), logging.String("class", class.String()))
+	select {
+	case p.shardOf(it.n.Client).chs[class] <- it:
 		return nil
-	default: // Block: backpressure the producer.
-		select {
-		case ch <- it:
-			return nil
-		case <-p.stop:
-			// Shutting down: the item stays in the mailbox, parked (and,
-			// when durable, recovered on the next start).
-			p.inflight.Add(-1)
-			p.parkItems([]item{it})
-			return ErrClosed
-		}
+	case <-p.stop:
+		// Shutting down: the item stays in the mailbox, parked (and, when
+		// durable, recovered on the next start).
+		p.inflight.Add(-1)
+		mb.park(it.seq)
+		return ErrClosed
 	}
 }
 
@@ -552,36 +426,17 @@ func (p *Pipeline) admit(it item, mb *mailbox) error {
 // loop once RetryInterval elapses, or by the client's next Attach, whichever
 // comes first.
 func (p *Pipeline) Defer(n Notification) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.mu.Unlock()
-	mb, err := p.mailboxOf(n.Client)
-	if err != nil {
-		return err
-	}
-	seq, evicted, err := mb.add(n)
+	mb, seq, evicted, err := p.accept(n)
 	if err != nil {
 		return err
 	}
 	mb.park(seq)
-	p.m.Dropped.Add(int64(len(evicted)))
 	p.m.Deferred.Inc()
 	p.cfg.Log.DebugCtx(n.Trace, "notification deferred to mailbox",
 		logging.String("client", n.Client))
-	if len(evicted) > 0 {
+	if evicted > 0 {
 		p.cfg.Log.Warn("mailbox evicted oldest parked notifications",
-			logging.String("client", n.Client), logging.Int("evicted", int64(len(evicted))))
-	}
-	if obs := p.observer(); obs != nil {
-		ops := make([]MailboxOp, 0, 1+len(evicted))
-		ops = append(ops, MailboxOp{Client: n.Client, Seq: seq, N: n})
-		for _, gone := range evicted {
-			ops = append(ops, MailboxOp{Client: n.Client, Seq: gone, Ack: true})
-		}
-		obs(ops)
+			logging.String("client", n.Client), logging.Int("evicted", int64(evicted)))
 	}
 	p.mu.Lock()
 	if _, due := p.retryAt[n.Client]; !due {
@@ -597,31 +452,7 @@ func (p *Pipeline) Defer(n Notification) error {
 // pending snapshot happen under one lock so a flush that is concurrently
 // parking this client's batch either parks before (we pick the entries up
 // here) or re-checks after and finds the new sink itself.
-func (p *Pipeline) Attach(client string, d Deliverer) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.attachGen++
-	p.deliverers[client] = delivererEntry{fn: d, gen: p.attachGen}
-	mb := p.mailboxes[client]
-	var items []item
-	if mb != nil {
-		items = mb.takePending()
-	}
-	p.mu.Unlock()
-	for i, it := range items {
-		if err := p.admit(it, mb); err != nil {
-			// admit parked the failed item itself; return the rest of the
-			// snapshot to the mailbox so a later Attach can still see it.
-			for _, rest := range items[i+1:] {
-				mb.park(rest.seq)
-			}
-			return
-		}
-	}
-}
+func (p *Pipeline) Attach(client string, d Deliverer) { p.redrain(client, d) }
 
 // Detach removes a client's sink; subsequent deliveries park in the mailbox
 // until the client re-attaches.
@@ -679,26 +510,12 @@ func (p *Pipeline) SchedulerCredits() [][qos.NumClasses]int64 {
 	return out
 }
 
-// SpillDepths reports how many notifications sit in each shard's on-disk
-// spill FIFOs (all classes summed); zeros when SpillToDisk is off.
-func (p *Pipeline) SpillDepths() []int {
-	out := make([]int, len(p.shards))
-	for i, sh := range p.shards {
-		for _, sq := range sh.spills {
-			if sq != nil {
-				out[i] += sq.len()
-			}
-		}
-	}
-	return out
-}
-
 // Metrics exposes the pipeline's counters and histograms.
 func (p *Pipeline) Metrics() *Metrics { return p.m }
 
-// Drain flushes every shard and blocks until no notification is queued,
-// batched or spilled (parked mailbox contents do not count: they are at
-// rest until their client attaches). Simulations and tests call it to make
+// Drain flushes every shard and blocks until no notification is queued or
+// batched (parked mailbox contents do not count: they are at rest until
+// their client attaches). Simulations and tests call it to make
 // asynchronous delivery deterministic.
 func (p *Pipeline) Drain(ctx context.Context) error {
 	for {
@@ -731,58 +548,27 @@ func (p *Pipeline) Close() error {
 	p.mu.Unlock()
 	close(p.stop)
 	p.wg.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	// An Enqueue that raced Close may have landed an item on a queue after
 	// its worker exited (the buffered send and the stop case are both ready
 	// in admit's select). Park such stragglers so they stay visible in
 	// their mailboxes and inflight returns to zero.
 	for _, sh := range p.shards {
 		for _, ch := range sh.chs {
-		drainClass:
-			for {
-				select {
-				case it := <-ch:
-					p.parkItems([]item{it})
-					p.inflight.Add(-1)
-				default:
-					break drainClass
+			for len(ch) > 0 {
+				it := <-ch
+				if mb := p.mailboxes[it.n.Client]; mb != nil {
+					mb.park(it.seq)
 				}
-			}
-		}
-		for _, sq := range sh.spills {
-			if sq == nil {
-				continue
-			}
-			for {
-				it, ok, dropped, err := sq.pop()
-				if err != nil {
-					p.inflight.Add(-int64(dropped))
-					p.m.Dropped.Add(int64(dropped))
-					break
-				}
-				if !ok {
-					break
-				}
-				p.parkItems([]item{it})
 				p.inflight.Add(-1)
 			}
 		}
 	}
 	var firstErr error
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, mb := range p.mailboxes {
 		if err := mb.close(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-	}
-	for _, sh := range p.shards {
-		for _, sq := range sh.spills {
-			if sq == nil {
-				continue
-			}
-			if err := sq.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
 		}
 	}
 	return firstErr
@@ -796,7 +582,6 @@ func (p *Pipeline) Close() error {
 // them on size, interval, drain pokes and shutdown.
 func (p *Pipeline) worker(sh *shard) {
 	defer p.wg.Done()
-	defer close(sh.done)
 	batches := make(map[string][]item)
 	ticker := time.NewTicker(p.cfg.FlushInterval)
 	defer ticker.Stop()
@@ -804,12 +589,8 @@ func (p *Pipeline) worker(sh *shard) {
 		// Fast path: while work is queued, service it in WFQ order. The
 		// inline ticker check keeps interval flushes honest under sustained
 		// load (the select below is only reached when the queues go idle).
-		if it, ok := p.tryDequeue(sh, sh.sched); ok {
-			p.ingest(sh, batches, it)
-			// A class whose queue just went idle may have spilled overflow
-			// waiting; re-ingest it even while OTHER classes stay busy — a
-			// bulk flood must never pin spilled realtime items on disk.
-			p.popSpill(sh, batches)
+		if it, ok := tryDequeue(sh); ok {
+			p.ingest(batches, it)
 			select {
 			case <-ticker.C:
 				p.flushAll(batches)
@@ -817,16 +598,13 @@ func (p *Pipeline) worker(sh *shard) {
 			}
 			continue
 		}
-		if p.popSpill(sh, batches) {
-			continue
-		}
 		select {
 		case it := <-sh.chs[qos.ClassRealtime]:
-			p.ingest(sh, batches, it)
+			p.ingest(batches, it)
 		case it := <-sh.chs[qos.ClassNormal]:
-			p.ingest(sh, batches, it)
+			p.ingest(batches, it)
 		case it := <-sh.chs[qos.ClassBulk]:
-			p.ingest(sh, batches, it)
+			p.ingest(batches, it)
 		case <-ticker.C:
 			p.drainQueue(sh, batches)
 			p.flushAll(batches)
@@ -841,53 +619,19 @@ func (p *Pipeline) worker(sh *shard) {
 	}
 }
 
-// popSpill re-ingests at most one spilled item per class, for every class
-// whose own queue is currently empty (the per-class no-reorder guard: a
-// class's queued items predate its spilled ones, so the spill may only feed
-// in once the queue idles). Returns whether anything was re-ingested.
-func (p *Pipeline) popSpill(sh *shard, batches map[string][]item) bool {
-	popped := false
-	for _, c := range qos.ByPriority {
-		sq := sh.spills[c]
-		if sq == nil || sq.len() == 0 || len(sh.chs[c]) > 0 {
-			continue
-		}
-		it, ok, dropped, err := sq.pop()
-		if err != nil {
-			// The spill reset itself; settle the accounting for the
-			// discarded queue copies (durable copies stay in the WALs).
-			p.inflight.Add(-int64(dropped))
-			p.m.Dropped.Add(int64(dropped))
-			continue
-		}
-		if ok {
-			p.ingest(sh, batches, it)
-			popped = true
-		}
+// tryDequeue takes the next queued item in WFQ order without blocking. The
+// worker is its shard's only receiver while it runs, so a class Pick found
+// non-empty still holds an item.
+func tryDequeue(sh *shard) (item, bool) {
+	c, ok := sh.sched.Pick(func(cl qos.Class) bool { return len(sh.chs[cl]) > 0 })
+	if !ok {
+		return item{}, false
 	}
-	return popped
-}
-
-// tryDequeue takes the next queued item in WFQ order without blocking. A
-// DropOldest displacer may race the receive; the spent credit is then simply
-// forfeited and the next iteration re-picks.
-func (p *Pipeline) tryDequeue(sh *shard, sched *qos.Scheduler) (item, bool) {
-	for tries := 0; tries < 2; tries++ {
-		c, ok := sched.Pick(func(cl qos.Class) bool { return len(sh.chs[cl]) > 0 })
-		if !ok {
-			return item{}, false
-		}
-		select {
-		case it := <-sh.chs[c]:
-			return it, true
-		default:
-		}
-	}
-	return item{}, false
+	return <-sh.chs[c], true
 }
 
 // ingest adds one item to its client batch, flushing on size.
-func (p *Pipeline) ingest(sh *shard, batches map[string][]item, it item) {
+func (p *Pipeline) ingest(batches map[string][]item, it item) {
 	if it.n.Trace.Sampled() {
 		it.qw.Finish()
 		it.deq = time.Now()
@@ -901,23 +645,20 @@ func (p *Pipeline) ingest(sh *shard, batches map[string][]item, it item) {
 	batches[it.n.Client] = b
 }
 
-// drainQueue consumes everything currently queued (and spilled) without
-// blocking, classes in priority order.
+// drainQueue consumes everything currently queued without blocking,
+// classes in priority order.
 func (p *Pipeline) drainQueue(sh *shard, batches map[string][]item) {
 	for {
 		got := false
 		for _, c := range qos.ByPriority {
 			select {
 			case it := <-sh.chs[c]:
-				p.ingest(sh, batches, it)
+				p.ingest(batches, it)
 				got = true
 			default:
 			}
 		}
-		if got {
-			continue
-		}
-		if !p.popSpill(sh, batches) {
+		if !got {
 			return
 		}
 	}
@@ -1013,9 +754,8 @@ func (p *Pipeline) flush(client string, b []item) {
 // recordFlushSpans emits one traced item's flush and notify spans after a
 // successful batch delivery. The flush span runs dequeue → delivered
 // (batch dwell plus the send); the nested notify span is the sink call
-// itself. Items whose queue-wait span was lost to a spill round trip (or
-// that were drained from a mailbox) chain directly under n.Trace with the
-// batch send as their flush window.
+// itself. An item without a queue-wait span chains directly under n.Trace
+// with the batch send as its flush window.
 func (p *Pipeline) recordFlushSpans(it item, c qos.Class, sendStart time.Time, sendDur time.Duration, end time.Time, batchLen int) {
 	parent := it.n.Trace
 	if qctx := it.qw.Context(); qctx.Sampled() {
@@ -1049,18 +789,5 @@ func (p *Pipeline) ackItems(client string, b []item) {
 			ops[i] = MailboxOp{Client: client, Seq: seq, Ack: true}
 		}
 		obs(ops)
-	}
-}
-
-// parkItems returns items to their mailboxes as parked (deliverable on the
-// next attach).
-func (p *Pipeline) parkItems(b []item) {
-	for _, it := range b {
-		p.mu.Lock()
-		mb := p.mailboxes[it.n.Client]
-		p.mu.Unlock()
-		if mb != nil {
-			mb.park(it.seq)
-		}
 	}
 }

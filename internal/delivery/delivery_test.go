@@ -214,7 +214,7 @@ func TestBatchFlushOnInterval(t *testing.T) {
 }
 
 func TestOverflowBlockBackpressure(t *testing.T) {
-	p, err := NewPipeline(Config{Shards: 1, QueueDepth: 2, BatchSize: 1000, FlushInterval: 10 * time.Millisecond, Overflow: Block})
+	p, err := NewPipeline(Config{Shards: 1, QueueDepth: 2, BatchSize: 1000, FlushInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,103 +232,8 @@ func TestOverflowBlockBackpressure(t *testing.T) {
 	if sink.len() != 50 {
 		t.Fatalf("delivered = %d, want 50", sink.len())
 	}
-	if s := p.Metrics().Snapshot(); s.Displaced != 0 || s.Dropped != 0 {
-		t.Errorf("block policy displaced/dropped: %+v", s)
-	}
-}
-
-func TestOverflowDropOldestDisplacesToMailbox(t *testing.T) {
-	p, err := NewPipeline(Config{Shards: 1, QueueDepth: 1, BatchSize: 1, FlushInterval: time.Hour, Overflow: DropOldest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	// A sink that blocks its first delivery pins the worker, so the depth-1
-	// queue saturates and later enqueues must displace the oldest.
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	var delivered atomic.Int64
-	p.Attach("grace", func(_ string, batch []Notification) error {
-		once.Do(func() { close(entered) })
-		<-release
-		delivered.Add(int64(len(batch)))
-		return nil
-	})
-	if err := p.Enqueue(testNotification("grace", 0)); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker is now blocked inside the sink
-	for i := 1; i < 10; i++ {
-		if err := p.Enqueue(testNotification("grace", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := p.Metrics().Snapshot()
-	if s.Displaced != 8 {
-		t.Fatalf("displaced = %d, want 8", s.Displaced)
-	}
-	if s.Dropped != 0 {
-		t.Errorf("dropped = %d; displacement must not lose alerts", s.Dropped)
-	}
-	close(release)
-	drain(t, p)
-	// Displaced alerts are parked, not lost: delivered + parked covers all.
-	if got := int(delivered.Load()) + p.Pending("grace"); got != 10 {
-		t.Fatalf("delivered+parked = %d, want 10", got)
-	}
-}
-
-func TestOverflowSpillToDisk(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NewPipeline(Config{
-		Shards: 1, QueueDepth: 2, BatchSize: 4,
-		FlushInterval: 5 * time.Millisecond,
-		Overflow:      SpillToDisk, Dir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	sink := &recordingSink{}
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	p.Attach("heidi", func(client string, batch []Notification) error {
-		once.Do(func() { close(entered) })
-		<-release
-		return sink.deliver(client, batch)
-	})
-	if err := p.Enqueue(testNotification("heidi", 0)); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker pinned: the queue will fill and overflow to disk
-	for i := 1; i < 100; i++ {
-		if err := p.Enqueue(testNotification("heidi", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := p.Metrics().Snapshot(); s.Spilled < 90 {
-		t.Fatalf("spilled = %d, want >= 90 with a pinned worker and depth 2", s.Spilled)
-	}
-	close(release)
-	drain(t, p)
-	if sink.len() != 100 {
-		t.Fatalf("delivered = %d, want 100", sink.len())
-	}
-	// FIFO order is preserved through the spill for one client.
-	sink.mu.Lock()
-	for i, n := range sink.got {
-		if n.DocIDs[0] != fmt.Sprintf("d%d", i) {
-			t.Fatalf("out of order at %d: %v", i, n.DocIDs)
-		}
-	}
-	sink.mu.Unlock()
-}
-
-func TestSpillRequiresDir(t *testing.T) {
-	if _, err := NewPipeline(Config{Overflow: SpillToDisk}); err == nil {
-		t.Fatal("SpillToDisk without Dir accepted")
+	if s := p.Metrics().Snapshot(); s.Dropped != 0 {
+		t.Errorf("backpressure dropped: %+v", s)
 	}
 }
 

@@ -433,7 +433,8 @@ func (mb *mailbox) walAck(seq uint64) error {
 }
 
 // maybeCompactLocked compacts once the dead-record count crosses the
-// threshold and outweighs the live set.
+// threshold and outweighs the live set. A failed compaction leaves the old
+// log open and intact, so the next crossing simply tries again.
 func (mb *mailbox) maybeCompactLocked() {
 	if mb.wal == nil || mb.deadRecords < mb.compactAt || mb.deadRecords*2 < len(mb.entries) {
 		return
@@ -442,64 +443,60 @@ func (mb *mailbox) maybeCompactLocked() {
 }
 
 // writeSnapshotLocked writes the live entries as a fresh WAL (append
-// records only) to path, fsynced — the first phase of compaction. It is a
+// records only) to path, fsynced, and returns the handle that wrote it,
+// positioned for further appends — the first phase of compaction. It is a
 // separate step so the crash-recovery tests can reproduce a kill between
 // the snapshot write and the rename.
-func (mb *mailbox) writeSnapshotLocked(path string) error {
-	tmp, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+func (mb *mailbox) writeSnapshotLocked(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("delivery: compact: %w", err)
+		return nil, fmt.Errorf("delivery: compact: %w", err)
+	}
+	fail := func(err error) (*os.File, error) {
+		f.Close()
+		os.Remove(path)
+		return nil, err
 	}
 	for _, e := range mb.entries {
 		payload, err := marshalNotification(e.n)
 		if err != nil {
-			tmp.Close()
-			os.Remove(path)
-			return err
+			return fail(err)
 		}
 		buf := make([]byte, 1+8+4, 1+8+4+len(payload))
 		buf[0] = recAppend
 		binary.BigEndian.PutUint64(buf[1:9], e.seq)
 		binary.BigEndian.PutUint32(buf[9:13], uint32(len(payload)))
 		buf = append(buf, payload...)
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			os.Remove(path)
-			return fmt.Errorf("delivery: compact write: %w", err)
+		if _, err := f.Write(buf); err != nil {
+			return fail(fmt.Errorf("delivery: compact write: %w", err))
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(path)
-		return fmt.Errorf("delivery: compact sync: %w", err)
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("delivery: compact sync: %w", err))
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("delivery: compact close: %w", err)
-	}
-	return nil
+	return f, nil
 }
 
 // compactLocked rewrites the WAL as a snapshot of the live entries: write a
-// temp file, fsync, rename over the log, reopen for append.
+// temp file, fsync, rename it over the log. The handle that wrote the
+// snapshot becomes the log's append handle, so the rename is the last step
+// that can fail, and a failed rename leaves the old log and its handle in
+// place: the mailbox never loses its WAL.
 func (mb *mailbox) compactLocked() error {
 	if mb.wal == nil {
 		return nil
 	}
 	tmpPath := mb.walPath + ".tmp"
-	if err := mb.writeSnapshotLocked(tmpPath); err != nil {
+	f, err := mb.writeSnapshotLocked(tmpPath)
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmpPath, mb.walPath); err != nil {
+		f.Close()
 		os.Remove(tmpPath)
 		return fmt.Errorf("delivery: compact rename: %w", err)
 	}
-	_ = mb.wal.Close()
-	f, err := os.OpenFile(mb.walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		mb.wal = nil
-		return fmt.Errorf("delivery: compact reopen: %w", err)
-	}
+	_ = mb.wal.Close() // the renamed-over log: nothing left to flush
 	mb.wal = f
 	mb.totalRecords = len(mb.entries)
 	mb.deadRecords = 0

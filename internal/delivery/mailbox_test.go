@@ -195,6 +195,52 @@ func TestMailboxCompactionShrinksWAL(t *testing.T) {
 	}
 }
 
+// TestMailboxAppendsAfterCompactionRecovered checks that compaction leaves
+// the mailbox durable: appends made after it land in the log a restart
+// reads.
+func TestMailboxAppendsAfterCompactionRecovered(t *testing.T) {
+	dir := t.TempDir()
+	mb, err := newMailbox(dir, "erin", 100, 4) // compact after 4 dead records
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for i := 0; i < 6; i++ {
+		seq, _, err := mb.add(testNotification("erin", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	mb.ack(seqs[:5])
+	if mb.deadRecords != 0 {
+		t.Fatalf("dead records = %d after acking 5 of 6: compaction did not run", mb.deadRecords)
+	}
+	for i := 6; i < 9; i++ {
+		if _, _, err := mb.add(testNotification("erin", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Crash: no close(), which would compact again.
+	if err := mb.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mb.wal = nil
+
+	mb2, err := newMailbox(dir, "erin", 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb2.close()
+	var got []string
+	for _, it := range mb2.takePending() {
+		got = append(got, it.n.DocIDs[0])
+	}
+	if fmt.Sprint(got) != "[d5 d6 d7 d8]" {
+		t.Fatalf("recovered %v, want [d5 d6 d7 d8]", got)
+	}
+}
+
 func TestRecoverMailboxesScansDirectory(t *testing.T) {
 	dir := t.TempDir()
 	for _, user := range []string{"alice", "bob/with-slash", "carol space"} {

@@ -25,11 +25,6 @@ type Metrics struct {
 	// Retried counts notifications parked after a failed delivery attempt
 	// (a subset of Parked).
 	Retried metrics.Counter
-	// Displaced counts notifications pushed out of a full shard queue by
-	// the DropOldest policy (parked, not lost).
-	Displaced metrics.Counter
-	// Spilled counts notifications diverted to disk by SpillToDisk.
-	Spilled metrics.Counter
 	// Dropped counts notifications evicted from a full mailbox — the only
 	// counter representing actual loss.
 	Dropped metrics.Counter
@@ -79,8 +74,6 @@ type Snapshot struct {
 	Parked    int64
 	Deferred  int64
 	Retried   int64
-	Displaced int64
-	Spilled   int64
 	Dropped   int64
 	Recovered int64
 	Batches   int64
@@ -95,8 +88,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Parked:    m.Parked.Value(),
 		Deferred:  m.Deferred.Value(),
 		Retried:   m.Retried.Value(),
-		Displaced: m.Displaced.Value(),
-		Spilled:   m.Spilled.Value(),
 		Dropped:   m.Dropped.Value(),
 		Recovered: m.Recovered.Value(),
 		Batches:   m.Batches.Value(),

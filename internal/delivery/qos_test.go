@@ -266,112 +266,6 @@ func TestWALClassRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpilledRealtimeNotPinnedByBulk is the regression test for per-class
-// spills: spilled realtime overflow must re-ingest as soon as the realtime
-// queue idles, even while a large bulk backlog is still being serviced —
-// with a single shared spill FIFO, the realtime items would sit on disk
-// behind the bulk ones until every queue went empty.
-func TestSpilledRealtimeNotPinnedByBulk(t *testing.T) {
-	p, err := NewPipeline(Config{
-		Shards:        1,
-		QueueDepth:    4,
-		Overflow:      SpillToDisk,
-		Dir:           t.TempDir(),
-		BatchSize:     1,                // delivery order == dequeue order
-		FlushInterval: 10 * time.Second, // keep the ticker out of the ordering
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	var mu sync.Mutex
-	type delivered struct {
-		class qos.Class
-		id    string
-	}
-	var order []delivered
-	record := func(_ string, batch []Notification) error {
-		mu.Lock()
-		for _, n := range batch {
-			order = append(order, delivered{class: n.Class, id: n.Event.ID})
-		}
-		mu.Unlock()
-		return nil
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	p.Attach("gate", func(_ string, _ []Notification) error {
-		close(entered)
-		<-release
-		return nil
-	})
-	p.Attach("b", record)
-	p.Attach("r", record)
-	if err := p.Enqueue(qosNotif("gate", qos.ClassNormal, 0)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never picked up the gate item")
-	}
-	// Bulk first (fills its queue of 4 and spills 36), then realtime
-	// (fills its queue of 4 and spills 8).
-	const bulk, rt = 40, 12
-	for i := 0; i < bulk; i++ {
-		if err := p.Enqueue(qosNotif("b", qos.ClassBulk, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < rt; i++ {
-		if err := p.Enqueue(qosNotif("r", qos.ClassRealtime, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.Metrics().Spilled.Value(); got == 0 {
-		t.Fatal("nothing spilled — the scenario needs overflow on disk")
-	}
-	close(release)
-	ctx, cancel := testContext(t)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != bulk+rt {
-		t.Fatalf("delivered %d of %d", len(order), bulk+rt)
-	}
-	lastRT := -1
-	var rtSeen, bulkSeen []string
-	for i, d := range order {
-		if d.class == qos.ClassRealtime {
-			lastRT = i
-			rtSeen = append(rtSeen, d.id)
-		} else {
-			bulkSeen = append(bulkSeen, d.id)
-		}
-	}
-	// All realtime (queued + spilled) must finish well before the bulk
-	// backlog does; with the shared-FIFO design the spilled realtime came
-	// out dead last.
-	if lastRT > (bulk+rt)-8 {
-		t.Errorf("last realtime delivered at position %d of %d — spilled realtime was pinned behind bulk", lastRT, bulk+rt)
-	}
-	// Per-class FIFO survives the queue→spill→re-ingest path.
-	for i, id := range rtSeen {
-		if want := fmt.Sprintf("ev-r-%d-%d", qos.ClassRealtime, i); id != want {
-			t.Fatalf("realtime position %d = %s, want %s", i, id, want)
-		}
-	}
-	for i, id := range bulkSeen {
-		if want := fmt.Sprintf("ev-b-%d-%d", qos.ClassBulk, i); id != want {
-			t.Fatalf("bulk position %d = %s, want %s", i, id, want)
-		}
-	}
-}
-
 // BenchmarkQoSScheduling records the WFQ scheduling cost on the delivery
 // hot path (experiment E15): the enqueue→WFQ-dequeue→flush path under
 // single-class traffic (everything normal, the pre-QoS shape) against a

@@ -164,18 +164,6 @@ func NewNode(id, addr string, stratum int, tr transport.Transport) (*Node, error
 	return n, nil
 }
 
-// SetDedupCapacity replaces the node's duplicate-suppression window with
-// one holding the given number of message IDs. Call it right after NewNode,
-// before traffic flows: previously observed IDs are forgotten. Larger
-// windows cost ~100 B per remembered ID but tolerate longer broadcast echo
-// delays; smaller windows risk relaying a duplicate whose original was
-// already evicted (gds-server -dedup-capacity).
-func (n *Node) SetDedupCapacity(capacity int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dedup = event.NewDedup(capacity)
-}
-
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.id }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,7 +287,7 @@ rule loss {
 func TestComponentAggregation(t *testing.T) {
 	src := newFakeSource()
 	src.set("gsalert_delivery_queue_depth", 0)
-	src.set("gsalert_delivery_spill_depth", 0)
+	src.set("gsalert_replica_stream_lag", 0)
 	clock := newTickClock()
 	rs := mustRules(t, `
 rule warn {
@@ -296,7 +298,7 @@ rule warn {
 rule crit {
 	component = delivery
 	severity = critical
-	expr = gsalert_delivery_spill_depth > 10
+	expr = gsalert_replica_stream_lag > 10
 }`)
 	e := NewEngine(src, rs, Options{Clock: clock.Now})
 	tick := func() { e.TickAt(clock.Advance(10 * time.Second)) }
@@ -306,12 +308,12 @@ rule crit {
 	if st := e.ComponentState("delivery"); st != Degraded {
 		t.Fatalf("state = %s, want degraded", st)
 	}
-	src.set("gsalert_delivery_spill_depth", 50)
+	src.set("gsalert_replica_stream_lag", 50)
 	tick()
 	if st := e.ComponentState("delivery"); st != Critical {
 		t.Fatalf("state = %s, want critical (max severity wins)", st)
 	}
-	src.set("gsalert_delivery_spill_depth", 0)
+	src.set("gsalert_replica_stream_lag", 0)
 	tick()
 	if st := e.ComponentState("delivery"); st != Degraded {
 		t.Fatalf("state = %s, want degraded after critical cleared", st)
@@ -353,7 +355,7 @@ func TestReadiness(t *testing.T) {
 func TestExpositionGolden(t *testing.T) {
 	src := newFakeSource()
 	src.set("gsalert_delivery_queue_depth", 500)
-	src.set("gsalert_delivery_spill_depth", 0)
+	src.set("gsalert_replica_stream_lag", 0)
 	clock := newTickClock()
 	rs := mustRules(t, `
 rule depth {
@@ -361,10 +363,10 @@ rule depth {
 	severity = warning
 	expr = gsalert_delivery_queue_depth > 100
 }
-rule spill {
+rule lag {
 	component = delivery
 	severity = critical
-	expr = gsalert_delivery_spill_depth > 10
+	expr = gsalert_replica_stream_lag > 10
 }
 rule idle {
 	component = qos
@@ -487,6 +489,50 @@ rule depth {
 	e.TickAt(clock.Advance(time.Second))
 	if st := e.ComponentState("delivery"); st != Critical {
 		t.Fatalf("state = %s, want critical", st)
+	}
+}
+
+// TestExporterBacklogRuleFires drives the built-in exporter-queue-backlog
+// rule from a real push exporter whose sink never answers: the queue fills
+// to its capacity and stays there, and the rule must reach firing once its
+// `for` hold has passed.
+func TestExporterBacklogRuleFires(t *testing.T) {
+	hang := make(chan struct{})
+	sink := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	defer sink.Close()
+	reg := obs.NewRegistry()
+	exp, err := obs.NewExporter(reg, obs.ExporterConfig{URL: sink.URL, Interval: time.Millisecond, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	defer close(hang) // runs first: lets the sender drain so Close returns
+
+	clock := newTickClock()
+	e := NewEngine(reg, DefaultRules(), Options{Clock: clock.Now})
+	state := func() RuleStateName {
+		for _, r := range e.Snapshot().Rules {
+			if r.Name == "exporter-queue-backlog" {
+				return r.State
+			}
+		}
+		t.Fatal("exporter-queue-backlog is not a built-in rule")
+		return ""
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for state() != RulePending {
+		if time.Now().After(deadline) {
+			t.Fatal("exporter-queue-backlog never went pending with the sink hung")
+		}
+		time.Sleep(5 * time.Millisecond)
+		e.TickAt(clock.Advance(time.Second))
+	}
+	e.TickAt(clock.Advance(61 * time.Second))
+	if got := state(); got != RuleFiring {
+		t.Fatalf("rule state = %s after the 1m hold, want firing", got)
+	}
+	if st := e.ComponentState("exporter"); st != Degraded {
+		t.Fatalf("exporter component = %s, want degraded", st)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // TestHealthzHandler checks body shape and the critical->503 status rule.
 func TestHealthzHandler(t *testing.T) {
 	src := newFakeSource()
-	src.set("gsalert_delivery_spill_depth", 0)
+	src.set("gsalert_replica_stream_lag", 0)
 	clock := newTickClock()
 	rs := mustRules(t, `
-rule spill {
+rule lag {
 	component = delivery
 	severity = critical
-	expr = gsalert_delivery_spill_depth > 10
+	expr = gsalert_replica_stream_lag > 10
 }`)
 	e := NewEngine(src, rs, Options{Clock: clock.Now})
 	e.TickAt(clock.Advance(time.Second))
@@ -38,7 +38,7 @@ rule spill {
 		t.Fatalf("decoded status wrong: %+v", st)
 	}
 
-	src.set("gsalert_delivery_spill_depth", 50)
+	src.set("gsalert_replica_stream_lag", 50)
 	e.TickAt(clock.Advance(time.Second))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

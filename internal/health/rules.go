@@ -614,11 +614,12 @@ rule qos-deferred-backlog {
 }
 
 # ExporterDroppingSnapshots: the push exporter's bounded queue is backing
-# up or evicting blocks.
+# up or evicting blocks. The queue holds 8 blocks (the exporter's default
+# QueueSize), so a full queue reads 8, never more: the bar is half of it.
 rule exporter-queue-backlog {
 	component = exporter
 	severity = warning
-	expr = gsalert_exporter_queue_depth > 8
+	expr = gsalert_exporter_queue_depth > 4
 	for = 1m
 	clear = 2m
 }

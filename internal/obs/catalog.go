@@ -107,8 +107,6 @@ var deliveryCounters = []counterFamily[delivery.Metrics]{
 	{Declare(KindCounter, "gsalert_delivery_parked_total", "Notifications parked in a mailbox (no sink or sink failed)."), func(m *delivery.Metrics) *metrics.Counter { return &m.Parked }},
 	{Declare(KindCounter, "gsalert_delivery_deferred_total", "Notifications parked by QoS admission control."), func(m *delivery.Metrics) *metrics.Counter { return &m.Deferred }},
 	{Declare(KindCounter, "gsalert_delivery_retried_total", "Notifications parked after a failed delivery attempt."), func(m *delivery.Metrics) *metrics.Counter { return &m.Retried }},
-	{Declare(KindCounter, "gsalert_delivery_displaced_total", "Notifications displaced from a full queue (DropOldest)."), func(m *delivery.Metrics) *metrics.Counter { return &m.Displaced }},
-	{Declare(KindCounter, "gsalert_delivery_spilled_total", "Notifications diverted to the disk spill."), func(m *delivery.Metrics) *metrics.Counter { return &m.Spilled }},
 	{Declare(KindCounter, "gsalert_delivery_dropped_total", "Notifications evicted from a full mailbox (actual loss)."), func(m *delivery.Metrics) *metrics.Counter { return &m.Dropped }},
 	{Declare(KindCounter, "gsalert_delivery_recovered_total", "Notifications restored from mailbox WALs at start."), func(m *delivery.Metrics) *metrics.Counter { return &m.Recovered }},
 	{Declare(KindCounter, "gsalert_delivery_batches_total", "Delivery flushes."), func(m *delivery.Metrics) *metrics.Counter { return &m.Batches }},
@@ -120,13 +118,12 @@ var (
 	deliveryLatency    = Declare(KindHistogram, "gsalert_delivery_latency_seconds", "End-to-end delivery latency per QoS class (enqueue to sink, including parked dwell).")
 	deliveryQueueDepth = Declare(KindGauge, "gsalert_delivery_queue_depth", "Current occupancy of a shard's per-class queue.")
 	deliveryDRRCredit  = Declare(KindGauge, "gsalert_delivery_drr_credit", "Remaining DRR deficit credit of a shard worker, per class.")
-	deliverySpillDepth = Declare(KindGauge, "gsalert_delivery_spill_depth", "Notifications in a shard's on-disk spill FIFOs.")
 	deliveryBatchMean  = Declare(KindGauge, "gsalert_delivery_batch_size_mean", "Mean notifications per delivery flush.")
 )
 
 // RegisterDelivery exposes the pipeline's counters (lock-free, read
 // directly), per-class delivered counts and end-to-end latency histograms,
-// and the per-shard/per-class queue depths, spill depths and DRR deficits.
+// and the per-shard/per-class queue depths and DRR deficits.
 func RegisterDelivery(r *Registry, p *delivery.Pipeline) {
 	m := p.Metrics()
 	registerCounters(r, m, deliveryCounters)
@@ -139,7 +136,6 @@ func RegisterDelivery(r *Registry, p *delivery.Pipeline) {
 	r.Collect(func(c *Collector) {
 		depths := p.ClassQueueDepths()
 		credits := p.SchedulerCredits()
-		spills := p.SpillDepths()
 		for i := range depths {
 			shard := L("shard", strconv.Itoa(i))
 			for cl := 0; cl < qos.NumClasses; cl++ {
@@ -147,7 +143,6 @@ func RegisterDelivery(r *Registry, p *delivery.Pipeline) {
 				c.Emit(deliveryQueueDepth, float64(depths[i][cl]), shard, class)
 				c.Emit(deliveryDRRCredit, float64(credits[i][cl]), shard, class)
 			}
-			c.Emit(deliverySpillDepth, float64(spills[i]), shard)
 		}
 		mean := 0.0
 		if batches := m.Batches.Value(); batches > 0 {

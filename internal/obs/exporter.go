@@ -19,8 +19,7 @@ import (
 // plain collector). The pipeline is staged like the VictoriaMetrics
 // importer it is modelled on:
 //
-//	collect ──> compress ──> bounded queue ──> sender pool (retry/backoff,
-//	                                           bandwidth cap)
+//	collect ──> compress ──> bounded queue ──> sender (retry/backoff)
 //
 // The queue is drop-oldest: when the sink is down long enough to fill it,
 // the freshest snapshots win and ExporterMetrics.Dropped counts the loss.
@@ -40,17 +39,11 @@ type ExporterConfig struct {
 	Timeout time.Duration
 	// QueueSize bounds the compressed blocks awaiting send (default 8).
 	QueueSize int
-	// Senders is the size of the sender pool (default 1; raise it only for
-	// slow sinks — blocks may then arrive out of order).
-	Senders int
 	// MaxRetries per block after the first attempt (default 2).
 	MaxRetries int
 	// RetryBase is the first backoff delay, doubled per retry (default
 	// 500ms).
 	RetryBase time.Duration
-	// MaxBytesPerSec caps the compressed send bandwidth; 0 means
-	// unlimited.
-	MaxBytesPerSec int
 }
 
 func (c *ExporterConfig) fill() error {
@@ -65,9 +58,6 @@ func (c *ExporterConfig) fill() error {
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 8
-	}
-	if c.Senders <= 0 {
-		c.Senders = 1
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
@@ -116,11 +106,6 @@ type Exporter struct {
 	// enqMu serialises the evict-then-enqueue dance so two producers
 	// cannot both evict for one free slot.
 	enqMu sync.Mutex
-
-	// pace implements the bandwidth cap: time before which the next send
-	// must not start, advanced by bytes/MaxBytesPerSec per block.
-	paceMu sync.Mutex
-	pace   time.Time
 }
 
 var exporterCounters = []counterFamily[ExporterMetrics]{
@@ -151,18 +136,15 @@ func NewExporter(reg *Registry, cfg ExporterConfig) (*Exporter, error) {
 	registerCounters(reg, &e.m, exporterCounters)
 	reg.Func(exporterQueueDepth, func() float64 { return float64(len(e.queue)) })
 
-	e.wg.Add(1)
+	e.wg.Add(2)
 	go e.collectLoop()
-	for i := 0; i < cfg.Senders; i++ {
-		e.wg.Add(1)
-		go e.sendLoop()
-	}
+	go e.sendLoop()
 	return e, nil
 }
 
 func (e *Exporter) collectLoop() {
 	defer e.wg.Done()
-	defer close(e.queue) // senders drain what is left, then exit
+	defer close(e.queue) // the sender drains what is left, then exits
 	t := time.NewTicker(e.cfg.Interval)
 	defer t.Stop()
 	for {
@@ -224,7 +206,6 @@ func (e *Exporter) sendLoop() {
 
 func (e *Exporter) send(block []byte) {
 	for attempt := 0; ; attempt++ {
-		e.throttle(len(block))
 		if err := e.post(block); err == nil {
 			e.m.Sent.Inc()
 			e.m.BytesSent.Add(int64(len(block)))
@@ -250,27 +231,6 @@ func (e *Exporter) send(block []byte) {
 			}
 			return
 		}
-	}
-}
-
-// throttle blocks until sending n bytes stays under MaxBytesPerSec,
-// advancing a shared pacing horizon (VMI's bandwidth limiter, reduced to a
-// pacer: burst tolerance is one block).
-func (e *Exporter) throttle(n int) {
-	if e.cfg.MaxBytesPerSec <= 0 {
-		return
-	}
-	cost := time.Duration(float64(n) / float64(e.cfg.MaxBytesPerSec) * float64(time.Second))
-	e.paceMu.Lock()
-	now := time.Now()
-	if e.pace.Before(now) {
-		e.pace = now
-	}
-	wait := e.pace.Sub(now)
-	e.pace = e.pace.Add(cost)
-	e.paceMu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
 	}
 }
 

@@ -185,20 +185,6 @@ func TestExporterDropsOldestWhenQueueFull(t *testing.T) {
 	}
 }
 
-// TestExporterBandwidthPacer checks the pacing arithmetic directly: a
-// second 1000-byte send against a 1000 B/s cap must wait ~1s behind the
-// first (we read the horizon rather than sleeping).
-func TestExporterBandwidthPacer(t *testing.T) {
-	e := &Exporter{cfg: ExporterConfig{MaxBytesPerSec: 1000}}
-	e.throttle(1000) // first send: no wait, horizon advances 1s
-	e.paceMu.Lock()
-	lead := time.Until(e.pace)
-	e.paceMu.Unlock()
-	if lead < 900*time.Millisecond || lead > 1100*time.Millisecond {
-		t.Errorf("pacing horizon %v ahead, want ~1s", lead)
-	}
-}
-
 func TestExporterRejectsEmptyURL(t *testing.T) {
 	if _, err := NewExporter(NewRegistry(), ExporterConfig{}); err == nil {
 		t.Fatal("expected error for missing sink URL")

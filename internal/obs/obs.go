@@ -3,7 +3,7 @@
 // (core service, delivery pipeline, QoS admission, GDS directory nodes,
 // HTTP transport, Go runtime), and a self-monitoring push exporter modeled
 // on the VictoriaMetrics-importer pipeline (collect → compress → bounded
-// sender pool with retry/backoff and a bandwidth cap).
+// queue → one sender with retry/backoff).
 //
 // The registry is deliberately scrape-time-pull: hot paths keep the
 // lock-free types of internal/metrics (Counter, LatencyHistogram) and pay

@@ -30,13 +30,12 @@ import (
 	"github.com/gsalert/gsalert/internal/trace"
 )
 
-// Config assembles a Plane: first the twelve flags every server binary
+// Config assembles a Plane: first the eleven flags every server binary
 // shares (RegisterFlags), then what each binary decides for itself.
 type Config struct {
 	MetricsAddr   string        // -metrics-addr
 	PushURL       string        // -metrics-push-url
 	PushInterval  time.Duration // -metrics-push-interval
-	PushMaxBps    int           // -metrics-push-max-bps
 	TraceCapacity int           // -trace-capacity
 	Pprof         bool          // -pprof
 	LogLevel      string        // -log-level
@@ -71,7 +70,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve the ops endpoint over HTTP at this address: GET /metrics (Prometheus catalog), GET /stats (JSON), plus /traces, /debug/flightrecorder, /healthz and /readyz when those planes are on; empty disables")
 	fs.StringVar(&c.PushURL, "metrics-push-url", "", "push gzip'd Prometheus snapshots to this HTTP sink (e.g. a VictoriaMetrics import endpoint); empty disables")
 	fs.DurationVar(&c.PushInterval, "metrics-push-interval", 15*time.Second, "interval between pushed metric snapshots")
-	fs.IntVar(&c.PushMaxBps, "metrics-push-max-bps", 0, "bandwidth cap for pushed snapshots in compressed bytes/sec; 0 = unlimited")
 	fs.IntVar(&c.TraceCapacity, "trace-capacity", trace.DefaultCapacity, "span slots in the in-memory trace ring (drop-oldest)")
 	fs.BoolVar(&c.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the ops endpoint (docs/OBSERVABILITY.md)")
 	fs.StringVar(&c.LogLevel, "log-level", "info", "minimum structured-log level kept: debug, info, warn, error or off; kept records land in the per-component flight rings and (rate-limited) on stderr")
@@ -221,11 +219,7 @@ func (p *Plane) Serve() error {
 		p.log.Info("ops endpoint serving /metrics and /stats", logging.String("addr", addr.String()))
 	}
 	if p.cfg.PushURL != "" {
-		exp, err := obs.NewExporter(p.Registry, obs.ExporterConfig{
-			URL:            p.cfg.PushURL,
-			Interval:       p.cfg.PushInterval,
-			MaxBytesPerSec: p.cfg.PushMaxBps,
-		})
+		exp, err := obs.NewExporter(p.Registry, obs.ExporterConfig{URL: p.cfg.PushURL, Interval: p.cfg.PushInterval})
 		if err != nil {
 			return fmt.Errorf("metrics exporter: %w", err)
 		}

@@ -2,8 +2,9 @@
 // behind graceful overload degradation. The paper's delivery story (§7)
 // treats every notification as equally urgent and every subscriber as
 // well-behaved; at production scale one hot collection or one greedy
-// subscriber can starve everyone else, and undifferentiated backpressure
-// (block / drop-oldest / spill) punishes all traffic identically.
+// subscriber can starve everyone else, and undifferentiated backpressure (a
+// full delivery queue blocks every producer) punishes all traffic
+// identically.
 //
 // This package adds three mechanisms, consumed by internal/core and
 // internal/delivery:
@@ -359,21 +360,14 @@ var DefaultWeights = [NumClasses]int{ClassRealtime: 8, ClassNormal: 4, ClassBulk
 // goroutines (the credits are atomics precisely so an observability scrape
 // can read a live scheduler's deficits without stalling its worker).
 type Scheduler struct {
-	weights [NumClasses]int
-	credit  [NumClasses]atomic.Int64
+	credit [NumClasses]atomic.Int64
 }
 
-// NewScheduler builds a scheduler; non-positive weights fall back to
-// DefaultWeights entries.
-func NewScheduler(weights [NumClasses]int) *Scheduler {
+// NewScheduler builds a scheduler serving DefaultWeights.
+func NewScheduler() *Scheduler {
 	s := &Scheduler{}
 	for c := 0; c < NumClasses; c++ {
-		w := weights[c]
-		if w <= 0 {
-			w = DefaultWeights[c]
-		}
-		s.weights[c] = w
-		s.credit[c].Store(int64(w))
+		s.credit[c].Store(int64(DefaultWeights[c]))
 	}
 	return s
 }
@@ -408,7 +402,7 @@ func (s *Scheduler) Pick(ready func(Class) bool) (Class, bool) {
 			if ready(c) {
 				any = true
 			}
-			s.credit[c].Store(int64(s.weights[c]))
+			s.credit[c].Store(int64(DefaultWeights[c]))
 		}
 		if !any {
 			return ClassNormal, false

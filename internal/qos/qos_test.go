@@ -132,7 +132,7 @@ func TestControllerConcurrentAccounting(t *testing.T) {
 func TestSchedulerWeightedShares(t *testing.T) {
 	// With every class saturated, one recharge cycle serves items in weight
 	// proportion.
-	s := NewScheduler([NumClasses]int{ClassRealtime: 8, ClassNormal: 4, ClassBulk: 1})
+	s := NewScheduler()
 	counts := map[Class]int{}
 	allReady := func(Class) bool { return true }
 	for i := 0; i < 13*10; i++ { // 10 full cycles of 8+4+1
@@ -148,7 +148,7 @@ func TestSchedulerWeightedShares(t *testing.T) {
 }
 
 func TestSchedulerPriorityWithinCycle(t *testing.T) {
-	s := NewScheduler(DefaultWeights)
+	s := NewScheduler()
 	// Realtime ready: always served first while it has credit.
 	got, ok := s.Pick(func(c Class) bool { return true })
 	if !ok || got != ClassRealtime {
@@ -164,7 +164,7 @@ func TestSchedulerPriorityWithinCycle(t *testing.T) {
 func TestSchedulerBulkNotStarved(t *testing.T) {
 	// Under an unbounded realtime flood, bulk still gets its weight share:
 	// count bulk services over many picks with both classes ready.
-	s := NewScheduler(DefaultWeights)
+	s := NewScheduler()
 	ready := func(c Class) bool { return c == ClassRealtime || c == ClassBulk }
 	bulk := 0
 	const picks = 900 // 100 cycles of 8 rt + 1 bulk
@@ -183,7 +183,7 @@ func TestSchedulerBulkNotStarved(t *testing.T) {
 }
 
 func TestSchedulerIdle(t *testing.T) {
-	s := NewScheduler(DefaultWeights)
+	s := NewScheduler()
 	if _, ok := s.Pick(func(Class) bool { return false }); ok {
 		t.Error("idle scheduler reported work")
 	}
@@ -194,9 +194,12 @@ func TestSchedulerIdle(t *testing.T) {
 }
 
 func TestSchedulerZeroWeightsDefaulted(t *testing.T) {
-	s := NewScheduler([NumClasses]int{})
-	if s.weights != DefaultWeights {
-		t.Errorf("weights = %v, want defaults %v", s.weights, DefaultWeights)
+	// A fresh scheduler starts every class on a full DefaultWeights credit.
+	s := NewScheduler()
+	for c, w := range DefaultWeights {
+		if got := s.Credits()[c]; got != int64(w) {
+			t.Errorf("class %v credit = %d, want default weight %d", Class(c), got, w)
+		}
 	}
 }
 
