@@ -30,10 +30,10 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Render every table of the sim.Experiments registry (E1–E15 and E18; E16, E17
-# and E19 run from cmd/loadgen and the internal/sim tests). alert-bench only
-# loops over the registry, and internal/sim's golden test fences the same
-# list, so this target and testdata/tables.golden cannot drift apart.
+# Render every table of the sim.Experiments registry (E1–E19 but E4 and E17,
+# which are benchmarks). alert-bench only loops over the registry, and
+# internal/sim's golden test fences the same list, so this target and
+# testdata/tables.golden cannot drift apart.
 experiments:
 	$(GO) run ./cmd/alert-bench
 
@@ -42,13 +42,12 @@ experiments:
 docs-check:
 	$(GO) run ./cmd/docs-check
 
-# The E16 chaos-soak gate: the scale/chaos acceptance tests under -race
-# (short schedule — 20k-profile population), the E18 health-plane
-# acceptance (deterministic fire/clear, mode-identical meta-alerts,
-# readiness across failover), plus the concurrency composition test and
-# the fault-engine suites. CI runs this as the chaos-soak job and uploads
-# a cmd/loadgen summary + health transition log as artifacts; run
-# cmd/loadgen directly for the full 100k-profile soak.
+# The chaos-soak tests: the E16/E19 acceptance tests under -race (short
+# mode — 20k-profile population), the E18 health-plane acceptance
+# (deterministic fire/clear, mode-identical meta-alerts, readiness across
+# failover), plus the concurrency composition test and the fault-engine
+# suites. CI's chaos-soak job runs this, then the full 100k-profile E16 and
+# the E19 gate with `go run ./cmd/alert-bench -only e16,e19`.
 chaos:
 	$(GO) test -race -short -count=1 -timeout 600s \
 		-run 'TestChaosSoak|TestPromotionConcurrent|TestLoadGen|TestClassSLO|TestHealth' ./internal/sim/

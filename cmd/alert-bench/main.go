@@ -5,55 +5,58 @@
 // fidelity (E8), dissemination ablation (E9), delivery across
 // disconnect/reconnect (E10), delivery throughput (E11), the
 // content-routing dissemination ladder (E12), composite/temporal alerting
-// (E13), replication failover (E14), QoS overload degradation (E15) and
-// the self-alerting health plane (E18).
+// (E13), replication failover (E14), QoS overload degradation (E15), the
+// scale & chaos soak (E16), the self-alerting health plane (E18) and the
+// flight recorder under chaos (E19).
 // The E4 filter-engine throughput comparison lives in internal/filter's
-// benchmarks (go test -bench 'Naive|EqPref' ./internal/filter); the scale &
-// chaos soak (E16) and the flight recorder under chaos (E19) run from
-// cmd/loadgen and the internal/sim tests (make chaos), and tracing overhead
-// (E17) from internal/core's BenchmarkTraceOverhead, not from here.
+// benchmarks (go test -bench 'Naive|EqPref' ./internal/filter) and tracing
+// overhead (E17) in internal/core's BenchmarkTraceOverhead, not here.
 //
 // The list of experiments, their parameters and their order is
 // sim.Experiments, which internal/sim's golden test fences; this command is
-// flag parsing plus a loop over it. -throughput-notifs, -throughput-clients
-// and -delivery-shards shape E11's load (run it alone with -only e11).
+// flag parsing plus a loop over it. An experiment whose acceptance bar
+// fails prints its table and exits 1, so `-only e16,e19` is the chaos-soak
+// gate; an unknown -only id exits 2 before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 
 	"github.com/gsalert/gsalert/internal/sim"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
+func run(args []string, stdout io.Writer) int {
 	experiments := sim.Experiments()
 	ids := make([]string, len(experiments))
 	for i, e := range experiments {
 		ids[i] = e.ID
 	}
 	p := sim.DefaultParams()
-	flag.Int64Var(&p.Seed, "seed", p.Seed, "random seed for all experiments")
-	only := flag.String("only", "", "comma-separated experiment ids to run ("+strings.Join(ids, ",")+"); empty = all")
-	flag.IntVar(&p.ThroughputNotifs, "throughput-notifs", p.ThroughputNotifs, "notifications pushed per E11 mode")
-	flag.IntVar(&p.ThroughputClients, "throughput-clients", p.ThroughputClients, "destination clients in E11")
-	flag.Func("delivery-shards", "comma-separated shard counts for E11 (default 1,4,16)", func(s string) (err error) {
-		p.ThroughputShards, err = parseShards(s)
-		return err
-	})
-	flag.Parse()
+	fs := flag.NewFlagSet("alert-bench", flag.ContinueOnError)
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed for all experiments")
+	only := fs.String("only", "", "comma-separated experiment ids to run ("+strings.Join(ids, ",")+"); empty = all")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
+			id = strings.ToLower(strings.TrimSpace(id))
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(os.Stderr, "alert-bench: unknown experiment %q (have %s)\n", id, strings.Join(ids, ","))
+				return 2
+			}
+			want[id] = true
 		}
 	}
 	for _, e := range experiments {
@@ -61,31 +64,13 @@ func run() int {
 			continue
 		}
 		t, err := e.Table(p)
+		if t != nil {
+			fmt.Fprintln(stdout, t.Render())
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alert-bench: %s: %v\n", e.ID, err)
 			return 1
 		}
-		fmt.Println(t.Render())
 	}
 	return 0
-}
-
-// parseShards parses a comma-separated shard-count list.
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad entry %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }

@@ -17,6 +17,9 @@
 //   - every `-flag` a README or docs/ table row documents in its first cell
 //     is defined by some binary (cmd/*) or by the shared ops flags
 //     (internal/ops), so a deleted flag cannot leave its row behind;
+//   - every command or example the README or docs/ name (`cmd/<name>`,
+//     `go run ./examples/<name>`) is an existing directory, so a deleted
+//     program cannot leave its instructions behind;
 //   - the frozen benchmark module still builds against this one: the root
 //     go.mod's go directive does not exceed bench/go.mod's (go refuses to
 //     build bench/ otherwise, and the benchmark run is scored a failure),
@@ -65,6 +68,7 @@ func run(root string) int {
 	checkMetricNames(root, complain)
 	checkBenchmarkRefs(root, complain)
 	checkFlagRefs(root, complain)
+	checkPathRefs(root, complain)
 	checkBenchModule(root, complain)
 
 	if len(problems) > 0 {
@@ -74,7 +78,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references, flag references and bench/go.mod are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references, flag references, command and example paths and bench/go.mod are consistent")
 	return 0
 }
 
@@ -427,6 +431,34 @@ func definedFlags(root string) (map[string]bool, error) {
 		})
 	}
 	return defined, nil
+}
+
+// pathRefRe matches a command or example directory where a doc names it:
+// after a backtick, a space or a link's parenthesis, bare or ./-relative.
+var pathRefRe = regexp.MustCompile("(?:^|[\\s`(])(?:\\./)?((?:cmd|examples)/[A-Za-z0-9_-]+)")
+
+// checkPathRefs verifies every cmd/<name> and examples/<name> that
+// README.md or docs/*.md mention against the directories that exist.
+func checkPathRefs(root string, complain func(string, ...any)) {
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // the pattern is constant
+	for _, f := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			complain("reading %s: %v", f, err)
+			continue
+		}
+		complained := make(map[string]bool)
+		for _, m := range pathRefRe.FindAllStringSubmatch(string(raw), -1) {
+			if complained[m[1]] {
+				continue
+			}
+			if st, err := os.Stat(filepath.Join(root, m[1])); err == nil && st.IsDir() {
+				continue
+			}
+			complained[m[1]] = true
+			complain("%s names %s, which does not exist", f, m[1])
+		}
+	}
 }
 
 var (

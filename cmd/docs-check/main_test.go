@@ -87,6 +87,44 @@ func register(fs *flag.FlagSet) { fs.Bool("health", false, "") }
 	}
 }
 
+func TestCheckPathRefs(t *testing.T) {
+	cases := []struct {
+		name, readme, want string
+	}{
+		{"command", "run `cmd/x` or `go run ./cmd/x -flag`\n", ""},
+		{"example", "see `examples/demo` and [demo](examples/demo/main.go)\n", ""},
+		{"file under a command", "`cmd/x/main.go`\n", ""},
+		{"deleted command", "`go run ./cmd/gone -profiles 20000`\n", "cmd/gone"},
+		{"deleted example", "- `examples/gone` — a walkthrough\n", "examples/gone"},
+		{"code block", "```\ngo run ./examples/gone\n```\n", "examples/gone"},
+		{"a file is not a command", "`cmd/file`\n", "cmd/file"},
+		{"glob and other trees", "`cmd/*`, `internal/cmd/x`, `bench/cmd/gone`\n", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, sub := range []string{"cmd/x", "examples/demo"} {
+				if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for file, body := range map[string]string{"README.md": tc.readme, "cmd/file": ""} {
+				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			checkPathRefs(dir, func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+			switch {
+			case tc.want == "" && len(got) > 0:
+				t.Errorf("complained: %v", got)
+			case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)):
+				t.Errorf("complaints = %v, want one naming %s", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestCheckBenchModule(t *testing.T) {
 	const replace = "\nreplace example.org/m => ../\n"
 	cases := []struct {

@@ -4,18 +4,16 @@
 // routing-mode flips, transport error/latency injection) pinned to workload
 // rounds, and an engine that applies due faults through a Fabric — the
 // small surface a deployment (sim.Cluster in the experiment suite) exposes
-// for breaking itself. Schedules round-trip through a one-line-per-fault
-// text format, can be generated randomly from a seed under the validity
+// for breaking itself. Schedules render in a one-line-per-fault display
+// form, can be generated randomly from a seed under the validity
 // constraints (partitions heal, lagging standbys catch up before their
 // primary is killed), and applied-fault logs make every chaos run
 // reproducible and explainable.
 package chaos
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -78,7 +76,13 @@ type Fault struct {
 	Latency time.Duration
 }
 
-// String renders the fault in the schedule text format.
+// String renders the fault in the schedule display form:
+//
+//	@<round> <kind> [args...]
+//
+// Positional args name link endpoints (partition/heal) or the target
+// server/mode; key=value options (drop=, latency=, from=, to=, type=) shape
+// slow-standby and inject faults.
 func (f Fault) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "@%d %s", f.At, f.Kind)
@@ -146,7 +150,7 @@ func (s Schedule) Counts() map[Kind]int {
 	return out
 }
 
-// String renders the schedule in the text format, one fault per line in
+// String renders the schedule in the display form, one fault per line in
 // applied order.
 func (s Schedule) String() string {
 	var b strings.Builder
@@ -236,97 +240,4 @@ func (s Schedule) Validate() error {
 		return fmt.Errorf("chaos: %d loss-injecting rule(s) never cleared", openDrop)
 	}
 	return nil
-}
-
-// ParseSchedule reads the text format: one fault per line,
-//
-//	@<round> <kind> [args...]
-//
-// with '#' comments and blank lines ignored. Positional args name link
-// endpoints (partition/heal) or the target server/mode; key=value options
-// (drop=, latency=, from=, to=, type=) shape slow-standby and inject
-// faults. The parsed schedule is validated.
-func ParseSchedule(src string) (Schedule, error) {
-	var s Schedule
-	sc := bufio.NewScanner(strings.NewReader(src))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f, err := parseFault(line)
-		if err != nil {
-			return Schedule{}, fmt.Errorf("chaos: line %d: %w", lineNo, err)
-		}
-		s.Add(f)
-	}
-	if err := sc.Err(); err != nil {
-		return Schedule{}, fmt.Errorf("chaos: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}
-
-func parseFault(line string) (Fault, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return Fault{}, fmt.Errorf("want %q, got %q", "@<round> <kind> [args]", line)
-	}
-	if !strings.HasPrefix(fields[0], "@") {
-		return Fault{}, fmt.Errorf("round must start with '@': %q", fields[0])
-	}
-	round, err := strconv.Atoi(fields[0][1:])
-	if err != nil {
-		return Fault{}, fmt.Errorf("bad round %q: %w", fields[0], err)
-	}
-	f := Fault{At: round, Kind: Kind(fields[1])}
-	var positional []string
-	for _, arg := range fields[2:] {
-		key, val, isOpt := strings.Cut(arg, "=")
-		if !isOpt {
-			positional = append(positional, arg)
-			continue
-		}
-		switch key {
-		case "drop":
-			if f.DropRate, err = strconv.ParseFloat(val, 64); err != nil {
-				return Fault{}, fmt.Errorf("bad drop %q: %w", val, err)
-			}
-		case "latency":
-			if f.Latency, err = time.ParseDuration(val); err != nil {
-				return Fault{}, fmt.Errorf("bad latency %q: %w", val, err)
-			}
-		case "from":
-			f.A = val
-		case "to":
-			f.B = val
-		case "type":
-			f.TypePrefix = val
-		default:
-			return Fault{}, fmt.Errorf("unknown option %q", key)
-		}
-	}
-	switch f.Kind {
-	case KindPartition, KindHeal:
-		if len(positional) != 2 {
-			return Fault{}, fmt.Errorf("%s wants two endpoints, got %v", f.Kind, positional)
-		}
-		f.A, f.B = positional[0], positional[1]
-	case KindKillPrimary, KindHealStandby, KindSlowStandby, KindFlipMode:
-		if len(positional) != 1 {
-			return Fault{}, fmt.Errorf("%s wants one target, got %v", f.Kind, positional)
-		}
-		f.Target = positional[0]
-	case KindInject, KindClearInject:
-		if len(positional) != 0 {
-			return Fault{}, fmt.Errorf("%s takes only key=value options, got %v", f.Kind, positional)
-		}
-	default:
-		return Fault{}, fmt.Errorf("unknown kind %q", f.Kind)
-	}
-	return f, nil
 }

@@ -10,31 +10,35 @@ import (
 	"github.com/gsalert/gsalert/internal/transport"
 )
 
-const sampleSchedule = `
-# degraded standby window, healed before the kill
-@1 slow-standby C002 drop=1
-@4 heal-standby C002
-
-# a directory subtree drops off and comes back
-@2 partition gds0 gds3
-@5 heal gds0 gds3
-
-@6 kill-primary C002
-@8 flip-mode multicast
-@10 flip-mode content
-
-# latency injection over the alerting traffic
-@7 inject from=* type=gs. latency=2ms
-@9 clear-inject
-`
-
-func TestParseScheduleRoundTrip(t *testing.T) {
-	s, err := ParseSchedule(sampleSchedule)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+// sampleSchedule is the canonical soak schedule, listed out of round order
+// the way a hand-written one would group its faults.
+func sampleSchedule() Schedule {
+	var s Schedule
+	for _, f := range []Fault{
+		// degraded standby window, healed before the kill
+		{At: 1, Kind: KindSlowStandby, Target: "C002", DropRate: 1},
+		{At: 4, Kind: KindHealStandby, Target: "C002"},
+		// a directory subtree drops off and comes back
+		{At: 2, Kind: KindPartition, A: "gds0", B: "gds3"},
+		{At: 5, Kind: KindHeal, A: "gds0", B: "gds3"},
+		{At: 6, Kind: KindKillPrimary, Target: "C002"},
+		{At: 8, Kind: KindFlipMode, Target: "multicast"},
+		{At: 10, Kind: KindFlipMode, Target: "content"},
+		// latency injection over the alerting traffic
+		{At: 7, Kind: KindInject, A: "*", TypePrefix: "gs.", Latency: 2 * time.Millisecond},
+		{At: 9, Kind: KindClearInject},
+	} {
+		s.Add(f)
 	}
-	if s.Len() != 9 {
-		t.Fatalf("parsed %d faults, want 9", s.Len())
+	return s
+}
+
+// TestScheduleString pins the display form: one fault per line in applied
+// order, key=value options only where set.
+func TestScheduleString(t *testing.T) {
+	s := sampleSchedule()
+	if err := s.Validate(); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	counts := s.Counts()
 	for kind, want := range map[Kind]int{
@@ -46,33 +50,42 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 			t.Fatalf("counts[%s] = %d, want %d", kind, counts[kind], want)
 		}
 	}
-	// Render and reparse: the text format is canonical.
-	again, err := ParseSchedule(s.String())
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, s.String())
-	}
-	if again.String() != s.String() {
-		t.Fatalf("round trip drifted:\n%s\nvs\n%s", s.String(), again.String())
+	const want = `@1 slow-standby C002 drop=1
+@2 partition gds0 gds3
+@4 heal-standby C002
+@5 heal gds0 gds3
+@6 kill-primary C002
+@7 inject from=* type=gs. latency=2ms
+@8 flip-mode multicast
+@9 clear-inject
+@10 flip-mode content
+`
+	if got := s.String(); got != want {
+		t.Fatalf("display form:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestParseScheduleRejects(t *testing.T) {
-	for _, src := range []string{
-		"kill-primary C002",           // missing @round
-		"@2 partition gds0",           // one endpoint
-		"@2 heal gds0 gds3",           // heal without partition
-		"@2 partition gds0 gds3",      // partition never healed
-		"@2 flip-mode carrier-pigeon", // unknown mode
-		"@2 explode C002",             // unknown kind
-		"@1 slow-standby C002 drop=1", // standby never healed
-		"@1 slow-standby C002\n@2 kill-primary C002\n@3 heal-standby C002", // kill while lagging
-		"@1 inject drop=1",                  // loss never cleared
-		"@1 inject",                         // no effect
-		"@1 inject drop=2\n@2 clear-inject", // rate out of range
-		"@-1 flip-mode content",             // negative round
+func TestScheduleValidateRejects(t *testing.T) {
+	for _, faults := range [][]Fault{
+		{{At: 2, Kind: KindPartition, A: "gds0"}},                                // one endpoint
+		{{At: 2, Kind: KindHeal, A: "gds0", B: "gds3"}},                          // heal without partition
+		{{At: 2, Kind: KindPartition, A: "gds0", B: "gds3"}},                     // partition never healed
+		{{At: 2, Kind: KindFlipMode, Target: "carrier-pigeon"}},                  // unknown mode
+		{{At: 2, Kind: "explode", Target: "C002"}},                               // unknown kind
+		{{At: 1, Kind: KindSlowStandby, Target: "C002", DropRate: 1}},            // standby never healed
+		{{At: 1, Kind: KindInject, DropRate: 1}},                                 // loss never cleared
+		{{At: 1, Kind: KindInject}},                                              // no effect
+		{{At: 1, Kind: KindInject, DropRate: 2}, {At: 2, Kind: KindClearInject}}, // rate out of range
+		{{At: -1, Kind: KindFlipMode, Target: "content"}},                        // negative round
+		// kill while lagging
+		{
+			{At: 1, Kind: KindSlowStandby, Target: "C002"},
+			{At: 2, Kind: KindKillPrimary, Target: "C002"},
+			{At: 3, Kind: KindHealStandby, Target: "C002"},
+		},
 	} {
-		if _, err := ParseSchedule(src); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted invalid schedule", src)
+		if err := (Schedule{Faults: faults}).Validate(); err == nil {
+			t.Errorf("Validate accepted invalid schedule %v", faults)
 		}
 	}
 }
@@ -136,10 +149,7 @@ func (f *recordingFabric) Inject(r transport.FaultRule) error { return f.note("i
 func (f *recordingFabric) ClearInject() error                 { return f.note("clear-inject") }
 
 func TestEngineAppliesInOrder(t *testing.T) {
-	s, err := ParseSchedule(sampleSchedule)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
+	s := sampleSchedule()
 	fab := &recordingFabric{}
 	eng, err := NewEngine(s, fab)
 	if err != nil {

@@ -65,7 +65,7 @@ func (s *Service) addCompositeProfile(p *profile.Profile) error {
 			return err
 		}
 	}
-	if err := s.composite.Register(p, s.clock()); err != nil {
+	if err := s.composite.Register(p, time.Now()); err != nil {
 		return err
 	}
 	steps := p.StepProfiles()
@@ -254,7 +254,7 @@ func (s *Service) StartCompositeTicker(interval time.Duration) error {
 			case <-stop:
 				return
 			case <-ticker.C:
-				s.composite.Tick(s.clock())
+				s.composite.Tick(time.Now())
 			}
 		}
 	}()

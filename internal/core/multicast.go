@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/profile"
@@ -92,7 +93,7 @@ func (s *Service) SetRoutingMode(ctx context.Context, mode RoutingMode) error {
 	}
 	s.routing = mode
 	if mode == RouteContent {
-		s.contentFloodUntil = s.clock().Add(s.contentWarmup)
+		s.contentFloodUntil = time.Now().Add(s.contentWarmup)
 	}
 	s.mu.Unlock()
 	s.log.Info("routing mode changed",

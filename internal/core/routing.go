@@ -110,7 +110,7 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 	elapsed := time.Since(start)
 
 	s.stats.filterNanos.Add(int64(elapsed))
-	now := s.clock()
+	now := time.Now()
 	ctrl := s.qos.Load()
 
 	mctx := s.tracer.Record(tctx, trace.StageMatch, start, elapsed, "",
@@ -273,7 +273,7 @@ func (s *Service) disseminate(ctx context.Context, ev *event.Event, tctx trace.C
 	case RouteContent:
 		// Flood instead while the warm-up window is open.
 		s.mu.Lock()
-		flood := s.clock().Before(s.contentFloodUntil)
+		flood := time.Now().Before(s.contentFloodUntil)
 		s.mu.Unlock()
 		return s.gdsCli.RouteContent(ctx, ev.Attrs(), inner, flood)
 	default:
@@ -316,7 +316,7 @@ func (s *Service) handleFloodedEvent(ev *event.Event, env *protocol.Envelope) er
 	if env.Header.VirtualLatencyMicros > 0 {
 		s.stats.receiveLatencyNanos.Add(int64(time.Duration(env.Header.VirtualLatencyMicros) * time.Microsecond))
 	} else if env.Header.SentAtUnixNano > 0 {
-		s.stats.receiveLatencyNanos.Add(int64(s.clock().Sub(time.Unix(0, env.Header.SentAtUnixNano))))
+		s.stats.receiveLatencyNanos.Add(int64(time.Now().Sub(time.Unix(0, env.Header.SentAtUnixNano))))
 	}
 	s.stats.receiveHops.Add(int64(env.Header.Hops))
 	// Continue the publisher's trace: the envelope carries the context of

@@ -139,8 +139,6 @@ type Config struct {
 	// disables logging at one pointer check per site; the service also
 	// hands it to a pipeline it builds itself.
 	Log *logging.Logger
-	// Clock overrides time.Now for deterministic tests.
-	Clock func() time.Time
 }
 
 // Service is the alerting service of one Greenstone server.
@@ -151,7 +149,6 @@ type Service struct {
 	gdsCli   *gds.Client
 	resolver Resolver
 	store    *collection.Store
-	clock    func() time.Time
 
 	matcher filter.Matcher // user profiles
 	aux     filter.Matcher // auxiliary profiles installed at this server
@@ -316,7 +313,6 @@ func New(cfg Config) (*Service, error) {
 		gdsCli:            cfg.GDS,
 		resolver:          cfg.Resolver,
 		store:             cfg.Store,
-		clock:             cfg.Clock,
 		matcher:           cfg.Matcher,
 		aux:               filter.NewEqualityPreferred(),
 		profilesByClient:  make(map[string]map[string]bool),
@@ -325,9 +321,6 @@ func New(cfg Config) (*Service, error) {
 		dedup:             event.NewDedup(0),
 	}
 	s.composite = composite.NewEngine(composite.Config{Emit: s.emitComposite})
-	if s.clock == nil {
-		s.clock = time.Now
-	}
 	s.contentWarmup = cfg.ContentWarmup
 	if s.contentWarmup == 0 {
 		s.contentWarmup = DefaultContentWarmup

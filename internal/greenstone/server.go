@@ -35,7 +35,6 @@ type Server struct {
 
 	listener io.Closer
 	evSeq    func() string
-	clock    func() time.Time
 }
 
 // ServerConfig assembles a Server.
@@ -53,8 +52,6 @@ type ServerConfig struct {
 	Alerting *core.Service
 	// Resolver maps host names to addresses for distributed retrieval.
 	Resolver core.Resolver
-	// Clock overrides time.Now for deterministic tests.
-	Clock func() time.Time
 }
 
 // NewServer builds and starts a server (it listens immediately).
@@ -78,15 +75,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		store:    store,
 		alert:    cfg.Alerting,
 		resolver: cfg.Resolver,
-		clock:    cfg.Clock,
-	}
-	if s.clock == nil {
-		s.clock = time.Now
 	}
 	seq := 0
 	s.evSeq = func() string {
 		seq++
-		return fmt.Sprintf("%s-ev-%d-%d", s.name, s.clock().UnixNano(), seq)
+		return fmt.Sprintf("%s-ev-%d-%d", s.name, time.Now().UnixNano(), seq)
 	}
 	l, err := cfg.Transport.Listen(cfg.Addr, transport.HandlerFunc(s.handle))
 	if err != nil {
@@ -156,7 +149,7 @@ func (s *Server) RemoveCollection(ctx context.Context, name string) error {
 	if err := s.alert.SyncAuxProfiles(ctx); err != nil {
 		return err
 	}
-	ev := event.New(s.evSeq(), event.TypeCollectionRemoved, qn, version, nil, s.clock())
+	ev := event.New(s.evSeq(), event.TypeCollectionRemoved, qn, version, nil, time.Now())
 	res := &collection.BuildResult{Collection: qn, Version: version, Events: []*event.Event{ev}}
 	_, err = s.alert.PublishBuild(ctx, res)
 	return err
@@ -170,7 +163,7 @@ func (s *Server) Build(ctx context.Context, name string, docs []*collection.Docu
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := coll.Build(docs, s.clock(), s.evSeq)
+	res, err := coll.Build(docs, time.Now(), s.evSeq)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,36 +1,19 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"time"
 
-	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/trace"
 )
 
-// AttributionStages is the canonical stage order of the E16 latency
-// attribution table: the pipeline stages a delivered notification crosses,
-// publish → directory hops → match → composite/qos admission → delivery
-// queue → flush → notify. Replica-apply spans are side branches of the
-// trace tree (they never parent a notify leaf), so they carry no share of
-// end-to-end delivery latency and are excluded here.
-var AttributionStages = []string{
-	trace.StagePublish,
-	trace.StageRouteHop,
-	trace.StageMatch,
-	trace.StageComposite,
-	trace.StageQoS,
-	trace.StageQueueWait,
-	trace.StageFlush,
-	trace.StageNotify,
-}
-
-// StageAttribution is one QoS class's row set of the E16 attribution
-// table: where the class's end-to-end delivery latency is spent, stage by
-// stage, aggregated over every traced notify chain.
+// StageAttribution is one QoS class's share of a traced soak's latency
+// attribution: where the class's end-to-end delivery latency is spent,
+// stage by stage, aggregated over every traced notify chain. Replica-apply
+// spans are side branches of the trace tree (they never parent a notify
+// leaf), so they carry no share of end-to-end delivery latency.
 type StageAttribution struct {
 	Class   string
 	Samples int
@@ -133,27 +116,4 @@ func quantileNearestRank(sorted []time.Duration, q float64) time.Duration {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// AttributionTable renders per-class stage attributions as the E16 latency
-// attribution table: one row per (class, stage) with the attributed total
-// and its share of the class's end-to-end latency.
-func AttributionTable(reports []StageAttribution) *metrics.Table {
-	t := metrics.NewTable("E16 — per-stage latency attribution (traced notify chains)",
-		"class / stage", "value")
-	for _, a := range reports {
-		t.AddRow(fmt.Sprintf("%s chains / e2e p50 / p99", a.Class),
-			fmt.Sprintf("%d / %v / %v", a.Samples, a.E2EP50, a.E2EP99))
-		for _, stage := range AttributionStages {
-			d, ok := a.Stage[stage]
-			if !ok {
-				continue
-			}
-			t.AddRow(fmt.Sprintf("  %s · %s", a.Class, stage),
-				fmt.Sprintf("%v (%.1f%%)", d, a.Share[stage]*100))
-		}
-		t.AddRow(fmt.Sprintf("  %s · stage-sum vs e2e", a.Class),
-			fmt.Sprintf("%v vs %v (err %.2f%%)", a.StageSum, a.TotalE2E, a.SumError()*100))
-	}
-	return t
 }

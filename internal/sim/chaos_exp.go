@@ -64,40 +64,45 @@ const (
 	SoakReplServer = "C002"
 )
 
+// The soak's fixed shape: a 16-server tree, 12 rounds of 4 events
+// published in broadcast mode (flips may change it), and a burst-only
+// quota of 8 per subscriber on the observed servers.
+const (
+	soakServers        = 16
+	soakRounds         = 12
+	soakEventsPerRound = 4
+	soakEvents         = soakRounds * soakEventsPerRound
+	soakBurst          = 8
+	soakMode           = core.RouteBroadcast
+)
+
+// soakSLO bounds per-class p99 delivery latency (sanity bounds: latencies
+// are wall-clock and include parked dwell time).
+var soakSLO = map[qos.Class]time.Duration{
+	qos.ClassRealtime: 30 * time.Second,
+	qos.ClassNormal:   5 * time.Minute,
+	qos.ClassBulk:     10 * time.Minute,
+}
+
 // ChaosSoakConfig shapes an E16 run.
 type ChaosSoakConfig struct {
-	// Servers is the tree size; Rounds×EventsPerRound the publish volume.
-	Servers, Rounds, EventsPerRound int
-	// Burst is the per-subscriber burst-only quota on the observed servers.
-	Burst int
 	// Seed drives the cluster, the population and the injected faults.
 	Seed int64
-	// Mode is the initial dissemination mode (flips may change it).
-	Mode core.RoutingMode
 	// Load shapes the ballast population (Collection is filled in).
 	Load LoadConfig
 	// Schedule is the chaos to apply; the baseline run ignores it.
 	Schedule chaos.Schedule
-	// SLO bounds per-class p99 delivery latency (sanity bounds: latencies
-	// are wall-clock and include parked dwell time).
-	SLO map[qos.Class]time.Duration
 	// TraceSample head-samples end-to-end event traces at this rate in
 	// (0,1]; the chaos run's traced notify chains produce the per-stage
-	// latency attribution table. 0 disables tracing.
+	// latency attribution. 0 disables tracing.
 	TraceSample float64
-	// Health attaches an internal/health engine to the QoS server's
-	// registry, ticked on a virtual clock each round plus a quiet tail, so
-	// the soak observes at least one rule fire→clear cycle (the chaos-soak
-	// CI gate). 0-cost when false.
-	Health bool
 	// FlightRecorder (E19) additionally threads a shared structured-logging
 	// recorder through every subsystem — core services, delivery pipelines,
 	// directory nodes, the replica standby and the health engine — on the
-	// same virtual clock, arms a logging.FlightRecorder over its rings, and
-	// registers the standby's stats with the health registry so the
-	// soak-promotion critical rule can observe the kill-primary fault. The
-	// resulting critical transition auto-captures a post-mortem bundle.
-	// Implies Health.
+	// health engine's virtual clock, arms a logging.FlightRecorder over its
+	// rings, and registers the standby's stats with the health registry so
+	// the soak-promotion critical rule can observe the kill-primary fault.
+	// The resulting critical transition auto-captures a post-mortem bundle.
 	FlightRecorder bool
 }
 
@@ -117,49 +122,31 @@ rule soak-deferred-rate {
 // tick) advances the health clock by.
 const soakHealthTick = 10 * time.Second
 
-// DefaultChaosSoakConfig is the acceptance-bar configuration: 16 servers,
-// 100k live profiles, 12 rounds, and a schedule exercising the full fault
-// vocabulary.
+// DefaultChaosSoakConfig is the acceptance-bar configuration: 100k live
+// profiles and a schedule exercising the full fault vocabulary.
 func DefaultChaosSoakConfig(seed int64) ChaosSoakConfig {
 	return ChaosSoakConfig{
-		Servers:        16,
-		Rounds:         12,
-		EventsPerRound: 4,
-		Burst:          8,
-		Seed:           seed,
-		Mode:           core.RouteBroadcast,
-		Load: LoadConfig{
-			Seed:              seed,
-			Profiles:          100_000,
-			Topics:            500,
-			CompositeFraction: 0.02,
-		},
-		Schedule: DefaultSoakSchedule(12, "gds3"),
-		SLO: map[qos.Class]time.Duration{
-			qos.ClassRealtime: 30 * time.Second,
-			qos.ClassNormal:   5 * time.Minute,
-			qos.ClassBulk:     10 * time.Minute,
-		},
+		Seed:     seed,
+		Load:     LoadConfig{Seed: seed, Profiles: 100_000, Topics: 500},
+		Schedule: DefaultSoakSchedule(),
 	}
 }
 
-// DefaultSoakSchedule is the canonical E16 schedule, scaled to the round
-// count (positions are fractions of the 12-round template): degrade the
-// standby, cut a directory subtree off at cutLink (a GDS node id, e.g.
-// "gds3" — the link to its parent is severed), heal both, kill the
-// replicated primary, inject alerting-path latency, flip modes.
-func DefaultSoakSchedule(rounds int, cutNode string) chaos.Schedule {
-	at := func(template int) int { return template * rounds / 12 }
+// DefaultSoakSchedule is the canonical E16 schedule over the soak's 12
+// rounds: degrade the standby, cut the directory subtree under gds3 off
+// (the link to its parent gds0 is severed), heal both, kill the replicated
+// primary, inject alerting-path latency, flip modes.
+func DefaultSoakSchedule() chaos.Schedule {
 	var s chaos.Schedule
-	s.Add(chaos.Fault{At: at(1), Kind: chaos.KindSlowStandby, Target: SoakReplServer, DropRate: 1})
-	s.Add(chaos.Fault{At: at(2), Kind: chaos.KindPartition, A: "gds0", B: cutNode})
-	s.Add(chaos.Fault{At: at(4), Kind: chaos.KindHealStandby, Target: SoakReplServer})
-	s.Add(chaos.Fault{At: at(5), Kind: chaos.KindHeal, A: "gds0", B: cutNode})
-	s.Add(chaos.Fault{At: at(6), Kind: chaos.KindKillPrimary, Target: SoakReplServer})
-	s.Add(chaos.Fault{At: at(7), Kind: chaos.KindInject, TypePrefix: "gs.", Latency: 2 * time.Millisecond})
-	s.Add(chaos.Fault{At: at(8), Kind: chaos.KindFlipMode, Target: "multicast"})
-	s.Add(chaos.Fault{At: at(9), Kind: chaos.KindClearInject})
-	s.Add(chaos.Fault{At: at(10), Kind: chaos.KindFlipMode, Target: "content"})
+	s.Add(chaos.Fault{At: 1, Kind: chaos.KindSlowStandby, Target: SoakReplServer, DropRate: 1})
+	s.Add(chaos.Fault{At: 2, Kind: chaos.KindPartition, A: "gds0", B: "gds3"})
+	s.Add(chaos.Fault{At: 4, Kind: chaos.KindHealStandby, Target: SoakReplServer})
+	s.Add(chaos.Fault{At: 5, Kind: chaos.KindHeal, A: "gds0", B: "gds3"})
+	s.Add(chaos.Fault{At: 6, Kind: chaos.KindKillPrimary, Target: SoakReplServer})
+	s.Add(chaos.Fault{At: 7, Kind: chaos.KindInject, TypePrefix: "gs.", Latency: 2 * time.Millisecond})
+	s.Add(chaos.Fault{At: 8, Kind: chaos.KindFlipMode, Target: "multicast"})
+	s.Add(chaos.Fault{At: 9, Kind: chaos.KindClearInject})
+	s.Add(chaos.Fault{At: 10, Kind: chaos.KindFlipMode, Target: "content"})
 	return s
 }
 
@@ -343,8 +330,8 @@ type SoakOutcome struct {
 	TraceSpans, TraceDropped int64
 	traces                   []*trace.Trace
 
-	// Health-plane observations (empty unless cfg.Health): every component
-	// state transition, and the number of completed fire→clear cycles.
+	// Health-plane observations: every component state transition, and the
+	// number of completed fire→clear cycles.
 	HealthTransitions []health.Transition
 	HealthCycles      int
 
@@ -367,7 +354,7 @@ type SoakOutcome struct {
 func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, error) {
 	start := time.Now()
 	ctx := context.Background()
-	nodes := max(1, cfg.Servers/4)
+	const nodes = soakServers / 4
 	c, err := NewCluster(ClusterConfig{Seed: cfg.Seed, GDSNodes: nodes, GDSBranching: 3})
 	if err != nil {
 		return nil, err
@@ -454,8 +441,8 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		// drains only on the explicit re-attach at the end.
 		cc.DeliveryConfig = &delivery.Config{RetryInterval: time.Hour}
 	}
-	names := make([]string, 0, cfg.Servers)
-	for i := 0; i < cfg.Servers; i++ {
+	names := make([]string, 0, soakServers)
+	for i := 0; i < soakServers; i++ {
 		name := fmt.Sprintf("C%03d", i)
 		nodeIdx := i % nodes
 		if i < 3 {
@@ -470,7 +457,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		}); err != nil {
 			return nil, err
 		}
-		if err := c.Service(name).SetRoutingMode(ctx, cfg.Mode); err != nil {
+		if err := c.Service(name).SetRoutingMode(ctx, soakMode); err != nil {
 			return nil, err
 		}
 		names = append(names, name)
@@ -478,7 +465,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	newQoS := func() *qos.Controller {
 		// Burst-only buckets (rate 0 never refills) make quotas exact; the
 		// digest period is long enough that only the explicit tick flushes.
-		return qos.NewController(qos.Config{SubscriberBurst: cfg.Burst, BulkDigestEvery: time.Hour})
+		return qos.NewController(qos.Config{SubscriberBurst: soakBurst, BulkDigestEvery: time.Hour})
 	}
 	qosSvc := c.Service(SoakQoSServer)
 	qosSvc.SetQoS(newQoS())
@@ -490,43 +477,39 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	// however fast the rounds run. Flight-recorder runs add the critical
 	// soak-promotion rule and capture a post-mortem bundle the moment any
 	// component turns critical — the kill-primary fault is the trigger.
-	var heng *health.Engine
-	var hreg *obs.Registry
-	if cfg.Health || cfg.FlightRecorder {
-		rulesText := soakHealthRules
-		if cfg.FlightRecorder {
-			rulesText += soakPromotionRules
-		}
-		hrules, err := health.ParseRules(rulesText)
-		if err != nil {
-			return nil, fmt.Errorf("sim: soak health rules: %w", err)
-		}
-		hreg = obs.NewRegistry()
-		obs.RegisterService(hreg, qosSvc.Stats)
-		hopts := health.Options{}
-		if rec != nil {
-			hopts.Log = rec.For("health")
-			hopts.OnTransition = func(tr health.Transition) {
-				if tr.To != health.Critical {
-					return
-				}
-				critical++
-				d, err := flight.Dump("critical:" + tr.Component)
-				if err != nil {
-					flightErr = fmt.Errorf("sim: soak flight dump: %w", err)
-					return
-				}
-				raw, err := d.MarshalJSONL()
-				if err != nil {
-					flightErr = fmt.Errorf("sim: soak flight bundle: %w", err)
-					return
-				}
-				dumps = append(dumps, d)
-				bundles = append(bundles, raw)
-			}
-		}
-		heng = health.NewEngine(hreg, hrules, hopts)
+	rulesText := soakHealthRules
+	if cfg.FlightRecorder {
+		rulesText += soakPromotionRules
 	}
+	hrules, err := health.ParseRules(rulesText)
+	if err != nil {
+		return nil, fmt.Errorf("sim: soak health rules: %w", err)
+	}
+	hreg := obs.NewRegistry()
+	obs.RegisterService(hreg, qosSvc.Stats)
+	hopts := health.Options{}
+	if rec != nil {
+		hopts.Log = rec.For("health")
+		hopts.OnTransition = func(tr health.Transition) {
+			if tr.To != health.Critical {
+				return
+			}
+			critical++
+			d, err := flight.Dump("critical:" + tr.Component)
+			if err != nil {
+				flightErr = fmt.Errorf("sim: soak flight dump: %w", err)
+				return
+			}
+			raw, err := d.MarshalJSONL()
+			if err != nil {
+				flightErr = fmt.Errorf("sim: soak flight bundle: %w", err)
+				return
+			}
+			dumps = append(dumps, d)
+			bundles = append(bundles, raw)
+		}
+	}
+	heng := health.NewEngine(hreg, hrules, hopts)
 
 	// The ballast population goes in before the standby joins, so the
 	// snapshot path carries it; the observed profiles subscribe after, over
@@ -560,7 +543,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	if err := recv.Join(ctx); err != nil {
 		return nil, err
 	}
-	if hreg != nil && cfg.FlightRecorder {
+	if cfg.FlightRecorder {
 		// The soak-promotion rule watches gsalert_replica_promoted, which
 		// lives on the standby's stats (selectors sum matching series, so
 		// the QoS server's never-promoted zero contributes nothing).
@@ -600,7 +583,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		cfg:       cfg,
 		c:         c,
 		ctx:       ctx,
-		mode:      cfg.Mode,
+		mode:      soakMode,
 		recv:      recv,
 		serving:   make(map[string]*core.Service),
 		rattSinks: []*core.MemoryNotifier{rattSink},
@@ -614,8 +597,8 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	// each settled round.
 	c.TR.ResetStats()
 	pubSvc := c.Service(SoakPublisher)
-	for round := 0; round < cfg.Rounds; round++ {
-		for i := 0; i < cfg.EventsPerRound; i++ {
+	for round := 0; round < soakRounds; round++ {
+		for i := 0; i < soakEventsPerRound; i++ {
 			ev := lg.Event(round, i)
 			if _, err := pubSvc.PublishBuild(ctx, &collection.BuildResult{Events: []*event.Event{ev}}); err != nil {
 				return nil, fmt.Errorf("sim: soak publish r%d/%d: %w", round, i, err)
@@ -625,17 +608,13 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		if _, err := eng.AdvanceTo(ctx, round); err != nil {
 			return nil, err
 		}
-		if heng != nil {
-			heng.TickAt(advanceClock())
-		}
+		heng.TickAt(advanceClock())
 	}
 	run.settle(ctx)
-	if heng != nil {
-		// Quiet tail: no publishes, so the deferred-rate window drains and
-		// any firing rule clears — completing the fire→clear cycle.
-		for i := 0; i < 6; i++ {
-			heng.TickAt(advanceClock())
-		}
+	// Quiet tail: no publishes, so the deferred-rate window drains and any
+	// firing rule clears — completing the fire→clear cycle.
+	for i := 0; i < 6; i++ {
+		heng.TickAt(advanceClock())
 	}
 	if flightErr != nil {
 		return nil, flightErr
@@ -694,7 +673,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	st := c.TR.Stats()
 	out.Messages, out.Blocked = st.Sent, st.Blocked
 	out.InjectedDrops = c.Inject.Stats().Dropped
-	out.SLO = ClassSLOReports(pipes, cfg.SLO)
+	out.SLO = ClassSLOReports(pipes, soakSLO)
 	if tcol != nil {
 		out.traces = tcol.Traces(trace.Filter{})
 		out.Attribution = AttributionReports(trace.PathSamples(out.traces, trace.StageNotify))
@@ -711,10 +690,8 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 			out.retainedTraces[t.TraceID] = true
 		}
 	}
-	if heng != nil {
-		out.HealthTransitions = heng.Transitions()
-		out.HealthCycles = healthCycles(out.HealthTransitions)
-	}
+	out.HealthTransitions = heng.Transitions()
+	out.HealthCycles = healthCycles(out.HealthTransitions)
 	out.Wall = time.Since(start)
 	return out, nil
 }
@@ -734,10 +711,7 @@ func healthCycles(trs []health.Transition) int {
 // ChaosSoakResult is one E16 row: the run under the chaos schedule (the
 // embedded outcome) and the failure-free baseline it is compared with.
 type ChaosSoakResult struct {
-	Servers, Rounds, Events int
-	Burst                   int
-	Seed                    int64
-	Mode                    string
+	Seed int64
 	// FaultCounts is the composition of the configured schedule.
 	FaultCounts map[chaos.Kind]int
 
@@ -748,9 +722,6 @@ type ChaosSoakResult struct {
 // RunChaosSoak plays the soak twice — failure-free baseline, then under the
 // chaos schedule — so the delivered multisets can be compared.
 func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
-	if cfg.Servers < 4 {
-		return nil, fmt.Errorf("sim: soak needs >= 4 servers, got %d", cfg.Servers)
-	}
 	baseline, err := runChaosSoak(cfg, chaos.Schedule{})
 	if err != nil {
 		return nil, fmt.Errorf("sim: E16 baseline: %w", err)
@@ -760,12 +731,7 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, fmt.Errorf("sim: E16 chaos: %w", err)
 	}
 	return &ChaosSoakResult{
-		Servers:     cfg.Servers,
-		Rounds:      cfg.Rounds,
-		Events:      cfg.Rounds * cfg.EventsPerRound,
-		Burst:       cfg.Burst,
 		Seed:        cfg.Seed,
-		Mode:        cfg.Mode.String(),
 		FaultCounts: cfg.Schedule.Counts(),
 		SoakOutcome: chaosRun,
 		Baseline:    baseline,
@@ -789,7 +755,7 @@ func (r *ChaosSoakResult) DetachedIdentical() bool {
 
 // Check asserts the E16 acceptance bar on a result.
 func (r *ChaosSoakResult) Check() error {
-	shed := r.Events - r.Burst
+	shed := soakEvents - soakBurst
 	counts := r.FaultCounts
 	switch {
 	case counts[chaos.KindKillPrimary] < 1 || counts[chaos.KindPartition] < 1 || counts[chaos.KindFlipMode] < 1:
@@ -798,24 +764,24 @@ func (r *ChaosSoakResult) Check() error {
 		return fmt.Errorf("sim: E16 applied %d of %d scheduled faults", len(r.Applied), totalFaults(counts))
 	case counts[chaos.KindKillPrimary] > 0 && !r.Promoted:
 		return fmt.Errorf("sim: E16 schedule kills a primary but no promotion happened")
-	case r.RealtimeDelivered != r.Events:
-		return fmt.Errorf("sim: E16 realtime delivered %d of %d — loss under chaos", r.RealtimeDelivered, r.Events)
+	case r.RealtimeDelivered != soakEvents:
+		return fmt.Errorf("sim: E16 realtime delivered %d of %d — loss under chaos", r.RealtimeDelivered, soakEvents)
 	case !r.RealtimeIdentical():
 		return fmt.Errorf("sim: E16 realtime multiset differs from the failure-free run")
-	case r.FailoverDelivered != r.Events || !r.FailoverIdentical():
+	case r.FailoverDelivered != soakEvents || !r.FailoverIdentical():
 		return fmt.Errorf("sim: E16 failover client delivered %d of %d (identical=%v) — promotion lost or duplicated alerts",
-			r.FailoverDelivered, r.Events, r.FailoverIdentical())
-	case r.NormalPrompt != r.Burst || r.NormalTotal != r.Events:
+			r.FailoverDelivered, soakEvents, r.FailoverIdentical())
+	case r.NormalPrompt != soakBurst || r.NormalTotal != soakEvents:
 		return fmt.Errorf("sim: E16 normal prompt/total = %d/%d, want %d/%d — deferral lost alerts",
-			r.NormalPrompt, r.NormalTotal, r.Burst, r.Events)
-	case r.DetachedTotal != r.Events || !r.DetachedIdentical():
+			r.NormalPrompt, r.NormalTotal, soakBurst, soakEvents)
+	case r.DetachedTotal != soakEvents || !r.DetachedIdentical():
 		return fmt.Errorf("sim: E16 detached client total %d of %d (identical=%v) — parked alerts lost across promotion",
-			r.DetachedTotal, r.Events, r.DetachedIdentical())
+			r.DetachedTotal, soakEvents, r.DetachedIdentical())
 	case counts[chaos.KindKillPrimary] > 0 && r.Inherited <= 0:
 		return fmt.Errorf("sim: E16 standby inherited %d parked alerts, want > 0", r.Inherited)
-	case r.BulkPrompt != r.Burst || r.Digests != 1 || r.DigestEvents != shed:
+	case r.BulkPrompt != soakBurst || r.Digests != 1 || r.DigestEvents != shed:
 		return fmt.Errorf("sim: E16 bulk prompt/digests/digest-events = %d/%d/%d, want %d/1/%d",
-			r.BulkPrompt, r.Digests, r.DigestEvents, r.Burst, shed)
+			r.BulkPrompt, r.Digests, r.DigestEvents, soakBurst, shed)
 	case counts[chaos.KindSlowStandby] > 0 && r.Resyncs < 1:
 		return fmt.Errorf("sim: E16 standby lagged but never resynced")
 	case r.PipelineDropped+r.Baseline.PipelineDropped != 0:
@@ -824,6 +790,9 @@ func (r *ChaosSoakResult) Check() error {
 		return fmt.Errorf("sim: E16 schedule partitions a link but nothing was blocked — the cut missed")
 	case counts[chaos.KindSlowStandby] > 0 && r.InjectedDrops == 0:
 		return fmt.Errorf("sim: E16 standby was degraded but no message was injected-dropped")
+	case r.HealthCycles < 1:
+		// The health rules (or the engine) stopped observing the pipeline.
+		return fmt.Errorf("sim: E16 health plane observed %d transitions but no fire→clear cycle", len(r.HealthTransitions))
 	}
 	for _, s := range append(append([]SLOReport(nil), r.SLO...), r.Baseline.SLO...) {
 		if !s.OK {
@@ -853,7 +822,7 @@ func totalFaults(counts map[chaos.Kind]int) int {
 func ChaosSoakTable(r *ChaosSoakResult) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("E16 — chaos soak (%d servers, %d live profiles, %d events, %d faults, seed %d)",
-			r.Servers, r.LiveProfiles, r.Events, len(r.Applied), r.Seed),
+			soakServers, r.LiveProfiles, soakEvents, len(r.Applied), r.Seed),
 		"check", "value")
 	t.AddRow("realtime delivered / identical", fmt.Sprintf("%d / %v", r.RealtimeDelivered, r.RealtimeIdentical()))
 	t.AddRow("failover delivered / identical", fmt.Sprintf("%d / %v", r.FailoverDelivered, r.FailoverIdentical()))
@@ -871,9 +840,7 @@ func ChaosSoakTable(r *ChaosSoakResult) *metrics.Table {
 	if len(r.Attribution) > 0 {
 		t.AddRow("trace spans / ring-dropped", fmt.Sprintf("%d / %d", r.TraceSpans, r.TraceDropped))
 	}
-	if len(r.HealthTransitions) > 0 {
-		t.AddRow("health transitions / fire→clear cycles", fmt.Sprintf("%d / %d", len(r.HealthTransitions), r.HealthCycles))
-	}
+	t.AddRow("health transitions / fire→clear cycles", fmt.Sprintf("%d / %d", len(r.HealthTransitions), r.HealthCycles))
 	t.AddRow("wall chaos / baseline", fmt.Sprintf("%v / %v", r.Wall.Round(time.Millisecond), r.Baseline.Wall.Round(time.Millisecond)))
 	return t
 }

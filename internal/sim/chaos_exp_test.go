@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -91,7 +92,7 @@ func TestChaosSoakGeneratedSchedule(t *testing.T) {
 	cfg := soakConfigForTest(t, 3)
 	cfg.Load.Profiles = 5_000
 	gen, err := chaos.Generate(chaos.GenConfig{
-		Seed: 3, Rounds: cfg.Rounds, Primary: SoakReplServer,
+		Seed: 3, Rounds: soakRounds, Primary: SoakReplServer,
 		LinkA: "gds0", LinkB: "gds2", InjectTypePrefix: "gs.",
 	})
 	if err != nil {
@@ -107,6 +108,25 @@ func TestChaosSoakGeneratedSchedule(t *testing.T) {
 	}
 }
 
+// TestChaosSoakCheckRequiresHealthCycle: a soak whose health plane never
+// completed a fire→clear cycle fails the bar even when every delivery
+// invariant held — the rules (or the engine) stopped observing the pipeline.
+func TestChaosSoakCheckRequiresHealthCycle(t *testing.T) {
+	cfg := DefaultChaosSoakConfig(7)
+	cfg.Load.Profiles = 2_000
+	r, err := RunChaosSoak(cfg)
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+	if err := r.Check(); err != nil {
+		t.Fatalf("unmodified result fails: %v\n%s", err, ChaosSoakTable(r).Render())
+	}
+	r.HealthCycles = 0
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "fire→clear") {
+		t.Fatalf("Check with no health cycle = %v, want a fire→clear failure", err)
+	}
+}
+
 func TestLoadGenDeterministicPopulation(t *testing.T) {
 	build := func() ([]int, []qos.Class) {
 		lg, err := NewLoadGen(LoadConfig{Seed: 11, Profiles: 500, Topics: 50, Collection: "C000.X"})
@@ -117,7 +137,7 @@ func TestLoadGenDeterministicPopulation(t *testing.T) {
 		classes := make([]qos.Class, 200)
 		for i := range topics {
 			topics[i] = lg.Topic()
-			classes[i] = lg.classFor(i)
+			classes[i] = classFor(i)
 		}
 		return topics, classes
 	}
@@ -149,16 +169,9 @@ func TestLoadGenZipfSkew(t *testing.T) {
 }
 
 func TestLoadGenClassMixExact(t *testing.T) {
-	lg, err := NewLoadGen(LoadConfig{
-		Seed: 1, Profiles: 1, Topics: 10, Collection: "C000.X",
-		Mix: LoadMix{Realtime: 1, Normal: 2, Bulk: 1},
-	})
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
 	var got [qos.NumClasses]int
 	for i := 0; i < 4000; i++ {
-		got[lg.classFor(i)]++
+		got[classFor(i)]++
 	}
 	if got[qos.ClassRealtime] != 1000 || got[qos.ClassNormal] != 2000 || got[qos.ClassBulk] != 1000 {
 		t.Fatalf("class mix %v, want exact 1000/2000/1000", got)

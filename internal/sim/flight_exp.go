@@ -52,9 +52,8 @@ rule soak-promotion {
 // and schedule, and the first run's auto-captured bundle is analysed
 // against the second's for determinism.
 type FlightSoakResult struct {
-	Servers, Rounds, Events int
-	Seed                    int64
-	LiveProfiles            int
+	Seed         int64
+	LiveProfiles int
 
 	// Promoted confirms the kill-primary fault bit.
 	Promoted bool
@@ -78,10 +77,8 @@ type FlightSoakResult struct {
 	// RetainedTraces is the bundle's trace-index length (IDs live in the
 	// collector at capture time).
 	RetainedTraces int
-	// BundleBytes is the serialized bundle size; Bundle is the serialized
-	// bundle itself (loadgen writes it as the CI soak artifact).
+	// BundleBytes is the serialized bundle size.
 	BundleBytes int
-	Bundle      []byte
 	// Deterministic reports the replay produced a byte-identical bundle.
 	Deterministic bool
 	// TraceRingDropped is the collector's drop-oldest count; non-zero
@@ -98,16 +95,12 @@ type FlightSoakResult struct {
 
 // RunFlightSoak plays the E19 experiment: the E16 chaos soak with the
 // flight recorder armed, twice under the same seed, returning the bundle
-// analysis. The config's Health, FlightRecorder and TraceSample knobs are
-// forced to the experiment's requirements.
+// analysis. The config's FlightRecorder and TraceSample knobs are forced to
+// the experiment's requirements.
 func RunFlightSoak(cfg ChaosSoakConfig) (*FlightSoakResult, error) {
-	if cfg.Servers < 4 {
-		return nil, fmt.Errorf("sim: soak needs >= 4 servers, got %d", cfg.Servers)
-	}
 	if cfg.Schedule.Counts()[chaos.KindKillPrimary] < 1 {
 		return nil, fmt.Errorf("sim: E19 schedule has no kill-primary fault to capture")
 	}
-	cfg.Health = true
 	cfg.FlightRecorder = true
 	cfg.TraceSample = 1
 	a, err := runChaosSoak(cfg, cfg.Schedule)
@@ -119,9 +112,6 @@ func RunFlightSoak(cfg ChaosSoakConfig) (*FlightSoakResult, error) {
 		return nil, fmt.Errorf("sim: E19 replay: %w", err)
 	}
 	r := &FlightSoakResult{
-		Servers:             cfg.Servers,
-		Rounds:              cfg.Rounds,
-		Events:              cfg.Rounds * cfg.EventsPerRound,
 		Seed:                cfg.Seed,
 		LiveProfiles:        a.LiveProfiles,
 		Promoted:            a.Promoted,
@@ -140,7 +130,6 @@ func RunFlightSoak(cfg ChaosSoakConfig) (*FlightSoakResult, error) {
 		r.DumpComponents = d.Components()
 		r.RetainedTraces = len(d.TraceIDs)
 		r.BundleBytes = len(a.bundles[0])
-		r.Bundle = a.bundles[0]
 		for _, rec := range d.Records {
 			if rec.TraceID == "" {
 				continue
@@ -189,7 +178,7 @@ func (r *FlightSoakResult) Check() error {
 func FlightSoakTable(r *FlightSoakResult) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("E19 — flight recorder under chaos (%d servers, %d live profiles, %d events, seed %d)",
-			r.Servers, r.LiveProfiles, r.Events, r.Seed),
+			soakServers, r.LiveProfiles, soakEvents, r.Seed),
 		"check", "value")
 	t.AddRow("promoted / critical transitions", fmt.Sprintf("%v / %d", r.Promoted, r.CriticalTransitions))
 	t.AddRow("bundles captured / reason", fmt.Sprintf("%d / %s", r.Dumps, r.Reason))

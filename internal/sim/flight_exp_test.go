@@ -45,7 +45,6 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 func TestFlightSoakBundleRoundTrip(t *testing.T) {
 	cfg := soakConfigForTest(t, 7)
 	cfg.Load.Profiles = 2_000
-	cfg.Health = true
 	cfg.FlightRecorder = true
 	cfg.TraceSample = 1
 	out, err := runChaosSoak(cfg, cfg.Schedule)

@@ -14,15 +14,14 @@ import (
 	"github.com/gsalert/gsalert/internal/qos"
 )
 
-// LoadMix weights the QoS classes across a generated subscriber
-// population. Assignment is deterministic (round-robin over the weighted
-// pattern), so class proportions are exact and independent of the random
-// stream.
-type LoadMix struct {
-	Realtime, Normal, Bulk int
-}
-
-func (m LoadMix) total() int { return m.Realtime + m.Normal + m.Bulk }
+// The population's fixed shape: zipf skew 1.07 (≈ web-like popularity)
+// over value offset 1, and every 50th subscriber (2%) registered as a
+// DIGEST composite wrapper instead of a primitive profile.
+const (
+	loadZipfS          = 1.07
+	loadZipfV          = 1
+	loadCompositeEvery = 50
+)
 
 // LoadConfig shapes a zipfian workload: a large subscriber population whose
 // topic interests follow a zipf distribution, and a publish stream whose
@@ -36,15 +35,6 @@ type LoadConfig struct {
 	Profiles int
 	// Topics is the topic-vocabulary size (dc.Subject values).
 	Topics int
-	// ZipfS is the zipf skew (> 1; default 1.07 ≈ web-like popularity).
-	ZipfS float64
-	// ZipfV is the zipf value offset (>= 1; default 1).
-	ZipfV float64
-	// CompositeFraction in [0,1) registers that share of the population as
-	// DIGEST composite wrappers instead of primitive profiles.
-	CompositeFraction float64
-	// Mix weights the QoS classes (default 1/2/1 realtime/normal/bulk).
-	Mix LoadMix
 	// Collection is the watched collection qname ("host.name").
 	Collection string
 }
@@ -55,15 +45,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Topics <= 0 {
 		c.Topics = 100
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.07
-	}
-	if c.ZipfV < 1 {
-		c.ZipfV = 1
-	}
-	if c.Mix.total() <= 0 {
-		c.Mix = LoadMix{Realtime: 1, Normal: 2, Bulk: 1}
 	}
 	return c
 }
@@ -94,7 +75,7 @@ func NewLoadGen(cfg LoadConfig) (*LoadGen, error) {
 		cfg:   cfg,
 		qname: event.QName{Host: host, Collection: coll},
 		rng:   rng,
-		zipf:  rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Topics-1)),
+		zipf:  rand.NewZipf(rng, loadZipfS, loadZipfV, uint64(cfg.Topics-1)),
 		exprs: make(map[int]profile.Expr, cfg.Topics),
 		base:  time.Unix(1_120_000_000, 0), // fixed epoch: identical runs build identical events
 	}, nil
@@ -116,29 +97,27 @@ func (g *LoadGen) exprFor(topic int) profile.Expr {
 	return e
 }
 
-func (g *LoadGen) classFor(i int) qos.Class {
-	m := g.cfg.Mix
-	switch r := i % m.total(); {
-	case r < m.Realtime:
+// classFor weights the QoS classes 1/2/1 realtime/normal/bulk across the
+// population. Assignment is round-robin over that pattern, so class
+// proportions are exact and independent of the random stream.
+func classFor(i int) qos.Class {
+	switch i % 4 {
+	case 0:
 		return qos.ClassRealtime
-	case r < m.Realtime+m.Normal:
-		return qos.ClassNormal
-	default:
+	case 3:
 		return qos.ClassBulk
+	default:
+		return qos.ClassNormal
 	}
 }
 
 // Populate registers the subscriber population round-robin across the named
-// servers: mostly primitive QoS-classed topic profiles, with the configured
-// fraction registered as DIGEST composite wrappers. Returns the number of
-// live profiles registered.
+// servers: mostly primitive QoS-classed topic profiles, with every
+// loadCompositeEvery-th registered as a DIGEST composite wrapper. Returns
+// the number of live profiles registered.
 func (g *LoadGen) Populate(c *Cluster, servers []string) (int, error) {
 	if len(servers) == 0 {
 		return 0, fmt.Errorf("sim: loadgen has no servers to populate")
-	}
-	compositeEvery := 0
-	if g.cfg.CompositeFraction > 0 {
-		compositeEvery = int(1 / g.cfg.CompositeFraction)
 	}
 	live := 0
 	for i := 0; i < g.cfg.Profiles; i++ {
@@ -149,7 +128,7 @@ func (g *LoadGen) Populate(c *Cluster, servers []string) (int, error) {
 		}
 		topic := g.Topic()
 		subscriber := fmt.Sprintf("z%07d", i)
-		if compositeEvery > 0 && i%compositeEvery == compositeEvery-1 {
+		if i%loadCompositeEvery == loadCompositeEvery-1 {
 			src := fmt.Sprintf(`DIGEST (collection = "%s" AND dc.Subject = "%s") EVERY 1h`,
 				g.cfg.Collection, TopicName(topic))
 			if _, err := svc.SubscribeComposite(subscriber, src); err != nil {
@@ -157,7 +136,7 @@ func (g *LoadGen) Populate(c *Cluster, servers []string) (int, error) {
 			}
 		} else {
 			p := profile.NewUser(fmt.Sprintf("zp%07d", i), subscriber, srv, g.exprFor(topic))
-			p.Class = g.classFor(i)
+			p.Class = classFor(i)
 			if err := svc.SubscribeProfile(p); err != nil {
 				return live, fmt.Errorf("sim: loadgen profile %d: %w", i, err)
 			}

@@ -6,33 +6,29 @@ import (
 	"github.com/gsalert/gsalert/internal/metrics"
 )
 
-// Params are the load shapes cmd/alert-bench's flags choose.
+// Params are what the experiments take from outside: cmd/alert-bench's
+// -seed, and E2's size list, which the golden test trims.
 type Params struct {
 	// Seed seeds every seeded experiment.
 	Seed int64
 	// GDSSizes are E2's server counts.
 	GDSSizes []int
-	// ThroughputNotifs, ThroughputClients and ThroughputShards shape E11.
-	ThroughputNotifs  int
-	ThroughputClients int
-	ThroughputShards  []int
 }
 
-// DefaultParams are alert-bench's flag defaults.
+// DefaultParams are alert-bench's defaults.
 func DefaultParams() Params {
 	return Params{
-		Seed:              2005,
-		GDSSizes:          []int{10, 50, 100, 250, 1000},
-		ThroughputNotifs:  50000,
-		ThroughputClients: 64,
-		ThroughputShards:  []int{1, 4, 16},
+		Seed:     2005,
+		GDSSizes: []int{10, 50, 100, 250, 1000},
 	}
 }
 
 // Experiment is one table of docs/EXPERIMENTS.md as alert-bench prints it.
 type Experiment struct {
 	ID string
-	// Table runs the experiment at alert-bench's parameters.
+	// Table runs the experiment at alert-bench's parameters. An experiment
+	// that checks an acceptance bar returns its table together with the
+	// error of a failed check.
 	Table func(Params) (*metrics.Table, error)
 	// Masked names the columns whose values vary between runs of one
 	// binary; testdata/tables.golden records them as "~".
@@ -43,8 +39,8 @@ type Experiment struct {
 
 // Experiments is the list of record: what alert-bench prints, in its order,
 // and — Unfenced entries aside — what testdata/tables.golden fences. (E4
-// lives in internal/filter's benchmarks; E16, E17 and E19 run from
-// cmd/loadgen and this package's tests.)
+// lives in internal/filter's benchmarks and E17 in internal/core's
+// BenchmarkTraceOverhead.)
 func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "e1", Unfenced: true, // wall-clock build and filter times
@@ -92,7 +88,7 @@ func Experiments() []Experiment {
 		}},
 		{ID: "e11", Unfenced: true, // wall-clock throughput
 			Table: func(p Params) (*metrics.Table, error) {
-				return DeliveryThroughputTable(p.ThroughputNotifs, p.ThroughputClients, p.ThroughputShards)
+				return DeliveryThroughputTable(50000, 64, []int{1, 4, 16})
 			}},
 		{ID: "e12", Table: func(p Params) (*metrics.Table, error) {
 			return ContentRoutingTable(16, 4, 5, p.Seed)
@@ -108,8 +104,28 @@ func Experiments() []Experiment {
 		{ID: "e15", Masked: []string{"rt p99"}, Table: func(p Params) (*metrics.Table, error) {
 			return QoSOverloadTable(16, 30, 3, p.Seed)
 		}},
+		{ID: "e16", Unfenced: true, // wall-clock SLO quantiles and wall time
+			Table: func(p Params) (*metrics.Table, error) {
+				r, err := RunChaosSoak(DefaultChaosSoakConfig(p.Seed))
+				if err != nil {
+					return nil, err
+				}
+				return ChaosSoakTable(r), r.Check()
+			}},
 		{ID: "e18", Table: func(p Params) (*metrics.Table, error) {
 			return HealthTable(8, 8, 2, 4, p.Seed)
 		}},
+		{ID: "e19", Unfenced: true, // wall time
+			Table: func(p Params) (*metrics.Table, error) {
+				cfg := DefaultChaosSoakConfig(p.Seed)
+				// Tracing every event of a 100k population overflows the
+				// 2^18-span collector, and a dropped span fails the bar.
+				cfg.Load.Profiles = 20_000
+				r, err := RunFlightSoak(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return FlightSoakTable(r), r.Check()
+			}},
 	}
 }
