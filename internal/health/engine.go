@@ -17,9 +17,6 @@ type Source interface {
 
 // Options tune an Engine.
 type Options struct {
-	// Clock supplies evaluation timestamps; nil uses time.Now. Sim
-	// experiments inject a virtual clock for deterministic fire/clear.
-	Clock func() time.Time
 	// OnTransition, when set, is invoked (outside the engine lock, in tick
 	// order) for every component state change — the dogfood hook that
 	// publishes health-alert events into core.Service.
@@ -124,9 +121,10 @@ type Engine struct {
 	readyMu sync.Mutex
 	ready   []readinessCheck
 
+	startOnce sync.Once
 	closeOnce sync.Once
 	closeCh   chan struct{}
-	doneCh    chan struct{}
+	loop      sync.WaitGroup
 }
 
 type readinessCheck struct {
@@ -140,9 +138,6 @@ func NewEngine(src Source, rules *RuleSet, opts Options) *Engine {
 	if rules == nil {
 		rules = DefaultRules()
 	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	if opts.MaxTransitions <= 0 {
 		opts.MaxTransitions = 256
 	}
@@ -151,9 +146,8 @@ func NewEngine(src Source, rules *RuleSet, opts Options) *Engine {
 		rules:   rules,
 		opts:    opts,
 		closeCh: make(chan struct{}),
-		doneCh:  make(chan struct{}),
 	}
-	now := opts.Clock()
+	now := time.Now()
 	e.started = now
 	e.components = map[string]*componentRun{}
 	e.transitionCount = map[string]uint64{}
@@ -174,38 +168,39 @@ func NewEngine(src Source, rules *RuleSet, opts Options) *Engine {
 // Rules exposes the engine's rule set (for /healthz and rendering).
 func (e *Engine) Rules() *RuleSet { return e.rules }
 
-// Start launches the wall-clock evaluation loop at the given cadence.
+// Start launches the wall-clock evaluation loop at the given cadence; a
+// second Start is a no-op.
 func (e *Engine) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
-	go func() {
-		defer close(e.doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-e.closeCh:
-				return
-			case <-t.C:
-				e.Tick()
+	e.startOnce.Do(func() {
+		e.loop.Add(1)
+		go func() {
+			defer e.loop.Done()
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-e.closeCh:
+					return
+				case <-t.C:
+					e.Tick()
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
-// Close stops the Start loop, if one is running.
+// Close stops the Start loop, if one is running, and returns once a tick in
+// progress — its Gather and OnTransition calls included — has finished.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.closeCh) })
-	select {
-	case <-e.doneCh:
-	default:
-		// Start was never called; doneCh never closes. Don't block.
-	}
+	e.loop.Wait()
 }
 
-// Tick evaluates all rules once at the engine clock's current time.
-func (e *Engine) Tick() { e.TickAt(e.opts.Clock()) }
+// Tick evaluates all rules once at the current wall-clock time.
+func (e *Engine) Tick() { e.TickAt(time.Now()) }
 
 // TickAt evaluates all rules once at the given instant — the deterministic
 // entry point for sim experiments driving a virtual clock.

@@ -65,12 +65,6 @@ type tickClock struct {
 
 func newTickClock() *tickClock { return &tickClock{now: time.Unix(1700000000, 0)} }
 
-func (c *tickClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
 func (c *tickClock) Advance(d time.Duration) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -103,7 +97,6 @@ rule depth {
 }`)
 	var transitions []Transition
 	e := NewEngine(src, rs, Options{
-		Clock:        clock.Now,
 		OnTransition: func(tr Transition) { transitions = append(transitions, tr) },
 	})
 
@@ -170,7 +163,7 @@ rule p99 {
 	severity = critical
 	expr = p99(gsalert_delivery_latency_seconds{class="realtime"}) > 1s
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 
 	for i := 0; i < 100; i++ {
 		src.hist.Observe(10 * time.Millisecond)
@@ -200,7 +193,7 @@ rule deferred {
 	severity = warning
 	expr = rate(gsalert_qos_deferred_total[1m]) > 10
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 
 	// First tick has no history — never fires.
 	e.TickAt(clock.Advance(15 * time.Second))
@@ -238,7 +231,7 @@ rule loss {
 	windows = 1m, 5m
 	factor = 10
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 
 	// Healthy traffic for 6 minutes fills both windows with ~zero burn.
 	for i := 0; i < 12; i++ {
@@ -300,7 +293,7 @@ rule crit {
 	severity = critical
 	expr = gsalert_replica_stream_lag > 10
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 	tick := func() { e.TickAt(clock.Advance(10 * time.Second)) }
 
 	src.set("gsalert_delivery_queue_depth", 50)
@@ -373,7 +366,7 @@ rule idle {
 	severity = warning
 	expr = gsalert_delivery_queue_depth < 0
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 	e.TickAt(clock.Advance(10 * time.Second))
 
 	reg := obs.NewRegistry()
@@ -416,7 +409,7 @@ rule depth {
 	clock := newTickClock()
 	var mu sync.Mutex // OnTransition appends race-free
 	var seen []Transition
-	e := NewEngine(src, rs, Options{Clock: clock.Now, OnTransition: func(tr Transition) {
+	e := NewEngine(src, rs, Options{OnTransition: func(tr Transition) {
 		mu.Lock()
 		seen = append(seen, tr)
 		mu.Unlock()
@@ -478,7 +471,7 @@ rule depth {
 	severity = critical
 	expr = gsalert_delivery_queue_depth > 100
 }`)
-	e := NewEngine(reg, rs, Options{Clock: clock.Now})
+	e := NewEngine(reg, rs, Options{})
 	e.TickAt(clock.Advance(time.Second))
 	if st := e.ComponentState("delivery"); st != Healthy {
 		t.Fatalf("state = %s, want healthy", st)
@@ -509,7 +502,7 @@ func TestExporterBacklogRuleFires(t *testing.T) {
 	defer close(hang) // runs first: lets the sender drain so Close returns
 
 	clock := newTickClock()
-	e := NewEngine(reg, DefaultRules(), Options{Clock: clock.Now})
+	e := NewEngine(reg, DefaultRules(), Options{})
 	state := func() RuleStateName {
 		for _, r := range e.Snapshot().Rules {
 			if r.Name == "exporter-queue-backlog" {
@@ -536,6 +529,46 @@ func TestExporterBacklogRuleFires(t *testing.T) {
 	}
 }
 
+// blockingSource parks every Gather until release is closed, announcing
+// each entry on entered.
+type blockingSource struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingSource) Gather() ([]obs.Sample, []obs.HistogramSample) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return nil, nil
+}
+
+// TestEngineCloseWaitsForTick pins the Start/Close lifecycle: a second Start
+// is a no-op, and Close does not return while the loop's tick is still
+// inside Gather, so no OnTransition can run after Close.
+func TestEngineCloseWaitsForTick(t *testing.T) {
+	src := &blockingSource{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	e := NewEngine(src, DefaultRules(), Options{})
+	e.Start(time.Millisecond)
+	e.Start(time.Millisecond)
+	<-src.entered
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a tick was inside Gather")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(src.release)
+	<-closed
+}
+
 // TestSnapshotShape sanity-checks the /healthz document contents.
 func TestSnapshotShape(t *testing.T) {
 	src := newFakeSource()
@@ -547,7 +580,7 @@ rule depth {
 	severity = warning
 	expr = gsalert_delivery_queue_depth > 100
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 	e.TickAt(clock.Advance(time.Second))
 	st := e.Snapshot()
 	if st.State != Degraded {
@@ -585,7 +618,7 @@ rule r%d {
 			}
 			rs := mustRules2(b, sb.String())
 			clock := newTickClock()
-			e := NewEngine(src, rs, Options{Clock: clock.Now})
+			e := NewEngine(src, rs, Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

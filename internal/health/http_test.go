@@ -21,7 +21,7 @@ rule lag {
 	severity = critical
 	expr = gsalert_replica_stream_lag > 10
 }`)
-	e := NewEngine(src, rs, Options{Clock: clock.Now})
+	e := NewEngine(src, rs, Options{})
 	e.TickAt(clock.Advance(time.Second))
 
 	h := HealthzHandler(e)

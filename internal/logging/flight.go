@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // FlightConfig assembles a FlightRecorder around a Recorder.
@@ -25,9 +24,6 @@ type FlightConfig struct {
 	TraceIDs func() []string
 	// Dir, when set, is where DumpToDir writes timestamped bundles.
 	Dir string
-	// Clock overrides time.Now for the capture timestamp (deterministic
-	// simulations pass the virtual clock here and on the Recorder).
-	Clock func() time.Time
 }
 
 // FlightRecorder captures post-mortem bundles: the black-box JSONL
@@ -37,7 +33,6 @@ type FlightConfig struct {
 // never blocked by a capture (the rings are lock-free).
 type FlightRecorder struct {
 	cfg   FlightConfig
-	clock func() time.Time
 	dumps atomic.Int64
 }
 
@@ -47,11 +42,7 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if cfg.Recorder == nil {
 		panic("logging: FlightConfig.Recorder is required")
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
-	return &FlightRecorder{cfg: cfg, clock: clock}
+	return &FlightRecorder{cfg: cfg}
 }
 
 // Dumps reports bundles captured since construction (the
@@ -62,7 +53,7 @@ func (f *FlightRecorder) Dumps() int64 { return f.dumps.Load() }
 type Dump struct {
 	// Seq numbers captures within this process (1-based).
 	Seq int64
-	// TakenUnixNano is the capture time on the flight recorder's clock.
+	// TakenUnixNano is the capture time on the Recorder's clock.
 	TakenUnixNano int64
 	// Reason names the trigger: "critical:<component>" for automatic
 	// health captures, "manual" for /debug/flightrecorder and CLI pulls.
@@ -94,7 +85,7 @@ func (d *Dump) Components() []string {
 func (f *FlightRecorder) Dump(reason string) (*Dump, error) {
 	d := &Dump{
 		Seq:           f.dumps.Add(1),
-		TakenUnixNano: f.clock().UnixNano(),
+		TakenUnixNano: f.cfg.Recorder.clock().UnixNano(),
 		Reason:        reason,
 		Records:       f.cfg.Recorder.Snapshot(),
 	}

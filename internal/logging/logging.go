@@ -140,7 +140,8 @@ type Config struct {
 	RateLimit float64
 	// RateBurst is the bucket depth; default 2×RateLimit (min 1).
 	RateBurst int
-	// Clock overrides time.Now for deterministic simulations.
+	// Clock overrides time.Now for deterministic simulations; it stamps
+	// records and the capture time of every FlightRecorder bundle.
 	Clock func() time.Time
 }
 

@@ -165,12 +165,10 @@ func TestFlightDumpRoundTripAndDeterminism(t *testing.T) {
 		r.For("core").WarnCtx(ctx, "admitted", String("client", "rt"), Int("events", 3))
 		r.For("delivery").Warn("deferred", String("client", "nm"))
 		r.For("replica").Info("promoted")
-		clk := time.Unix(1_700_000_100, 0)
 		return NewFlightRecorder(FlightConfig{
 			Recorder: r,
 			Stats:    func() any { return map[string]int{"events": 3} },
 			TraceIDs: func() []string { return []string{"beef", "abad"} },
-			Clock:    func() time.Time { return clk },
 		})
 	}
 	a, err := build().DumpJSONL("critical:replica")
@@ -208,7 +206,7 @@ func TestFlightDumpRoundTripAndDeterminism(t *testing.T) {
 func TestDumpToDir(t *testing.T) {
 	r := NewRecorder(Config{Clock: fixedClock()})
 	r.For("core").Error("boom")
-	fr := NewFlightRecorder(FlightConfig{Recorder: r, Dir: t.TempDir(), Clock: fixedClock()})
+	fr := NewFlightRecorder(FlightConfig{Recorder: r, Dir: t.TempDir()})
 	path, err := fr.DumpToDir("manual")
 	if err != nil {
 		t.Fatal(err)

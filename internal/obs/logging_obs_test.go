@@ -36,7 +36,7 @@ func buildLoggingRegistry() (*Registry, *logging.Recorder) {
 		rec.For("delivery").Info("flush") // overflows the size-8 ring: drops
 	}
 	RegisterLogging(r, rec)
-	fr := logging.NewFlightRecorder(logging.FlightConfig{Recorder: rec, Clock: loggingClock()})
+	fr := logging.NewFlightRecorder(logging.FlightConfig{Recorder: rec})
 	_, _ = fr.Dump("manual")
 	RegisterFlight(r, fr)
 	var h metrics.LatencyHistogram
@@ -171,7 +171,7 @@ func TestHandlerContentNegotiation(t *testing.T) {
 func TestFlightHandler(t *testing.T) {
 	rec := logging.NewRecorder(logging.Config{Clock: loggingClock()})
 	rec.For("core").Error("boom")
-	fr := logging.NewFlightRecorder(logging.FlightConfig{Recorder: rec, Clock: loggingClock()})
+	fr := logging.NewFlightRecorder(logging.FlightConfig{Recorder: rec})
 	h := FlightHandler(fr)
 
 	rw := httptest.NewRecorder()

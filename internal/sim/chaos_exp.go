@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/gsalert/gsalert/internal/chaos"
@@ -307,8 +306,7 @@ type SoakOutcome struct {
 
 	// E15-shaped QoS observations at SoakQoSServer: normal deferred-not-lost
 	// and bulk digest-exactly-once.
-	NormalPrompt, NormalTotal, BulkPrompt int
-	Digests, DigestEvents                 int
+	qosCastCounts
 
 	// E14-shaped failover observations at SoakReplServer.
 	Inherited int
@@ -388,22 +386,8 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	// The virtual clock shared by the health engine and the logging plane:
 	// it advances only at round boundaries, so every record and capture
 	// timestamp is a pure function of the seed — the E19 byte-determinism
-	// property. The mutex keeps -race quiet should any background emitter
-	// ever read it; in the soak every log site runs on this goroutine.
-	hclock := time.Unix(1_700_000_000, 0)
-	var clkMu sync.Mutex
-	lclock := func() time.Time {
-		clkMu.Lock()
-		defer clkMu.Unlock()
-		return hclock
-	}
-	advanceClock := func() time.Time {
-		clkMu.Lock()
-		hclock = hclock.Add(soakHealthTick)
-		t := hclock
-		clkMu.Unlock()
-		return t
-	}
+	// property.
+	clock := newVClock()
 
 	// The E19 logging plane: one recorder at debug feeds every component's
 	// flight ring; no sink is attached (ring-only, the always-on production
@@ -421,11 +405,10 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 	if cfg.FlightRecorder {
 		rec = logging.NewRecorder(logging.Config{
 			Level: logging.LevelDebug,
-			Clock: lclock,
+			Clock: clock.Now,
 		})
 		flight = logging.NewFlightRecorder(logging.FlightConfig{
 			Recorder: rec,
-			Clock:    lclock,
 			TraceIDs: tcol.TraceIDs, // nil collector (tracing off) retains none
 		})
 		coreLog = rec.For("core")
@@ -435,12 +418,6 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		}
 	}
 
-	quota := func(cc *core.Config) {
-		// A retry interval beyond the run keeps deferred redelivery out of
-		// the measurement (E15's determinism trick); deferred traffic
-		// drains only on the explicit re-attach at the end.
-		cc.DeliveryConfig = &delivery.Config{RetryInterval: time.Hour}
-	}
 	names := make([]string, 0, soakServers)
 	for i := 0; i < soakServers; i++ {
 		name := fmt.Sprintf("C%03d", i)
@@ -451,7 +428,6 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 			nodeIdx = 0
 		}
 		if _, err := c.AddServerWith(name, nodeIdx, func(cc *core.Config) {
-			quota(cc)
 			cc.Tracer = newTracer(cc.ServerName)
 			cc.Log = coreLog
 		}); err != nil {
@@ -462,15 +438,9 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		}
 		names = append(names, name)
 	}
-	newQoS := func() *qos.Controller {
-		// Burst-only buckets (rate 0 never refills) make quotas exact; the
-		// digest period is long enough that only the explicit tick flushes.
-		return qos.NewController(qos.Config{SubscriberBurst: soakBurst, BulkDigestEvery: time.Hour})
-	}
 	qosSvc := c.Service(SoakQoSServer)
-	qosSvc.SetQoS(newQoS())
 	replSvc := c.Service(SoakReplServer)
-	replSvc.SetQoS(newQoS())
+	replSvc.SetQoS(burstOnlyQoS(soakBurst))
 
 	// The soak's health plane: a rule engine over the QoS server's
 	// registry, stepped on a virtual clock so rate windows behave the same
@@ -531,7 +501,6 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 
 	// The replica pair for SoakReplServer, configured like its primary.
 	recv, err := c.AddStandby(SoakReplServer, func(cc *core.Config) {
-		quota(cc)
 		cc.Tracer = newTracer(SoakReplServer + "b")
 		cc.Log = coreLog
 	})
@@ -539,7 +508,7 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		return nil, err
 	}
 	standby := recv.Service()
-	standby.SetQoS(newQoS())
+	standby.SetQoS(burstOnlyQoS(soakBurst))
 	if err := recv.Join(ctx); err != nil {
 		return nil, err
 	}
@@ -550,35 +519,6 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		obs.RegisterService(hreg, standby.Stats)
 	}
 
-	// The observed subscribers: E15's cast at the QoS server, E14's cast at
-	// the replicated server. All match every event of the collection.
-	allEvents := profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll))
-	subscribe := func(svc *core.Service, host, client string, class qos.Class) (string, error) {
-		p := profile.NewUser("soak-"+client, client, host, allEvents)
-		p.Class = class
-		return p.ID, svc.SubscribeProfile(p)
-	}
-	rtSink := c.Notifier(SoakQoSServer, "rt")
-	nmSink := c.Notifier(SoakQoSServer, "nm")
-	blkSink := c.Notifier(SoakQoSServer, "blk")
-	if _, err := subscribe(qosSvc, SoakQoSServer, "rt", qos.ClassRealtime); err != nil {
-		return nil, err
-	}
-	if _, err := subscribe(qosSvc, SoakQoSServer, "nm", qos.ClassNormal); err != nil {
-		return nil, err
-	}
-	blkID, err := subscribe(qosSvc, SoakQoSServer, "blk", qos.ClassBulk)
-	if err != nil {
-		return nil, err
-	}
-	rattSink := c.Notifier(SoakReplServer, "ratt")
-	if _, err := subscribe(replSvc, SoakReplServer, "ratt", qos.ClassRealtime); err != nil {
-		return nil, err
-	}
-	if _, err := subscribe(replSvc, SoakReplServer, "noff", qos.ClassNormal); err != nil {
-		return nil, err
-	}
-
 	run := &soakRun{
 		cfg:       cfg,
 		c:         c,
@@ -586,7 +526,24 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		mode:      soakMode,
 		recv:      recv,
 		serving:   make(map[string]*core.Service),
-		rattSinks: []*core.MemoryNotifier{rattSink},
+		rattSinks: []*core.MemoryNotifier{c.Notifier(SoakReplServer, "ratt")},
+	}
+	// The observed subscribers: E15's cast at the QoS server, E14's cast at
+	// the replicated server. All match every event of the collection.
+	cast, err := newQoSCast(c, SoakQoSServer, coll, soakBurst, run.settle)
+	if err != nil {
+		return nil, err
+	}
+	allEvents := profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll))
+	for _, sub := range []struct {
+		client string
+		class  qos.Class
+	}{{"ratt", qos.ClassRealtime}, {"noff", qos.ClassNormal}} {
+		p := profile.NewUser("soak-"+sub.client, sub.client, SoakReplServer, allEvents)
+		p.Class = sub.class
+		if err := replSvc.SubscribeProfile(p); err != nil {
+			return nil, err
+		}
 	}
 	eng, err := chaos.NewEngine(schedule, run)
 	if err != nil {
@@ -608,13 +565,13 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		if _, err := eng.AdvanceTo(ctx, round); err != nil {
 			return nil, err
 		}
-		heng.TickAt(advanceClock())
+		heng.TickAt(clock.Advance(soakHealthTick))
 	}
 	run.settle(ctx)
 	// Quiet tail: no publishes, so the deferred-rate window drains and any
 	// firing rule clears — completing the fire→clear cycle.
 	for i := 0; i < 6; i++ {
-		heng.TickAt(advanceClock())
+		heng.TickAt(clock.Advance(soakHealthTick))
 	}
 	if flightErr != nil {
 		return nil, flightErr
@@ -630,22 +587,9 @@ func runChaosSoak(cfg ChaosSoakConfig, schedule chaos.Schedule) (*SoakOutcome, e
 		Applied:      eng.Log(),
 	}
 
-	// E15 shape at the QoS server: prompt counts, then the deferred normal
-	// backlog drains on re-attach, then the coalescing digest flushes.
-	out.RealtimeDelivered = countKeys(out.Realtime, rtSink.All())
-	out.NormalPrompt = countPrimitives(nmSink)
-	out.BulkPrompt = countPrimitives(blkSink)
-	qosSvc.RegisterNotifier("nm", nmSink)
-	run.settle(ctx)
-	out.NormalTotal = countPrimitives(nmSink)
-	qosSvc.CompositeTick(time.Now().Add(2 * time.Hour))
-	run.settle(ctx)
-	for _, n := range blkSink.All() {
-		if n.Composite == "digest" && n.ProfileID == blkID {
-			out.Digests++
-			out.DigestEvents += len(n.Contributing)
-		}
-	}
+	// E15 shape at the QoS server.
+	out.RealtimeDelivered = countKeys(out.Realtime, cast.rt.All())
+	out.qosCastCounts = cast.observe(ctx)
 
 	// E14 shape at the replicated server: the attached realtime client's
 	// multiset across attach generations, then the detached normal client

@@ -10,9 +10,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
+	"time"
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
+	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/filter"
 	"github.com/gsalert/gsalert/internal/gds"
 	"github.com/gsalert/gsalert/internal/greenstone"
@@ -201,6 +204,11 @@ func (c *Cluster) AddServerWith(name string, nodeIdx int, mutate func(*core.Conf
 		// tables are warm the moment an advertisement returns: no flood
 		// warm-up window needed.
 		ContentWarmup: -1,
+		// The simulation is driven, not ticked: intervals beyond any run
+		// idle the pipeline's flush and retry tickers, so a notification
+		// reaches its sink on Settle, a full batch or a re-attach — never
+		// at a moment the scheduler picks.
+		DeliveryConfig: &delivery.Config{FlushInterval: time.Hour, RetryInterval: time.Hour},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -251,12 +259,13 @@ func (c *Cluster) AddStandby(primary string, mutate func(*core.Config)) (*replic
 	gdsCli := gds.NewClient(primary, addr, c.nodeAddrs[c.nodeOf[primary]], c.Net)
 	store := collection.NewStore(primary)
 	cfg := core.Config{
-		ServerName:    primary,
-		ServerAddr:    addr,
-		Transport:     c.Net,
-		GDS:           gdsCli,
-		Store:         store,
-		ContentWarmup: -1,
+		ServerName:     primary,
+		ServerAddr:     addr,
+		Transport:      c.Net,
+		GDS:            gdsCli,
+		Store:          store,
+		ContentWarmup:  -1,
+		DeliveryConfig: &delivery.Config{FlushInterval: time.Hour, RetryInterval: time.Hour},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -413,4 +422,30 @@ func (c *Cluster) NewReceptionist(name string, hosts ...string) *greenstone.Rece
 // server to a client address over the cluster transport.
 func (c *Cluster) RemoteNotifier(server, clientAddr string) core.Notifier {
 	return core.NewRemoteNotifier(server, clientAddr, c.Net)
+}
+
+// vclock is the experiments' virtual clock for the health and logging
+// planes: it moves only when Advance is called, so every timestamp it hands
+// out is a pure function of the seed. Pipeline workers may log (and so read
+// it) while the driving goroutine advances it, hence the mutex.
+type vclock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newVClock() *vclock { return &vclock{now: time.Unix(1_700_000_000, 0)} }
+
+// Now reads the clock.
+func (c *vclock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Advance moves the clock on by d and returns the new time.
+func (c *vclock) Advance(d time.Duration) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	return c.now
 }

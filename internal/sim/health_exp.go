@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
@@ -104,7 +103,7 @@ func RunHealthMode(servers, rounds, eventsPerRound, burst int, mode core.Routing
 	// so the publish rounds exhaust the budget and defer the remainder —
 	// the signal the health rules watch.
 	wsvc := c.Service(watched)
-	wsvc.SetQoS(qos.NewController(qos.Config{SubscriberBurst: burst, BulkDigestEvery: time.Hour}))
+	wsvc.SetQoS(burstOnlyQoS(burst))
 	c.Notifier(watched, "nm")
 	nmProf := profile.NewUser("nm-prof", "nm", watched,
 		profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll)))
@@ -147,10 +146,9 @@ func RunHealthMode(servers, rounds, eventsPerRound, burst int, mode core.Routing
 			}
 		},
 	})
-	hclock := time.Unix(1_700_000_000, 0)
+	clock := newVClock()
 	tick := func() {
-		hclock = hclock.Add(soakHealthTick)
-		heng.TickAt(hclock)
+		heng.TickAt(clock.Advance(soakHealthTick))
 		c.Settle(ctx)
 	}
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
-	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/qos"
@@ -42,17 +41,9 @@ type QoSOverloadResult struct {
 	// RealtimeP99 is the subscriber pipeline's realtime-class end-to-end
 	// delivery latency (bucketed upper bound).
 	RealtimeP99 time.Duration
-	// NormalPrompt is the normal-class count delivered within quota;
-	// NormalTotal the count after the deferred backlog drained on
-	// re-attach (must equal Events).
-	NormalPrompt int
-	NormalTotal  int
-	// BulkPrompt is the bulk-class count delivered within quota per event.
-	BulkPrompt int
-	// Digests and DigestEvents describe the coalesced remainder:
-	// DigestEvents must equal Events - Burst.
-	Digests      int
-	DigestEvents int
+	// The cast's counts: NormalPrompt and BulkPrompt must equal Burst,
+	// NormalTotal Events, and DigestEvents Events - Burst.
+	qosCastCounts
 	// Admitted/Deferred/Coalesced are the subscriber's QoS counters.
 	Admitted  int64
 	Deferred  int64
@@ -61,48 +52,17 @@ type QoSOverloadResult struct {
 
 // RunQoSOverload plays the E15 scenario through one routing mode.
 func RunQoSOverload(servers, events, burst int, mode core.RoutingMode, seed int64) (QoSOverloadResult, error) {
-	// A retry interval beyond the run keeps the deferred-redelivery loop out
-	// of the measurement: deferred traffic drains only on the explicit
-	// re-attach below, making prompt-vs-deferred counts exact.
-	c, names, err := NewTree(seed, servers, mode, func(cfg *core.Config) {
-		cfg.DeliveryConfig = &delivery.Config{RetryInterval: time.Hour}
-	})
+	c, names, err := NewTree(seed, servers, mode, nil)
 	if err != nil {
 		return QoSOverloadResult{}, err
 	}
 	defer c.Close()
 	ctx := context.Background()
 	pub, sub := names[0], names[1]
-	coll := pub + ".X"
 	if _, err := c.Server(pub).AddCollection(ctx, collection.Config{Name: "X", Public: true}); err != nil {
 		return QoSOverloadResult{}, err
 	}
-
-	// Burst-only buckets (rate 0 never refills) make the quota exact and
-	// the run deterministic; the digest period is long enough that only the
-	// explicit tick below flushes it.
-	svc := c.Service(sub)
-	svc.SetQoS(qos.NewController(qos.Config{
-		SubscriberBurst: burst,
-		BulkDigestEvery: time.Hour,
-	}))
-
-	rtSink := c.Notifier(sub, "rt")
-	nmSink := c.Notifier(sub, "nm")
-	blkSink := c.Notifier(sub, "blk")
-	subscribe := func(client string, class qos.Class) (string, error) {
-		p := profile.NewUser(client+"-prof", client, sub,
-			profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll)))
-		p.Class = class
-		return p.ID, svc.SubscribeProfile(p)
-	}
-	if _, err := subscribe("rt", qos.ClassRealtime); err != nil {
-		return QoSOverloadResult{}, err
-	}
-	if _, err := subscribe("nm", qos.ClassNormal); err != nil {
-		return QoSOverloadResult{}, err
-	}
-	blkID, err := subscribe("blk", qos.ClassBulk)
+	cast, err := newQoSCast(c, sub, pub+".X", burst, c.Settle)
 	if err != nil {
 		return QoSOverloadResult{}, err
 	}
@@ -125,39 +85,89 @@ func RunQoSOverload(servers, events, burst int, mode core.RoutingMode, seed int6
 	c.Settle(ctx)
 
 	out := QoSOverloadResult{
-		Mode:    mode.String(),
-		Servers: servers,
-		Events:  events,
-		Burst:   burst,
+		Mode:              mode.String(),
+		Servers:           servers,
+		Events:            events,
+		Burst:             burst,
+		RealtimeDelivered: countPrimitives(cast.rt),
+		qosCastCounts:     cast.observe(ctx),
 	}
-	out.RealtimeDelivered = countPrimitives(rtSink)
-	out.NormalPrompt = countPrimitives(nmSink)
-	out.BulkPrompt = countPrimitives(blkSink)
+	st := cast.svc.Stats()
+	out.Admitted = st.QoSAdmitted
+	out.Deferred = st.QoSDeferred
+	out.Coalesced = st.QoSCoalesced
+	out.RealtimeP99 = cast.svc.Delivery().Metrics().ClassLatency[qos.ClassRealtime].Quantile(0.99)
+	return out, nil
+}
 
-	// Deferred normal traffic drains on the subscriber's next attach (the
-	// paper-§7 reconnect applied to QoS deferral); re-attaching the same
-	// sink forces the drain deterministically.
-	svc.RegisterNotifier("nm", nmSink)
-	c.Settle(ctx)
-	out.NormalTotal = countPrimitives(nmSink)
+// burstOnlyQoS is the admission controller every QoS experiment installs:
+// burst-only buckets (rate 0 never refills) make the quota exact and the
+// run deterministic, and the digest period is long enough that only an
+// explicit composite tick flushes it.
+func burstOnlyQoS(burst int) *qos.Controller {
+	return qos.NewController(qos.Config{SubscriberBurst: burst, BulkDigestEvery: time.Hour})
+}
 
-	// Flush the coalescing digest (one simulated hour later) and settle the
-	// synthesized notification through the pipeline.
-	svc.CompositeTick(time.Now().Add(2 * time.Hour))
-	c.Settle(ctx)
-	for _, n := range blkSink.All() {
-		if n.Composite == "digest" && n.ProfileID == blkID {
+// qosCast is E15's observed cast, which E16 re-plays at its QoS server:
+// behind a burst-only controller, rt, nm and blk subscribe at the realtime,
+// normal and bulk classes to every documents-added event of one collection.
+type qosCast struct {
+	svc         *core.Service
+	settle      func(context.Context)
+	rt, nm, blk *core.MemoryNotifier
+}
+
+// qosCastCounts is what the cast observed past its realtime subscriber.
+type qosCastCounts struct {
+	// NormalPrompt is the normal-class count delivered within quota;
+	// NormalTotal the count after the deferred backlog drained on re-attach.
+	NormalPrompt, NormalTotal int
+	// BulkPrompt is the bulk-class count delivered within quota.
+	BulkPrompt int
+	// Digests and DigestEvents describe the coalesced bulk remainder.
+	Digests, DigestEvents int
+}
+
+// newQoSCast installs the controller and the three subscribers on server.
+// settle is what observe waits on after each step.
+func newQoSCast(c *Cluster, server, coll string, burst int, settle func(context.Context)) (*qosCast, error) {
+	q := &qosCast{svc: c.Service(server), settle: settle}
+	q.svc.SetQoS(burstOnlyQoS(burst))
+	expr := profile.MustParse(fmt.Sprintf(`collection = "%s" AND event.type = "documents-added"`, coll))
+	for _, s := range []struct {
+		client string
+		class  qos.Class
+		sink   **core.MemoryNotifier
+	}{{"rt", qos.ClassRealtime, &q.rt}, {"nm", qos.ClassNormal, &q.nm}, {"blk", qos.ClassBulk, &q.blk}} {
+		*s.sink = c.Notifier(server, s.client)
+		p := profile.NewUser(s.client+"-prof", s.client, server, expr)
+		p.Class = s.class
+		if err := q.svc.SubscribeProfile(p); err != nil {
+			return nil, err
+		}
+	}
+	return q, nil
+}
+
+// observe reads the cast once the overload is published and settled: the
+// prompt counts; then the deferred normal backlog, which drains on the
+// subscriber's next attach (the paper-§7 reconnect applied to QoS deferral —
+// re-attaching the same sink forces it); then the coalescing digest, flushed
+// by a composite tick two simulated hours on.
+func (q *qosCast) observe(ctx context.Context) qosCastCounts {
+	out := qosCastCounts{NormalPrompt: countPrimitives(q.nm), BulkPrompt: countPrimitives(q.blk)}
+	q.svc.RegisterNotifier("nm", q.nm)
+	q.settle(ctx)
+	out.NormalTotal = countPrimitives(q.nm)
+	q.svc.CompositeTick(time.Now().Add(2 * time.Hour))
+	q.settle(ctx)
+	for _, n := range q.blk.All() {
+		if n.Composite == "digest" && n.ProfileID == "blk-prof" {
 			out.Digests++
 			out.DigestEvents += len(n.Contributing)
 		}
 	}
-
-	st := svc.Stats()
-	out.Admitted = st.QoSAdmitted
-	out.Deferred = st.QoSDeferred
-	out.Coalesced = st.QoSCoalesced
-	out.RealtimeP99 = svc.Delivery().Metrics().ClassLatency[qos.ClassRealtime].Quantile(0.99)
-	return out, nil
+	return out
 }
 
 // countPrimitives counts a sink's non-composite notifications.

@@ -72,17 +72,16 @@ func Experiments() []Experiment {
 		{ID: "e9", Table: func(p Params) (*metrics.Table, error) {
 			return MulticastAblationTable(32, 10, []int{1, 4, 8, 16, 31}, p.Seed)
 		}},
-		{ID: "e8", Unfenced: true, // seed-deterministic, but the recorded golden predates it
-			Table: func(p Params) (*metrics.Table, error) {
-				r, err := RunContinuousSearch(2000, p.Seed)
-				if err != nil {
-					return nil, err
-				}
-				t := metrics.NewTable("E8 — continuous search & watch-this fidelity",
-					"docs", "search hits", "alerted docs", "agreement", "watch alerts", "watch expected")
-				t.AddRow(r.Docs, r.SearchHits, r.AlertedDocs, fmt.Sprintf("%v", r.Agreement), r.WatchAlerts, r.WatchExpected)
-				return t, nil
-			}},
+		{ID: "e8", Table: func(p Params) (*metrics.Table, error) {
+			r, err := RunContinuousSearch(2000, p.Seed)
+			if err != nil {
+				return nil, err
+			}
+			t := metrics.NewTable("E8 — continuous search & watch-this fidelity",
+				"docs", "search hits", "alerted docs", "agreement", "watch alerts", "watch expected")
+			t.AddRow(r.Docs, r.SearchHits, r.AlertedDocs, fmt.Sprintf("%v", r.Agreement), r.WatchAlerts, r.WatchExpected)
+			return t, nil
+		}},
 		{ID: "e10", Table: func(p Params) (*metrics.Table, error) {
 			return DeliveryRecoveryTable([]int{1, 5, 25, 100}, p.Seed)
 		}},
@@ -96,11 +95,10 @@ func Experiments() []Experiment {
 		{ID: "e13", Table: func(p Params) (*metrics.Table, error) {
 			return CompositeAlertsTable(16, 4, p.Seed)
 		}},
-		// Replication acks ride delivery flush batching: "messages" is ±1.
-		{ID: "e14", Masked: []string{"messages"}, Table: func(p Params) (*metrics.Table, error) {
+		{ID: "e14", Table: func(p Params) (*metrics.Table, error) {
 			return ReplicaFailoverTable(16, 6, p.Seed)
 		}},
-		// "rt p99" is a wall-clock latency.
+		// "rt p99" is the enqueue → Settle latency of real goroutines.
 		{ID: "e15", Masked: []string{"rt p99"}, Table: func(p Params) (*metrics.Table, error) {
 			return QoSOverloadTable(16, 30, 3, p.Seed)
 		}},

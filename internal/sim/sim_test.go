@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gsalert/gsalert/internal/collection"
 	"github.com/gsalert/gsalert/internal/core"
+	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/transport"
 )
@@ -267,6 +269,40 @@ func TestClusterAddServerErrors(t *testing.T) {
 	}
 	if _, err := c.AddServer("B", 99); err == nil {
 		t.Error("bad node index accepted")
+	}
+}
+
+// TestClusterDeliversOnlyOnSettle pins the driven simulation: a cluster
+// server's pipeline runs no wall-clock flush, so a published notification
+// waits out several default flush intervals undelivered and arrives on
+// Settle.
+func TestClusterDeliversOnlyOnSettle(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Seed: 1, GDSNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.AddServer("A", 0); err != nil {
+		t.Fatal(err)
+	}
+	sink := c.Notifier("A", "u")
+	if _, err := c.Service("A").Subscribe("u", profile.MustParse(`collection = "A.D" AND event.type = "collection-built"`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Server("A").AddCollection(ctx, collection.Config{Name: "D", Public: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Server("A").Build(ctx, "D", syntheticDocs(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * delivery.DefaultFlushInterval)
+	if n := sink.Len(); n != 0 {
+		t.Fatalf("%d notifications delivered before Settle", n)
+	}
+	c.Settle(ctx)
+	if n := sink.Len(); n != 1 {
+		t.Fatalf("after Settle the sink holds %d notifications, want 1", n)
 	}
 }
 
