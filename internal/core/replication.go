@@ -67,10 +67,11 @@ func (s *Service) replicateDedup(id string) {
 type ReplicaStats struct {
 	// Role is "primary", "standby" or "" (replication off).
 	Role string
-	// StreamSeq is the stream position: records sent (primary) or applied
-	// (standby).
+	// StreamSeq is the stream position: envelopes sent (primary) or applied
+	// (standby). One envelope carries a run of records (group commit).
 	StreamSeq uint64
-	// Streamed counts records shipped (primary) or applied (standby).
+	// Streamed counts records shipped (primary) or envelopes applied
+	// (standby).
 	Streamed int64
 	// Dropped counts records discarded while no standby was attached or
 	// the stream was broken (primary only); a rejoin resyncs via snapshot.
@@ -85,7 +86,7 @@ type ReplicaStats struct {
 	Resyncs int64
 	// Promoted reports a standby that has taken over as serving primary.
 	Promoted bool
-	// StreamLag is the primary's unconfirmed stream window: records
+	// StreamLag is the primary's unconfirmed stream window: envelopes
 	// streamed past the standby's last acknowledged position. Zero on
 	// standbys. The health plane alerts on sustained lag.
 	StreamLag uint64

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gsalert/gsalert/internal/collection"
+	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/profile"
@@ -118,11 +119,31 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 	sampled := mctx.Sampled()
 
 	var enqueued, refused, admitted, deferred, coalesced int64
+	// Admitted matches collect on the stack and enter the pipeline one
+	// chunk at a time: one replicated append record per chunk instead of
+	// one per notification. The chunk is handed over before anything else
+	// can append to a mailbox (a composite firing, a deferral), so mailbox
+	// sequences stay in match order.
+	var pending [delivery.EnqueueChunk]Notification
+	npending := 0
+	enqueuePending := func() {
+		if npending == 0 {
+			return
+		}
+		queued, _ := s.delivery.EnqueueAll(pending[:npending])
+		enqueued += int64(queued)
+		refused += int64(npending - queued)
+		if ctrl != nil {
+			admitted += int64(queued)
+		}
+		npending = 0
+	}
 	// The collection bucket is consumed at most once per event, and only
 	// when the event actually fans out to quota-subject subscriptions.
 	collChecked, collOK := false, true
 	for _, m := range matches {
 		if m.Profile.CompositeOf != "" {
+			enqueuePending()
 			// Matches are sorted by profile ID, so for one composite the
 			// steps arrive in step order ("p#0" before "p#1") and an event
 			// matching several steps advances the earliest ones first. The
@@ -174,12 +195,14 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 		}
 		switch outcome {
 		case qos.OutcomeCoalesce:
+			enqueuePending()
 			s.coalesceBulk(m.Profile.ID, m.Profile.Owner, ev, m.DocIDs, now, ctrl, qctx)
 			coalesced++
 			s.log.DebugCtx(qctx, "match coalesced",
 				logging.String("profile", m.Profile.ID), logging.String("client", m.Profile.Owner))
 			continue
 		case qos.OutcomeDefer:
+			enqueuePending()
 			if err := s.delivery.Defer(n); err != nil {
 				refused++
 			} else {
@@ -189,15 +212,12 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 			}
 			continue
 		}
-		if err := s.delivery.Enqueue(n); err != nil {
-			refused++
-			continue
+		pending[npending] = n
+		if npending++; npending == len(pending) {
+			enqueuePending()
 		}
-		if ctrl != nil {
-			admitted++
-		}
-		enqueued++
 	}
+	enqueuePending()
 	if enqueued|refused|admitted|deferred|coalesced != 0 { // most events match nothing here
 		s.stats.notifications.Add(enqueued)
 		s.stats.notifyFailures.Add(refused)

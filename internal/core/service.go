@@ -269,8 +269,8 @@ type ServiceStats struct {
 	// Replication state (internal/replica), filled from the registered
 	// ReplicaStatsProvider at snapshot time.
 	ReplicaRole      string // "primary", "standby" or "" (off)
-	ReplicaStreamSeq uint64 // stream records sent (primary) / applied (standby)
-	ReplicaStreamed  int64  // records shipped or applied
+	ReplicaStreamSeq uint64 // stream envelopes sent (primary) / applied (standby)
+	ReplicaStreamed  int64  // records shipped (primary) / envelopes applied (standby)
 	ReplicaDropped   int64  // records dropped while no standby attached
 	ReplicaErrors    int64  // stream transport / apply failures
 	ReplicaSnapshots int64  // full snapshots sent or applied
@@ -284,7 +284,7 @@ type ServiceStats struct {
 	QoSCoalesced int64 // over-quota bulk matches folded into a pending digest
 	QoSDigests   int64 // coalesced digest notifications synthesized
 	// ReplicaStreamLag is the primary's unconfirmed stream window (sent
-	// minus standby-acknowledged records); 0 on standbys and with
+	// minus standby-acknowledged envelopes); 0 on standbys and with
 	// replication off. The health plane's replica-stream-lag rule reads it.
 	ReplicaStreamLag uint64
 	// HealthAlerts counts health-plane meta-alert events published into the

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,6 +340,11 @@ func (p *Pipeline) mailboxOf(client string) (*mailbox, error) {
 	return mb, nil
 }
 
+// EnqueueChunk is the most notifications one observer call reports for
+// EnqueueAll: callers that collect notifications on the stack size their
+// arrays by it.
+const EnqueueChunk = 16
+
 // Enqueue admits one notification. It appends to the client's mailbox first
 // (write-ahead: with durability on, a process crash after Enqueue returns
 // cannot lose the alert — appends are buffered writes, so power-loss
@@ -346,44 +352,87 @@ func (p *Pipeline) mailboxOf(client string) (*mailbox, error) {
 // compaction and close), then queues it for asynchronous delivery, blocking
 // while the shard's queue for its class is full.
 func (p *Pipeline) Enqueue(n Notification) error {
-	mb, seq, _, err := p.accept(n)
-	if err != nil {
-		return err
-	}
-	p.m.Enqueued.Inc()
-	return p.admit(item{n: n, seq: seq}, mb)
+	ns := [1]Notification{n}
+	_, err := p.EnqueueAll(ns[:])
+	return err
 }
 
-// accept appends n to its client's mailbox, the one way a notification
-// enters the pipeline, and replicates the append with any cap evictions
-// before the item can be delivered: its eventual ack then always follows
-// its append on the standby's stream. It returns the mailbox, the assigned
-// sequence and how many parked notifications the cap evicted.
-func (p *Pipeline) accept(n Notification) (*mailbox, uint64, int, error) {
+// EnqueueAll admits ns in order, as Enqueue does each one, but reports the
+// appends of every EnqueueChunk notifications to the observer in one call.
+// It returns how many were queued and the first refusal's error; a refused
+// notification does not stop the rest.
+func (p *Pipeline) EnqueueAll(ns []Notification) (queued int, err error) {
+	var acc [EnqueueChunk]accepted
+	for len(ns) > 0 {
+		chunk := ns[:min(len(ns), EnqueueChunk)]
+		ns = ns[len(chunk):]
+		p.accept(chunk, acc[:len(chunk)])
+		for i, a := range acc[:len(chunk)] {
+			if a.err == nil {
+				p.m.Enqueued.Inc()
+				a.err = p.admit(item{n: chunk[i], seq: a.seq}, a.mb)
+			}
+			if a.err != nil {
+				if err == nil {
+					err = a.err
+				}
+				continue
+			}
+			queued++
+		}
+	}
+	return queued, err
+}
+
+// accepted is one notification's outcome in accept: the mailbox and
+// sequence it was appended under and the parked entries the cap evicted,
+// or the error that refused it.
+type accepted struct {
+	mb      *mailbox
+	seq     uint64
+	evicted []uint64
+	err     error
+}
+
+// accept appends ns to their clients' mailboxes, the one way a notification
+// enters the pipeline, writing each outcome to the same index of out. It
+// then replicates the appends with their cap evictions in one observer call,
+// before any of the items can be delivered: an item's eventual ack then
+// always follows its append on the standby's stream.
+func (p *Pipeline) accept(ns []Notification, out []accepted) {
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
-	if closed {
-		return nil, 0, 0, ErrClosed
-	}
-	mb, err := p.mailboxOf(n.Client)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	seq, evicted, err := mb.add(n)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	p.m.Dropped.Add(int64(len(evicted)))
-	if obs := p.observer(); obs != nil {
-		ops := make([]MailboxOp, 0, 1+len(evicted))
-		ops = append(ops, MailboxOp{Client: n.Client, Seq: seq, N: n})
-		for _, gone := range evicted {
-			ops = append(ops, MailboxOp{Client: n.Client, Seq: gone, Ack: true})
+	appended := 0
+	for i := range ns {
+		a := accepted{err: ErrClosed}
+		if !closed {
+			a.mb, a.err = p.mailboxOf(ns[i].Client)
 		}
-		obs(ops)
+		if a.err == nil {
+			a.seq, a.evicted, a.err = a.mb.add(ns[i])
+		}
+		if a.err == nil {
+			appended++
+			p.m.Dropped.Add(int64(len(a.evicted)))
+		}
+		out[i] = a
 	}
-	return mb, seq, len(evicted), nil
+	obs := p.observer()
+	if obs == nil || appended == 0 {
+		return
+	}
+	ops := make([]MailboxOp, 0, appended)
+	for i, a := range out {
+		if a.err != nil {
+			continue
+		}
+		ops = append(ops, MailboxOp{Client: ns[i].Client, Seq: a.seq, N: ns[i]})
+		for _, gone := range a.evicted {
+			ops = append(ops, MailboxOp{Client: ns[i].Client, Seq: gone, Ack: true})
+		}
+	}
+	obs(ops)
 }
 
 // classOf bounds a notification's class to a valid queue index (a corrupt
@@ -426,17 +475,19 @@ func (p *Pipeline) admit(it item, mb *mailbox) error {
 // loop once RetryInterval elapses, or by the client's next Attach, whichever
 // comes first.
 func (p *Pipeline) Defer(n Notification) error {
-	mb, seq, evicted, err := p.accept(n)
-	if err != nil {
-		return err
+	var acc [1]accepted
+	p.accept([]Notification{n}, acc[:])
+	a := acc[0]
+	if a.err != nil {
+		return a.err
 	}
-	mb.park(seq)
+	a.mb.park(a.seq)
 	p.m.Deferred.Inc()
 	p.cfg.Log.DebugCtx(n.Trace, "notification deferred to mailbox",
 		logging.String("client", n.Client))
-	if evicted > 0 {
+	if len(a.evicted) > 0 {
 		p.cfg.Log.Warn("mailbox evicted oldest parked notifications",
-			logging.String("client", n.Client), logging.Int("evicted", int64(evicted)))
+			logging.String("client", n.Client), logging.Int("evicted", int64(len(a.evicted))))
 	}
 	p.mu.Lock()
 	if _, due := p.retryAt[n.Client]; !due {
@@ -639,7 +690,9 @@ func (p *Pipeline) ingest(batches map[string][]item, it item) {
 	b := append(batches[it.n.Client], it)
 	if len(b) >= p.cfg.BatchSize {
 		delete(batches, it.n.Client)
-		p.flush(it.n.Client, b)
+		pass := flushPass{obs: p.observer()}
+		p.flush(it.n.Client, b, &pass)
+		p.endPass(&pass)
 		return
 	}
 	batches[it.n.Client] = b
@@ -664,12 +717,36 @@ func (p *Pipeline) drainQueue(sh *shard, batches map[string][]item) {
 	}
 }
 
-// flushAll flushes every open batch.
+// flushPass gathers what one flush pass owes the rest of the pipeline: the
+// delivery acks to replicate, for the observer current when it started,
+// and the number of items it finished.
+type flushPass struct {
+	obs  func([]MailboxOp)
+	acks []MailboxOp
+	done int64
+}
+
+// endPass reports the pass's acks in one observer call and only then
+// releases its items from inflight, so a Drain that returns has seen the
+// observer return for every ack.
+func (p *Pipeline) endPass(pass *flushPass) {
+	if len(pass.acks) > 0 {
+		pass.obs(pass.acks)
+	}
+	p.inflight.Add(-pass.done)
+}
+
+// flushAll flushes every open batch as one pass.
 func (p *Pipeline) flushAll(batches map[string][]item) {
+	if len(batches) == 0 {
+		return
+	}
+	pass := flushPass{obs: p.observer()}
 	for client, b := range batches {
 		delete(batches, client)
-		p.flush(client, b)
+		p.flush(client, b, &pass)
 	}
+	p.endPass(&pass)
 }
 
 // flush delivers one client's batch through its attached sink, acking the
@@ -677,12 +754,13 @@ func (p *Pipeline) flushAll(batches map[string][]item) {
 // Parking happens under p.mu after re-reading the sink registration, so a
 // concurrent Attach cannot slip between the lookup and the park and leave
 // the batch stranded: either the Attach's takePending sees the parked
-// entries, or flush sees the freshly attached sink and delivers to it.
-func (p *Pipeline) flush(client string, b []item) {
+// entries, or flush sees the freshly attached sink and delivers to it. The
+// batch's acks and inflight release are left to the pass.
+func (p *Pipeline) flush(client string, b []item, pass *flushPass) {
 	if len(b) == 0 {
 		return
 	}
-	defer p.inflight.Add(-int64(len(b)))
+	pass.done += int64(len(b))
 	ns := make([]Notification, len(b))
 	for i, it := range b {
 		ns[i] = it.n
@@ -723,7 +801,7 @@ func (p *Pipeline) flush(client string, b []item) {
 		sendDur := time.Since(start)
 		p.m.noteFlush(len(b), sendDur)
 		if err == nil {
-			p.ackItems(client, b)
+			p.ackItems(client, b, pass)
 			p.m.Delivered.Add(int64(len(b)))
 			now := time.Now()
 			for _, it := range b {
@@ -770,8 +848,9 @@ func (p *Pipeline) recordFlushSpans(it item, c qos.Class, sendStart time.Time, s
 	p.cfg.Tracer.Record(fctx, trace.StageNotify, sendStart, sendDur, c.String())
 }
 
-// ackItems removes delivered items from the client's mailbox.
-func (p *Pipeline) ackItems(client string, b []item) {
+// ackItems removes delivered items from the client's mailbox, adding the
+// acks to the pass when it has an observer to report them to.
+func (p *Pipeline) ackItems(client string, b []item, pass *flushPass) {
 	p.mu.Lock()
 	mb := p.mailboxes[client]
 	p.mu.Unlock()
@@ -783,11 +862,11 @@ func (p *Pipeline) ackItems(client string, b []item) {
 		seqs[i] = it.seq
 	}
 	acked := mb.ack(seqs)
-	if obs := p.observer(); obs != nil && len(acked) > 0 {
-		ops := make([]MailboxOp, len(acked))
-		for i, seq := range acked {
-			ops[i] = MailboxOp{Client: client, Seq: seq, Ack: true}
-		}
-		obs(ops)
+	if pass.obs == nil {
+		return
+	}
+	pass.acks = slices.Grow(pass.acks, len(acked))
+	for _, seq := range acked {
+		pass.acks = append(pass.acks, MailboxOp{Client: client, Seq: seq, Ack: true})
 	}
 }

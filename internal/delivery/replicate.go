@@ -20,11 +20,13 @@ type MailboxOp struct {
 }
 
 // SetObserver installs fn to be called with every batch of logical mailbox
-// mutations, outside mailbox locks: an enqueue reports its append (plus any
-// cap evictions) before the item is queued for delivery, a flush reports
-// its acks after the mailbox was updated. Replace or clear (nil) at any
-// time; only mutations after the call are observed — pair SetObserver with
-// ExportMailboxes for a consistent starting point.
+// mutations, outside mailbox locks: an enqueue reports its appends (one
+// call per EnqueueChunk, with any cap evictions) before the items are
+// queued for delivery; a flush pass reports the acks of all its client
+// batches in one call after the mailboxes were updated, and before Drain
+// can return. Replace or clear (nil) at any time; only mutations after the
+// call are observed — pair SetObserver with ExportMailboxes for a
+// consistent starting point.
 func (p *Pipeline) SetObserver(fn func(ops []MailboxOp)) {
 	p.mu.Lock()
 	p.obs = fn

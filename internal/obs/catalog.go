@@ -64,13 +64,13 @@ var serviceFamilies = []struct {
 	{Declare(KindCounter, "gsalert_composite_digest_flushes_total", "Non-empty composite digest flushes."), func(s *svcStats) float64 { return float64(s.CompositeDigestFlushes) }},
 	{Declare(KindCounter, "gsalert_composite_windows_expired_total", "Composite instances dropped by closed time windows."), func(s *svcStats) float64 { return float64(s.CompositeWindowsExpired) }},
 	{Declare(KindGauge, "gsalert_composite_live_instances", "Currently open composite instances."), func(s *svcStats) float64 { return float64(s.CompositeLiveInstances) }},
-	{Declare(KindGauge, "gsalert_replica_stream_seq", "Stream records sent (primary) or applied (standby)."), func(s *svcStats) float64 { return float64(s.ReplicaStreamSeq) }},
-	{Declare(KindCounter, "gsalert_replica_streamed_total", "Replication records shipped or applied."), func(s *svcStats) float64 { return float64(s.ReplicaStreamed) }},
+	{Declare(KindGauge, "gsalert_replica_stream_seq", "Stream envelopes sent (primary) or applied (standby)."), func(s *svcStats) float64 { return float64(s.ReplicaStreamSeq) }},
+	{Declare(KindCounter, "gsalert_replica_streamed_total", "Replication records shipped (primary) or envelopes applied (standby)."), func(s *svcStats) float64 { return float64(s.ReplicaStreamed) }},
 	{Declare(KindCounter, "gsalert_replica_dropped_total", "Replication records dropped while no standby was attached."), func(s *svcStats) float64 { return float64(s.ReplicaDropped) }},
 	{Declare(KindCounter, "gsalert_replica_errors_total", "Replication stream transport or apply failures."), func(s *svcStats) float64 { return float64(s.ReplicaErrors) }},
 	{Declare(KindCounter, "gsalert_replica_snapshots_total", "Full replication snapshots sent or applied."), func(s *svcStats) float64 { return float64(s.ReplicaSnapshots) }},
 	{Declare(KindCounter, "gsalert_replica_resyncs_total", "Snapshot catch-ups after stream gaps."), func(s *svcStats) float64 { return float64(s.ReplicaResyncs) }},
-	{Declare(KindGauge, "gsalert_replica_stream_lag", "Primary's unconfirmed stream window (records past the standby's ack)."), func(s *svcStats) float64 { return float64(s.ReplicaStreamLag) }},
+	{Declare(KindGauge, "gsalert_replica_stream_lag", "Primary's unconfirmed stream window (envelopes past the standby's ack)."), func(s *svcStats) float64 { return float64(s.ReplicaStreamLag) }},
 	{Declare(KindCounter, "gsalert_qos_admitted_total", "Matches enqueued for immediate delivery."), func(s *svcStats) float64 { return float64(s.QoSAdmitted) }},
 	{Declare(KindCounter, "gsalert_qos_deferred_total", "Over-quota normal matches parked for delayed delivery."), func(s *svcStats) float64 { return float64(s.QoSDeferred) }},
 	{Declare(KindCounter, "gsalert_qos_coalesced_total", "Over-quota bulk matches folded into a pending digest."), func(s *svcStats) float64 { return float64(s.QoSCoalesced) }},

@@ -427,8 +427,10 @@ type ReplWALItem struct {
 }
 
 // ReplWAL replicates a batch of mailbox WAL records and dedup admissions
-// (MsgReplWAL). One envelope carries the records of one primary-side
-// operation (e.g. an enqueue plus the evictions it caused).
+// (MsgReplWAL). One envelope carries a run of consecutive stream records
+// (e.g. a publish's appends with the evictions they caused, a flush pass's
+// acks and the dedup admissions queued beside them), applied in item order
+// as one stream position.
 type ReplWAL struct {
 	XMLName xml.Name      `xml:"ReplWAL"`
 	Seq     uint64        `xml:"Seq"`

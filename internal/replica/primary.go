@@ -36,8 +36,11 @@ type PrimaryConfig struct {
 
 // Primary is the sending end of the replication stream. It installs itself
 // as the service's ReplicationSink and the delivery pipeline's mailbox
-// observer; every hook becomes one stream envelope, shipped synchronously
-// under the stream lock so the standby applies records in stream order.
+// observer. Every hook queues its record and returns only once the standby
+// has acknowledged the envelope carrying it (group commit): whichever hook
+// holds the stream lock ships everything queued behind it, consecutive WAL
+// records merged into one repl.wal, so the standby applies records in
+// queue order.
 //
 // One standby is supported at a time; a second join replaces the first.
 // A failed stream send marks the stream broken and drops subsequent records
@@ -49,12 +52,23 @@ type Primary struct {
 	addr     string
 	listener io.Closer
 
-	// mu serialises stream sequence assignment and sends: the stream IS the
-	// serialisation of concurrent state changes. The positions and counters
-	// are written under it but read (ReplicaStats) without it.
+	// qmu guards the commit queue. Hooks append to it and take a ticket
+	// under qmu, which is never held across a send; taken is the last
+	// ticket a stream-lock holder took off the queue to ship.
+	qmu     sync.Mutex
+	queue   []record
+	tickets uint64
+	taken   uint64
+
+	// mu is the stream lock: it serialises sequence assignment and sends,
+	// so the stream IS the serialisation of concurrent state changes. The
+	// positions and counters are written under it but read (ReplicaStats)
+	// without it. spare and merged are the shipper's reusable buffers.
 	mu          sync.Mutex
 	standbyAddr string
 	broken      bool
+	spare       []record
+	merged      []protocol.ReplWALItem
 	seq         atomic.Uint64
 	confirmed   atomic.Uint64
 	streamed    metrics.Counter
@@ -62,6 +76,14 @@ type Primary struct {
 	errors      metrics.Counter
 	snapshots   metrics.Counter
 	resyncs     metrics.Counter
+}
+
+// record is one replicable state change waiting in the commit queue: a
+// profile op, which travels alone as a repl.subscribe, or WAL items, which
+// share one repl.wal with the WAL records queued next to them.
+type record struct {
+	op    *protocol.ReplProfileOp
+	items []protocol.ReplWALItem
 }
 
 // NewPrimary builds a Primary, wires it into the service and pipeline, and
@@ -97,11 +119,12 @@ func (p *Primary) Close() error {
 }
 
 // ReplicaStats implements core.ReplicaStatsProvider. It does not take p.mu:
-// stream() holds that across a send of up to streamTimeout, and /metrics,
-// /stats and the health rules must keep answering when a standby wedges.
+// a shipping hook holds that across a send of up to streamTimeout, and
+// /metrics, /stats and the health rules must keep answering when a standby
+// wedges.
 func (p *Primary) ReplicaStats() core.ReplicaStats {
 	// confirmed first: it only ever trails seq, so a racing send can make
-	// the window read one record wide, never negative.
+	// the window read one envelope wide, never negative.
 	confirmed, seq := p.confirmed.Load(), p.seq.Load()
 	st := core.ReplicaStats{
 		Role: "primary", StreamSeq: seq,
@@ -239,25 +262,73 @@ func (p *Primary) noteError() {
 	p.mu.Unlock()
 }
 
-// stream ships one record, assigning the next stream sequence. The payload
-// builder receives the sequence because it is only known under the lock.
-func (p *Primary) stream(typ protocol.MessageType, build func(seq uint64) (any, error)) {
+// stream commits one record and returns once the standby has applied the
+// envelope carrying it, or once the record was dropped on a broken stream.
+// The record joins the commit queue first; then, under the stream lock, the
+// hook either finds its record already shipped by an earlier lock holder
+// or ships the whole queue itself. The queue order is the stream order, so
+// an append still precedes its ack and a dedup the notifications it
+// admitted.
+func (p *Primary) stream(r record) {
+	p.qmu.Lock()
+	p.queue = append(p.queue, r)
+	p.tickets++
+	ticket := p.tickets
+	p.qmu.Unlock()
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.standbyAddr == "" || p.broken {
-		p.dropped.Inc()
+	p.qmu.Lock()
+	if p.taken >= ticket {
+		p.qmu.Unlock()
 		return
 	}
-	payload, err := build(p.seq.Load() + 1)
-	if err != nil {
-		// The record is lost to the stream but the position did not
-		// advance, so only a broken mark makes the divergence visible to
-		// the heartbeat resync.
-		p.errors.Inc()
-		p.broken = true
-		return
+	batch := p.queue
+	p.queue, p.spare = p.spare, nil
+	p.taken = p.tickets
+	p.qmu.Unlock()
+	p.ship(batch)
+	clear(batch)
+	p.spare = batch[:0]
+}
+
+// ship sends a taken batch in queue order: each profile op as its own
+// repl.subscribe, each run of consecutive WAL records as one repl.wal. A
+// broken stream drops (and counts) what is left.
+func (p *Primary) ship(batch []record) {
+	for len(batch) > 0 {
+		if p.standbyAddr == "" || p.broken {
+			p.dropped.Add(int64(len(batch)))
+			return
+		}
+		seq := p.seq.Add(1)
+		if op := batch[0].op; op != nil {
+			op.Seq = seq
+			p.send(protocol.MsgReplSubscribe, op, 1)
+			batch = batch[1:]
+			continue
+		}
+		run := 1
+		for run < len(batch) && batch[run].op == nil {
+			run++
+		}
+		items := batch[0].items
+		if run > 1 {
+			for _, r := range batch[:run] {
+				p.merged = append(p.merged, r.items...)
+			}
+			items = p.merged
+		}
+		p.send(protocol.MsgReplWAL, &protocol.ReplWAL{Seq: seq, Items: items}, run)
+		clear(p.merged)
+		p.merged = p.merged[:0]
+		batch = batch[run:]
 	}
-	p.seq.Add(1)
+}
+
+// send ships one envelope carrying the given number of records and waits
+// for the standby's ack.
+func (p *Primary) send(typ protocol.MessageType, payload any, records int) {
 	env, err := protocol.NewEnvelope(p.svc.Name(), typ, payload)
 	if err != nil {
 		p.errors.Inc()
@@ -278,7 +349,7 @@ func (p *Primary) stream(typ protocol.MessageType, build func(seq uint64) (any, 
 		p.errors.Inc()
 		return
 	}
-	p.streamed.Inc()
+	p.streamed.Add(int64(records))
 	p.confirmed.Store(ack.AppliedSeq)
 	if ack.Resync {
 		// The standby detected a gap or failed an apply: catch it up with a
@@ -297,43 +368,31 @@ func (p *Primary) ReplicateProfileAdd(prof *profile.Profile) {
 		p.noteError()
 		return
 	}
-	client := prof.Owner // "" for auxiliary profiles
-	idSeq := p.svc.IDSeq()
-	p.stream(protocol.MsgReplSubscribe, func(seq uint64) (any, error) {
-		return &protocol.ReplProfileOp{
-			Seq:     seq,
-			Op:      opSubscribe,
-			Client:  client,
-			IDSeq:   idSeq,
-			Profile: protocol.Wrap(raw),
-		}, nil
-	})
+	p.stream(record{op: &protocol.ReplProfileOp{
+		Op:      opSubscribe,
+		Client:  prof.Owner, // "" for auxiliary profiles
+		IDSeq:   p.svc.IDSeq(),
+		Profile: protocol.Wrap(raw),
+	}})
 }
 
 // ReplicateProfileRemove implements core.ReplicationSink.
 func (p *Primary) ReplicateProfileRemove(client, profileID string) {
-	p.stream(protocol.MsgReplSubscribe, func(seq uint64) (any, error) {
-		return &protocol.ReplProfileOp{
-			Seq:       seq,
-			Op:        opUnsubscribe,
-			Client:    client,
-			ProfileID: profileID,
-		}, nil
-	})
+	p.stream(record{op: &protocol.ReplProfileOp{
+		Op:        opUnsubscribe,
+		Client:    client,
+		ProfileID: profileID,
+	}})
 }
 
 // ReplicateDedup implements core.ReplicationSink.
 func (p *Primary) ReplicateDedup(id string) {
-	p.stream(protocol.MsgReplWAL, func(seq uint64) (any, error) {
-		return &protocol.ReplWAL{
-			Seq:   seq,
-			Items: []protocol.ReplWALItem{{Kind: kindDedup, DedupID: id}},
-		}, nil
-	})
+	p.stream(record{items: []protocol.ReplWALItem{{Kind: kindDedup, DedupID: id}}})
 }
 
-// onMailboxOps is the delivery pipeline's observer: one envelope per
-// operation batch (an enqueue plus its evictions, or a flush's acks).
+// onMailboxOps is the delivery pipeline's observer: one record per
+// operation batch (a chunk of appends with their evictions, or a flush
+// pass's acks).
 func (p *Primary) onMailboxOps(ops []delivery.MailboxOp) {
 	items := make([]protocol.ReplWALItem, 0, len(ops))
 	for _, op := range ops {
@@ -354,7 +413,5 @@ func (p *Primary) onMailboxOps(ops []delivery.MailboxOp) {
 	if len(items) == 0 {
 		return
 	}
-	p.stream(protocol.MsgReplWAL, func(seq uint64) (any, error) {
-		return &protocol.ReplWAL{Seq: seq, Items: items}, nil
-	})
+	p.stream(record{items: items})
 }

@@ -12,9 +12,10 @@
 //	dedup admissions           — event IDs the primary already processed
 //
 // Every stream envelope carries a monotonic sequence and is acknowledged
-// synchronously by the standby, so a record the primary shipped is applied
-// before the next one is sent (zero-loss: nothing the standby confirmed can
-// be lost by a primary crash). A standby joins — or rejoins after a gap,
+// synchronously by the standby. Hooks group-commit: one envelope carries
+// every record queued while the previous one was in flight, and no hook
+// returns before the envelope holding its record is acknowledged
+// (zero-loss: nothing a caller saw happen can be lost by a primary crash). A standby joins — or rejoins after a gap,
 // apply failure or restart — by requesting a full MsgReplSnapshot
 // (subscriptions, mailbox contents, dedup window, ID counter) and then
 // consumes the stream from the snapshot's position; records at or below it
