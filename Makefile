@@ -55,8 +55,9 @@ chaos:
 
 # Run each fuzz target briefly against its committed corpus plus a short
 # exploration budget (regression seeds under testdata/fuzz are always
-# replayed by plain `go test`). The three codec targets are differential:
-# the scan decoders against encoding/xml (docs/WIRE.md). Their seeds are
+# replayed by plain `go test`). Four targets are differential: the three
+# codec targets hold the scan decoders to encoding/xml (docs/WIRE.md), and
+# FuzzMatchEquivalence holds the equality-preferred matcher to Naive. Their seeds are
 # whole envelopes, and the fuzzer's default of up to a minute spent
 # minimising each new multi-kilobyte input would eat a short budget whole,
 # hence -fuzzminimizetime.
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(FUZZ) FuzzUnmarshal ./internal/protocol/
 	$(FUZZ) FuzzDecodePayload ./internal/protocol/
 	$(FUZZ) FuzzEventXML ./internal/event/
+	$(FUZZ) FuzzMatchEquivalence ./internal/filter/
 
 # Build and run every example program with a timeout, so the walkthroughs
 # cannot silently rot. Each example is a self-terminating demo; a hang or a

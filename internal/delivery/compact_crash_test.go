@@ -28,7 +28,7 @@ func compactionFixture(t *testing.T, dir string) (live []uint64) {
 		}
 		seqs = append(seqs, seq)
 	}
-	mb.ack(seqs[:4])
+	mb.ack(seqs[:4], nil)
 
 	// Crash between the WAL rewrite and the rename: the snapshot exists as
 	// <wal>.tmp, the append-log is still the authoritative file. Driving
@@ -160,7 +160,7 @@ func TestCompactionSurvivesRepeatedCrashCycles(t *testing.T) {
 			}
 			added = append(added, seq)
 		}
-		mb.ack(added[:1])
+		mb.ack(added[:1], nil)
 		live = append(live, added[1:]...)
 
 		mb.mu.Lock()

@@ -61,6 +61,8 @@ type Notification struct {
 	// Event is the matching event.
 	Event *event.Event
 	// DocIDs are the matching documents (empty for event-level matches).
+	// The slice may share a per-event backing array with other
+	// notifications of the same match (filter.Match) and is read-only.
 	DocIDs []string
 	// Composite names the composite operator ("sequence", "count",
 	// "digest") behind a synthesized alert; empty for primitive alerts.
@@ -628,12 +630,20 @@ func (p *Pipeline) Close() error {
 // ---------------------------------------------------------------------------
 // Worker
 
+// batcher is what one worker owns: its per-client batches, which outlive a
+// flush so that a busy client's batch stops regrowing from nil, and the
+// scratch ackItems sorts a batch's seqs in.
+type batcher struct {
+	open map[string][]item
+	seqs []uint64
+}
+
 // worker is one shard's goroutine: it services the per-class queues by
 // weighted deficit round-robin, accumulates per-client batches and flushes
 // them on size, interval, drain pokes and shutdown.
 func (p *Pipeline) worker(sh *shard) {
 	defer p.wg.Done()
-	batches := make(map[string][]item)
+	batches := &batcher{open: make(map[string][]item)}
 	ticker := time.NewTicker(p.cfg.FlushInterval)
 	defer ticker.Stop()
 	for {
@@ -682,25 +692,25 @@ func tryDequeue(sh *shard) (item, bool) {
 }
 
 // ingest adds one item to its client batch, flushing on size.
-func (p *Pipeline) ingest(batches map[string][]item, it item) {
+func (p *Pipeline) ingest(w *batcher, it item) {
 	if it.n.Trace.Sampled() {
 		it.qw.Finish()
 		it.deq = time.Now()
 	}
-	b := append(batches[it.n.Client], it)
+	b := append(w.open[it.n.Client], it)
 	if len(b) >= p.cfg.BatchSize {
-		delete(batches, it.n.Client)
 		pass := flushPass{obs: p.observer()}
-		p.flush(it.n.Client, b, &pass)
+		p.flush(w, it.n.Client, b, &pass)
 		p.endPass(&pass)
-		return
+		clear(b)
+		b = b[:0]
 	}
-	batches[it.n.Client] = b
+	w.open[it.n.Client] = b
 }
 
 // drainQueue consumes everything currently queued without blocking,
 // classes in priority order.
-func (p *Pipeline) drainQueue(sh *shard, batches map[string][]item) {
+func (p *Pipeline) drainQueue(sh *shard, batches *batcher) {
 	for {
 		got := false
 		for _, c := range qos.ByPriority {
@@ -736,15 +746,23 @@ func (p *Pipeline) endPass(pass *flushPass) {
 	p.inflight.Add(-pass.done)
 }
 
-// flushAll flushes every open batch as one pass.
-func (p *Pipeline) flushAll(batches map[string][]item) {
-	if len(batches) == 0 {
+// flushAll flushes every open batch as one pass. A batch still empty from
+// the previous pass belongs to a client idle since then and is dropped, so
+// the batches a worker keeps are bounded by the clients active in the last
+// pass interval.
+func (p *Pipeline) flushAll(w *batcher) {
+	if len(w.open) == 0 {
 		return
 	}
 	pass := flushPass{obs: p.observer()}
-	for client, b := range batches {
-		delete(batches, client)
-		p.flush(client, b, &pass)
+	for client, b := range w.open {
+		if len(b) == 0 {
+			delete(w.open, client)
+			continue
+		}
+		p.flush(w, client, b, &pass)
+		clear(b)
+		w.open[client] = b[:0]
 	}
 	p.endPass(&pass)
 }
@@ -755,8 +773,9 @@ func (p *Pipeline) flushAll(batches map[string][]item) {
 // concurrent Attach cannot slip between the lookup and the park and leave
 // the batch stranded: either the Attach's takePending sees the parked
 // entries, or flush sees the freshly attached sink and delivers to it. The
-// batch's acks and inflight release are left to the pass.
-func (p *Pipeline) flush(client string, b []item, pass *flushPass) {
+// batch's acks and inflight release are left to the pass. Nothing keeps b
+// once flush returns (the sink gets a copy), so the worker reuses it.
+func (p *Pipeline) flush(w *batcher, client string, b []item, pass *flushPass) {
 	if len(b) == 0 {
 		return
 	}
@@ -801,7 +820,7 @@ func (p *Pipeline) flush(client string, b []item, pass *flushPass) {
 		sendDur := time.Since(start)
 		p.m.noteFlush(len(b), sendDur)
 		if err == nil {
-			p.ackItems(client, b, pass)
+			p.ackItems(w, client, b, pass)
 			p.m.Delivered.Add(int64(len(b)))
 			now := time.Now()
 			for _, it := range b {
@@ -850,23 +869,24 @@ func (p *Pipeline) recordFlushSpans(it item, c qos.Class, sendStart time.Time, s
 
 // ackItems removes delivered items from the client's mailbox, adding the
 // acks to the pass when it has an observer to report them to.
-func (p *Pipeline) ackItems(client string, b []item, pass *flushPass) {
+func (p *Pipeline) ackItems(w *batcher, client string, b []item, pass *flushPass) {
 	p.mu.Lock()
 	mb := p.mailboxes[client]
 	p.mu.Unlock()
 	if mb == nil {
 		return
 	}
-	seqs := make([]uint64, len(b))
-	for i, it := range b {
-		seqs[i] = it.seq
+	// One client's batch can interleave QoS classes, so its seqs need not
+	// ascend until sorted.
+	w.seqs = w.seqs[:0]
+	for _, it := range b {
+		w.seqs = append(w.seqs, it.seq)
 	}
-	acked := mb.ack(seqs)
-	if pass.obs == nil {
-		return
+	slices.Sort(w.seqs)
+	var acks *[]MailboxOp
+	if pass.obs != nil {
+		pass.acks = slices.Grow(pass.acks, len(b))
+		acks = &pass.acks
 	}
-	pass.acks = slices.Grow(pass.acks, len(acked))
-	for _, seq := range acked {
-		pass.acks = append(pass.acks, MailboxOp{Client: client, Seq: seq, Ack: true})
-	}
+	mb.ack(w.seqs, acks)
 }

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -246,27 +247,27 @@ func (mb *mailbox) add(n Notification) (seq uint64, evicted []uint64, err error)
 	return seq, evicted, nil
 }
 
-// ack removes delivered entries, returning the sequences actually removed.
-func (mb *mailbox) ack(seqs []uint64) []uint64 {
+// ack removes the delivered entries whose sequences are in sorted, which
+// must ascend. Each entry is looked up by binary search rather than by
+// merging the two lists, because recovery (WAL append order) and a
+// standby's applyAppend can leave entries out of seq order. Removals are
+// logged in entry order and, when ops is non-nil, appended to *ops as acks.
+func (mb *mailbox) ack(sorted []uint64, ops *[]MailboxOp) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	gone := make(map[uint64]bool, len(seqs))
-	for _, s := range seqs {
-		gone[s] = true
-	}
-	var acked []uint64
 	kept := mb.entries[:0]
 	for _, e := range mb.entries {
-		if gone[e.seq] {
+		if _, found := slices.BinarySearch(sorted, e.seq); found {
 			_ = mb.walAck(e.seq)
-			acked = append(acked, e.seq)
+			if ops != nil {
+				*ops = append(*ops, MailboxOp{Client: mb.user, Seq: e.seq, Ack: true})
+			}
 			continue
 		}
 		kept = append(kept, e)
 	}
 	mb.entries = kept
 	mb.maybeCompactLocked()
-	return acked
 }
 
 // applyAppend installs a replicated entry with the primary's sequence,
@@ -303,7 +304,7 @@ func (mb *mailbox) applyAppend(seq uint64, n Notification) error {
 // applyAck removes a replicated-delivered entry. Unknown sequences are
 // ignored (pre-snapshot residue of the stream).
 func (mb *mailbox) applyAck(seq uint64) {
-	mb.ack([]uint64{seq})
+	mb.ack([]uint64{seq}, nil)
 }
 
 // export copies the pending set (parked and inflight) in seq order.

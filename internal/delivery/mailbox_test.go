@@ -26,7 +26,7 @@ func TestMailboxWALCrashRecoveryRoundTrip(t *testing.T) {
 		seqs = append(seqs, seq)
 	}
 	// Deliver the first four.
-	mb.ack(seqs[:4])
+	mb.ack(seqs[:4], nil)
 	// Crash: no close, no compaction — reopen from the raw WAL.
 	mb2, err := newMailbox(dir, "alice", 100, 1000)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestMailboxCompactionShrinksWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver 48 of 50: compaction triggers and rewrites only 2 live entries.
-	mb.ack(seqs[:48])
+	mb.ack(seqs[:48], nil)
 	after, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestMailboxAppendsAfterCompactionRecovered(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
-	mb.ack(seqs[:5])
+	mb.ack(seqs[:5], nil)
 	if mb.deadRecords != 0 {
 		t.Fatalf("dead records = %d after acking 5 of 6: compaction did not run", mb.deadRecords)
 	}

@@ -8,6 +8,11 @@
 // (attribute, value) pair actually occurs in the event are evaluated.
 // Conjunctions without an equality predicate fall back to a residual scan
 // list. The benchmark suite (experiment E4) measures the gap.
+//
+// EqualityPreferred.Match allocates a constant number of objects per call,
+// whatever the number of matches: the matcher reuses its scratch from call
+// to call, and every Match's DocIDs is a capped sub-slice of one array per
+// call.
 package filter
 
 import (
@@ -19,7 +24,9 @@ import (
 )
 
 // Match pairs a matched profile with the document IDs that triggered it
-// (empty for event-level matches).
+// (empty for event-level matches). DocIDs may share a backing array with
+// the other Matches of the same call and is read-only; its capacity is
+// capped, so an append copies instead of overwriting a neighbour.
 type Match struct {
 	Profile *profile.Profile
 	DocIDs  []string
