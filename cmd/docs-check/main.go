@@ -24,6 +24,12 @@
 //     go.mod's go directive does not exceed bench/go.mod's (go refuses to
 //     build bench/ otherwise, and the benchmark run is scored a failure),
 //     and bench/go.mod still replaces the root module with "../".
+//   - the product has one case fold: no non-test file in internal/index,
+//     internal/profile, internal/filter or internal/core calls
+//     strings.ToLower, strings.EqualFold or unicode.ToLower, except the
+//     fold itself (index.Fold, index.FoldRune), the evaluator's and
+//     covering's equality, and syntax (keywords, operator and routing-mode
+//     names), each exempt by file and function.
 //
 // It prints one line per violation and exits non-zero if any were found.
 // Run it as `make docs-check`; CI runs it on every push.
@@ -70,6 +76,7 @@ func run(root string) int {
 	checkFlagRefs(root, complain)
 	checkPathRefs(root, complain)
 	checkBenchModule(root, complain)
+	checkOneFold(root, complain)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -78,7 +85,7 @@ func run(root string) int {
 		fmt.Fprintf(os.Stderr, "docs-check: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references, flag references, command and example paths and bench/go.mod are consistent")
+	fmt.Println("docs-check: README package table, package comments, docs/ links, experiment references, metric names, benchmark references, flag references, command and example paths, bench/go.mod and the case fold are consistent")
 	return 0
 }
 
@@ -502,5 +509,65 @@ func checkBenchModule(root string, complain func(string, ...any)) {
 		complain("go.mod has no module line")
 	} else if want := "replace " + string(m[1]) + " => ../"; !strings.Contains(string(benchMod), want) {
 		complain("bench/go.mod lacks %q: gsbench would not build against this tree", want)
+	}
+}
+
+// foldCalls are the case folds that data comparisons must not use beside
+// index.Fold; foldExempt the uses that stay, as "file function call".
+var (
+	foldCalls  = map[string]bool{"strings.ToLower": true, "strings.EqualFold": true, "unicode.ToLower": true}
+	foldExempt = map[string]bool{
+		"internal/index/index.go Fold strings.ToLower":                true,
+		"internal/index/index.go FoldRune unicode.ToLower":            true,
+		"internal/index/query.go isKeyword strings.EqualFold":         true,
+		"internal/profile/eval.go evalPositive strings.EqualFold":     true,
+		"internal/profile/cover.go predEqual strings.EqualFold":       true,
+		"internal/profile/cover.go impliesPositive strings.EqualFold": true,
+		"internal/profile/parser.go peekKeyword strings.EqualFold":    true,
+		"internal/profile/parser.go parsePred strings.EqualFold":      true,
+		"internal/profile/parser.go parsePred strings.ToLower":        true,
+		"internal/core/multicast.go ParseRoutingMode strings.ToLower": true,
+	}
+)
+
+// checkOneFold verifies that the packages which compare event data fold
+// case one way only: every other use of a fold in foldCalls is a second
+// notion of "case-insensitive" that access keys, group names and covering
+// would disagree with.
+func checkOneFold(root string, complain func(string, ...any)) {
+	fset := token.NewFileSet()
+	for _, pkg := range []string{"index", "profile", "filter", "core"} {
+		files, _ := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go")) // the pattern is constant
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			parsed, err := parser.ParseFile(fset, f, nil, 0)
+			if err != nil {
+				complain("parsing %s: %v", f, err)
+				continue
+			}
+			rel := "internal/" + pkg + "/" + filepath.Base(f)
+			for _, decl := range parsed.Decls {
+				fn := ""
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					fn = d.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); ok {
+						call := x.Name + "." + sel.Sel.Name
+						if foldCalls[call] && !foldExempt[rel+" "+fn+" "+call] {
+							complain("%s:%d: %s in %s: compare data through index.Fold or index.FoldRune",
+								rel, fset.Position(sel.Pos()).Line, call, fn)
+						}
+					}
+					return true
+				})
+			}
+		}
 	}
 }

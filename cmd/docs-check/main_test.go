@@ -161,3 +161,46 @@ func TestCheckBenchModule(t *testing.T) {
 		})
 	}
 }
+
+func TestCheckOneFold(t *testing.T) {
+	cases := []struct {
+		name, file, body, want string
+	}{
+		{"the fold itself", "internal/index/index.go",
+			"func Fold(s string) string { return strings.ToLower(s) }\n", ""},
+		{"evaluator equality", "internal/profile/eval.go",
+			"func evalPositive(v, w string) bool { return strings.EqualFold(v, w) }\n", ""},
+		{"second fold in the evaluator", "internal/profile/eval.go",
+			"func evalPositive(v, w string) bool { return strings.ToLower(v) == w }\n", "strings.ToLower in evalPositive"},
+		{"access key", "internal/filter/eqpref.go",
+			"func accessKey(v string) string { return strings.ToLower(v) }\n", "strings.ToLower in accessKey"},
+		{"rune fold as a value", "internal/core/multicast.go",
+			"var fold = func(s string) string { return strings.Map(unicode.ToLower, s) }\n", "unicode.ToLower in "},
+		{"syntax in another function", "internal/core/multicast.go",
+			"func collGroup(s string) string { return strings.ToLower(s) }\n", "strings.ToLower in collGroup"},
+		{"test file", "internal/profile/eval_test.go",
+			"func helper(v string) string { return strings.ToLower(v) }\n", ""},
+		{"other package", "internal/event/event.go",
+			"func name(v string) string { return strings.ToLower(v) }\n", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tc.file)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("package x\n\n"+tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			checkOneFold(dir, func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+			switch {
+			case tc.want == "" && len(got) > 0:
+				t.Errorf("complained: %v", got)
+			case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)):
+				t.Errorf("complaints = %v, want one containing %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gsalert/gsalert/internal/index"
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/profile"
 )
@@ -70,9 +71,11 @@ func ParseRoutingMode(s string) (RoutingMode, error) {
 // collection scope cannot be bounded.
 const catchAllGroup = "gsalert.any"
 
-// collGroup names the multicast group of one collection.
+// collGroup names the multicast group of one collection: the folded
+// qualified name, so a profile's collection equality and an event's
+// collection meet in one group whenever the evaluator calls them equal.
 func collGroup(qualified string) string {
-	return "coll:" + strings.ToLower(qualified)
+	return "coll:" + index.Fold(qualified)
 }
 
 // SetRoutingMode switches dissemination modes and tears the previous

@@ -80,14 +80,18 @@ func NewEqualityPreferred() *EqualityPreferred {
 
 var _ Matcher = (*EqualityPreferred)(nil)
 
+// accessKey is the index key of an attribute value. index.Fold is coarser
+// than the evaluator's strings.EqualFold, so every value equal to an
+// access predicate's operand finds its bucket, and Match re-evaluates each
+// conjunction it finds there.
 func accessKey(attr, value string) string {
-	return attr + "\x00" + strings.ToLower(value)
+	return attr + "\x00" + index.Fold(value)
 }
 
 // appendAccessKey appends accessKey(attr, value) to buf, so that Match can
 // look a key up as idx[string(buf)] without building a string. ASCII is
-// lower-cased in place; a non-ASCII value goes through strings.ToLower, so
-// the bytes are always identical to accessKey's.
+// lower-cased in place; a non-ASCII value goes through index.Fold, so the
+// bytes are always identical to accessKey's.
 func appendAccessKey(buf []byte, attr, value string) []byte {
 	buf = append(buf, attr...)
 	buf = append(buf, 0)
@@ -95,7 +99,7 @@ func appendAccessKey(buf []byte, attr, value string) []byte {
 	for i := 0; i < len(value); i++ {
 		c := value[i]
 		if c >= utf8.RuneSelf {
-			return append(buf[:start], strings.ToLower(value)...)
+			return append(buf[:start], index.Fold(value)...)
 		}
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
@@ -115,11 +119,13 @@ var eventAttrNames = map[string]bool{
 
 // chooseAccess picks the access predicate for a conjunction: the first
 // positive equality over a document attribute if any (selective), else the
-// first positive equality over an event attribute, else none.
+// first positive equality over an event attribute, else none. A `text`
+// equality is never one: Match looks keys up by doc.id and metadata, not
+// by a document's text.
 func chooseAccess(c profile.Conjunction) (pred *profile.Pred, onDoc bool) {
 	var evtPred *profile.Pred
 	for _, p := range c {
-		if p.Op != profile.OpEq || p.Neg {
+		if p.Op != profile.OpEq || p.Neg || p.Attr == "text" {
 			continue
 		}
 		if !eventAttrNames[p.Attr] {

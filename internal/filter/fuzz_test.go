@@ -28,14 +28,16 @@ func (p *fuzzProgram) done() bool { return len(p.data) == 0 }
 
 var (
 	fuzzEventAttrs = []string{"collection", "host", "origin", "event.type"}
-	fuzzDocAttrs   = []string{"dc.Creator", "dc.Title", "year", "doc.id"}
-	// Values repeat across case and include non-ASCII letters whose
-	// lower-case form is what strings.EqualFold compares against, so the
-	// access keys and the evaluator agree on them.
+	fuzzDocAttrs   = []string{"dc.Creator", "dc.Title", "year", "doc.id", "text"}
+	// Values repeat across case, and across the members of Unicode
+	// simple-fold orbits whose strings.ToLower forms differ (ſ/s/S, the
+	// Kelvin sign/k, µ/μ/Μ, ς/σ/Σ): strings.EqualFold calls each orbit
+	// equal, so the access keys must too.
 	fuzzValues = []string{
 		"H.C1", "h.c1", "H.C2", "H", "documents-added", "collection-built",
 		"Smith", "smith", "SMITH", "Jones", "Émile", "ÉMILE", "émile",
 		"Ωmega", "ωMEGA", "1990", "2001", "d1", "D1", "d2",
+		"s", "S", "ſ", "ſmith", "k", "\u212a", "µ", "μ", "Μ", "ς", "σ", "Σ",
 	}
 	fuzzOps = []string{"=", "=", "=", "!=", ">=", "<", "contains", "startswith", "matches"}
 )
@@ -86,7 +88,7 @@ func (p *fuzzProgram) expr() string {
 }
 
 // event builds an event with 0, 1 or several documents whose metadata
-// repeats values across fields, documents and case.
+// and text repeat values across fields, documents and case.
 func (p *fuzzProgram) event(n int) *event.Event {
 	docs := make([]event.DocRef, p.pick(5))
 	for i := range docs {
@@ -96,7 +98,7 @@ func (p *fuzzProgram) event(n int) *event.Event {
 				md[attr] = append(md[attr], p.value())
 			}
 		}
-		docs[i] = event.DocRef{ID: []string{"d1", "D1", "d2", "d3"}[p.pick(4)], Metadata: md}
+		docs[i] = event.DocRef{ID: []string{"d1", "D1", "d2", "d3"}[p.pick(4)], Metadata: md, Snippet: p.value()}
 	}
 	colls := []event.QName{{Host: "H", Collection: "C1"}, {Host: "h", Collection: "c1"}, {Host: "H", Collection: "C2"}}
 	types := []event.Type{event.TypeDocumentsAdded, event.TypeCollectionBuilt}

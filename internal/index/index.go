@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Doc is the minimal document view the index needs.
@@ -110,7 +111,45 @@ func (ix *Index) Len() int {
 	return ix.nDocs
 }
 
-// Tokenize lowercases and splits text into letter/digit runs. It is the
+// FoldRune is the product's one case fold for a rune: the lower case of
+// the smallest rune in r's unicode.SimpleFold orbit. Every rune of an
+// orbit folds alike (ſ, s and S all fold to s; K, k and the Kelvin sign to
+// k), so strings.EqualFold(a, b) implies Fold(a) == Fold(b). On ASCII it is
+// unicode.ToLower.
+func FoldRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		return r
+	}
+	least := r
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		least = min(least, f)
+	}
+	return unicode.ToLower(least)
+}
+
+// Fold applies FoldRune to every rune of s. Access keys, multicast group
+// names and the evaluator's substring, ordering and wildcard tests all
+// compare folded strings. ASCII input folds exactly as strings.ToLower
+// does, returning s itself when it has no upper case.
+func Fold(s string) string {
+	upper := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.Map(FoldRune, s)
+		}
+		upper = upper || 'A' <= c && c <= 'Z'
+	}
+	if !upper {
+		return s
+	}
+	return strings.ToLower(s)
+}
+
+// Tokenize folds and splits text into letter/digit runs. It is the
 // single tokenizer used by indexing, querying and event matching so that
 // continuous search behaves identically to interactive search.
 func Tokenize(text string) []string {
@@ -124,7 +163,7 @@ func Tokenize(text string) []string {
 	}
 	for _, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
+			b.WriteRune(FoldRune(r))
 		} else {
 			flush()
 		}

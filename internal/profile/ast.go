@@ -42,13 +42,19 @@ type Op int
 
 // Predicate operators. Equality is first-class: the filter engine's
 // equality-preferred algorithm indexes profiles by their Eq predicates.
+//
+// Every value comparison is case-insensitive, and case-insensitive means
+// one thing: the same Unicode simple-fold orbit, rune by rune (ſ, s and S
+// are one letter). Equality and membership compare with strings.EqualFold;
+// the substring, ordering and wildcard operators compare index.Fold forms,
+// which agree with it.
 const (
 	// OpEq tests case-insensitive equality with any attribute value.
 	OpEq Op = iota + 1
 	// OpNe tests that no attribute value equals the operand.
 	OpNe
 	// OpLt orders numerically when both sides parse as numbers, else
-	// lexicographically.
+	// lexicographically on the folded values.
 	OpLt
 	// OpLe is less-or-equal.
 	OpLe
@@ -62,7 +68,7 @@ const (
 	OpPrefix
 	// OpSuffix tests a case-insensitive suffix.
 	OpSuffix
-	// OpMatches tests a wildcard pattern with * and ?.
+	// OpMatches tests a case-insensitive wildcard pattern with * and ?.
 	OpMatches
 	// OpIn tests membership in an explicit value list (the paper's
 	// micro-level "list of IDs", the basis of watch-this observation).

@@ -1,9 +1,8 @@
 package profile
 
 import (
-	"strings"
-
 	"github.com/gsalert/gsalert/internal/event"
+	"github.com/gsalert/gsalert/internal/index"
 )
 
 // CollectionCover computes a sound collection scope for an expression: a
@@ -26,12 +25,12 @@ func CollectionCover(e Expr) (collections []string, ok bool) {
 		var names []string
 		for _, p := range c {
 			if p.Attr == "collection" && p.Op == OpEq && !p.Neg {
-				names = append(names, strings.ToLower(p.Value))
+				names = append(names, index.Fold(p.Value))
 			}
 			// `collection in (...)` also yields a finite cover.
 			if p.Attr == "collection" && p.Op == OpIn && !p.Neg {
 				for _, v := range p.Values {
-					names = append(names, strings.ToLower(v))
+					names = append(names, index.Fold(v))
 				}
 			}
 		}

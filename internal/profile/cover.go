@@ -124,42 +124,16 @@ func impliesPositive(p, q *Pred) bool {
 		case OpIn:
 			return len(p.Values) > 0 && allValues(p.Values, inQ)
 		}
-	case OpContains:
-		sub := strings.ToLower(q.Value)
-		has := func(v string) bool { return strings.Contains(strings.ToLower(v), sub) }
-		switch p.Op {
-		case OpEq:
+	case OpContains, OpPrefix, OpSuffix:
+		// Every value p admits equals, starts with, ends in or contains
+		// p.Value, so q holds whenever p.Value passes q's test; a prefix or
+		// a suffix is also a substring.
+		has := func(v string) bool { return hasFolded(q.Op, v, q.Value) }
+		switch {
+		case p.Op == OpEq, p.Op == q.Op, q.Op == OpContains && (p.Op == OpPrefix || p.Op == OpSuffix):
 			return has(p.Value)
-		case OpContains, OpPrefix, OpSuffix:
-			// A value containing / starting with / ending in p.Value also
-			// contains every substring of p.Value.
-			return has(p.Value)
-		case OpIn:
+		case p.Op == OpIn:
 			return len(p.Values) > 0 && allValues(p.Values, has)
-		}
-	case OpPrefix:
-		pre := strings.ToLower(q.Value)
-		switch p.Op {
-		case OpEq:
-			return strings.HasPrefix(strings.ToLower(p.Value), pre)
-		case OpPrefix:
-			return strings.HasPrefix(strings.ToLower(p.Value), pre)
-		case OpIn:
-			return len(p.Values) > 0 && allValues(p.Values, func(v string) bool {
-				return strings.HasPrefix(strings.ToLower(v), pre)
-			})
-		}
-	case OpSuffix:
-		suf := strings.ToLower(q.Value)
-		switch p.Op {
-		case OpEq:
-			return strings.HasSuffix(strings.ToLower(p.Value), suf)
-		case OpSuffix:
-			return strings.HasSuffix(strings.ToLower(p.Value), suf)
-		case OpIn:
-			return len(p.Values) > 0 && allValues(p.Values, func(v string) bool {
-				return strings.HasSuffix(strings.ToLower(v), suf)
-			})
 		}
 	case OpMatches:
 		switch p.Op {

@@ -3,6 +3,8 @@ package profile
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/gsalert/gsalert/internal/index"
 )
 
 // Property: Covers is sound. Whenever Covers(general, specific) answers
@@ -19,7 +21,11 @@ import (
 
 var propAttrs = []string{"collection", "host", "origin", "event.type"}
 
-var propValues = []string{"a", "ab", "abc", "b", "ba", "x.y", "1", "2", "10"}
+// propValues include members of Unicode simple-fold orbits (ſ/s/S, the
+// Kelvin sign/k, µ/μ/Μ, ς/σ/Σ): equality treats each orbit as one rune, so
+// covering and the substring, prefix, suffix and ordering tests must too.
+var propValues = []string{"a", "ab", "abc", "b", "ba", "x.y", "1", "2", "10",
+	"s", "S", "ſ", "ſa", "as", "k", "\u212a", "µ", "μ", "Μ", "ς", "σ", "Σ"}
 
 func genPred(rng *rand.Rand) *Pred {
 	p := &Pred{Attr: propAttrs[rng.Intn(len(propAttrs))]}
@@ -154,5 +160,20 @@ func TestCoversTransitiveOnDetectedPairs(t *testing.T) {
 	}
 	if checked < 50 {
 		t.Fatalf("only %d transitive triples checked — generator drifted", checked)
+	}
+}
+
+// TestCoversFoldOrbit pins one unsound cover that a fold finer than
+// equality's produced: `contains "s"` may cover `= "S"` only if "ſ", which
+// equals "S", also contains "s".
+func TestCoversFoldOrbit(t *testing.T) {
+	general := []Conjunction{{{Attr: "dc.Creator", Op: OpContains, Value: "s"}}}
+	specific := []Conjunction{{{Attr: "dc.Creator", Op: OpEq, Value: "S"}}}
+	if !Covers(general, specific) {
+		return // a false negative is allowed
+	}
+	ctx := &EvalContext{Doc: &index.Doc{Fields: map[string][]string{"dc.Creator": {"ſ"}}}}
+	if EvalConjunction(specific[0], ctx) && !EvalConjunction(general[0], ctx) {
+		t.Fatal(`Covers(contains "s", = "S") is true, but "ſ" matches = "S" and not contains "s"`)
 	}
 }

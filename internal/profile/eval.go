@@ -139,23 +139,9 @@ func (p *Pred) evalPositive(ctx *EvalContext) bool {
 			}
 		}
 		return false
-	case OpContains:
+	case OpContains, OpPrefix, OpSuffix:
 		for _, v := range values {
-			if strings.Contains(strings.ToLower(v), strings.ToLower(p.Value)) {
-				return true
-			}
-		}
-		return false
-	case OpPrefix:
-		for _, v := range values {
-			if strings.HasPrefix(strings.ToLower(v), strings.ToLower(p.Value)) {
-				return true
-			}
-		}
-		return false
-	case OpSuffix:
-		for _, v := range values {
-			if strings.HasSuffix(strings.ToLower(v), strings.ToLower(p.Value)) {
+			if hasFolded(p.Op, v, p.Value) {
 				return true
 			}
 		}
@@ -225,8 +211,22 @@ func resolveAttr(attr string, ctx *EvalContext) []string {
 	}
 }
 
+// hasFolded applies a substring operator (contains, prefix or suffix) to
+// the folded value and operand.
+func hasFolded(op Op, v, operand string) bool {
+	v, operand = index.Fold(v), index.Fold(operand)
+	switch op {
+	case OpContains:
+		return strings.Contains(v, operand)
+	case OpPrefix:
+		return strings.HasPrefix(v, operand)
+	default:
+		return strings.HasSuffix(v, operand)
+	}
+}
+
 // compareOrdered compares numerically when both sides parse as floats,
-// otherwise lexicographically (case-insensitive).
+// otherwise lexicographically on the folded strings.
 func compareOrdered(have, want string, op Op) bool {
 	hf, herr := strconv.ParseFloat(strings.TrimSpace(have), 64)
 	wf, werr := strconv.ParseFloat(strings.TrimSpace(want), 64)
@@ -239,7 +239,7 @@ func compareOrdered(have, want string, op Op) bool {
 			cmp = 1
 		}
 	} else {
-		cmp = strings.Compare(strings.ToLower(have), strings.ToLower(want))
+		cmp = strings.Compare(index.Fold(have), index.Fold(want))
 	}
 	switch op {
 	case OpLt:
@@ -260,8 +260,8 @@ func compareOrdered(have, want string, op Op) bool {
 // The implementation is the classic two-pointer scan with backtracking to
 // the last star, linear in len(s)*stars.
 func WildcardMatch(pattern, s string) bool {
-	p := []rune(strings.ToLower(pattern))
-	t := []rune(strings.ToLower(s))
+	p := []rune(index.Fold(pattern))
+	t := []rune(index.Fold(s))
 	pi, ti := 0, 0
 	star, starTi := -1, 0
 	for ti < len(t) {
