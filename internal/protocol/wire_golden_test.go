@@ -137,11 +137,24 @@ func wireCases() []wireCase {
 	ack.Header.VirtualLatencyMicros = 1500
 	errEnv := fixed(Errorf("London", "not-found", "collection %q unknown: <%s>", "X&Y", "tag"), 16)
 
+	join := fixed(MustEnvelope("Hamilton", MsgJoinGroup, &JoinGroup{Group: "coll:hamilton.d.sub", Name: "Hamilton", Addr: "127.0.0.1:8901"}), 17)
+	leave := fixed(MustEnvelope("Hamilton", MsgLeaveGroup, &LeaveGroup{Group: "gsalert.any", Name: "Hamilton"}), 18)
+	advertise := fixed(MustEnvelope("Hamilton", MsgAdvertiseProfiles, &AdvertiseProfiles{Name: "Hamilton", Digest: []string{
+		"*",
+		`collection = "Hamilton.X" AND event.type IN ("documents-added", "collection-rebuilt")`,
+		`collection = "hamilton.<z>" AND host = "O'Brien & co"`,
+	}}), 19)
+	unadvertise := fixed(MustEnvelope("Hamilton", MsgUnadvertiseProfiles, &UnadvertiseProfiles{Name: "Hamilton"}), 20)
+
 	return []wireCase{
 		{"gds.broadcast", broadcast, func() any { return new(Broadcast) }, func(v any) []byte { return v.(*Broadcast).Inner }},
 		{"gds.multicast", multicast, func() any { return new(Multicast) }, func(v any) []byte { return v.(*Multicast).Inner }},
 		{"gds.route-content", route, func() any { return new(RouteContent) }, func(v any) []byte { return v.(*RouteContent).Inner }},
 		{"gds.route-content-noattrs", routeNoAttrs, func() any { return new(RouteContent) }, nil},
+		{"gds.join-group", join, func() any { return new(JoinGroup) }, nil},
+		{"gds.leave-group", leave, func() any { return new(LeaveGroup) }, nil},
+		{"gds.advertise-profiles", advertise, func() any { return new(AdvertiseProfiles) }, nil},
+		{"gds.unadvertise-profiles", unadvertise, func() any { return new(UnadvertiseProfiles) }, nil},
 		{"gs.event", inner, func() any { return new(EventPayload) }, nil},
 		{"gs.event-forwarded", forwarded, func() any { return new(EventPayload) }, nil},
 		{"gs.notify", notify, func() any { return new(Notify) }, nil},
