@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -86,17 +85,13 @@ func (s *Service) addCompositeProfile(p *profile.Profile) error {
 	}
 	set[p.ID] = true
 	s.compositeProfiles[p.ID] = p
-	multicast := s.routing == RouteMulticast
+	mode := s.routing
 	s.mu.Unlock()
-	if multicast {
-		// Best effort, as for primitive profiles: the groups of the union
-		// expression cover every event any step could consume.
-		_ = s.joinGroupsFor(context.Background(), p)
+	if mode != RouteBroadcast {
+		// Keyed by the composite's own ID and union expression, whose
+		// groups and digest cover every event any step could consume.
+		s.addInterest(p)
 	}
-	// Content mode advertises the union of the primitive steps; the
-	// matcher now holds exactly those steps, so the incremental digest
-	// merge and a full recompute agree.
-	s.readvertiseOnChurn(p)
 	return nil
 }
 
@@ -118,12 +113,11 @@ func (s *Service) removeCompositeProfile(client string, p *profile.Profile) erro
 			delete(s.profilesByClient, client)
 		}
 	}
-	multicast := s.routing == RouteMulticast
+	mode := s.routing
 	s.mu.Unlock()
-	if multicast {
-		s.leaveGroupsFor(context.Background(), p.ID)
+	if mode != RouteBroadcast {
+		s.removeInterest(p.ID)
 	}
-	s.readvertiseOnChurn(nil)
 	s.replicateProfileRemove(client, p.ID)
 	return nil
 }

@@ -78,22 +78,20 @@ func collGroup(qualified string) string {
 	return "coll:" + index.Fold(qualified)
 }
 
-// SetRoutingMode switches dissemination modes and tears the previous
-// mode's directory state down eagerly: leaving multicast leaves every
-// joined group (stale memberships would otherwise keep attracting
-// traffic), leaving content routing withdraws the advertised digest.
-// Switching to multicast (re)announces group memberships for every
-// registered profile; switching to content routing advertises the current
-// profile digest and floods for the configured warm-up window.
+// SetRoutingMode switches dissemination modes. The interests ledger is
+// rebuilt from the current population for the new mode, and the directory
+// is told only the difference from what it already holds: leaving
+// multicast leaves every joined group (stale memberships would otherwise
+// keep attracting traffic), leaving content routing withdraws the
+// advertised digest, and setting the mode already set sends nothing new.
+// Switching to content routing also floods for the configured warm-up
+// window.
 func (s *Service) SetRoutingMode(ctx context.Context, mode RoutingMode) error {
 	if mode != RouteBroadcast && mode != RouteMulticast && mode != RouteContent {
 		return fmt.Errorf("core: unknown routing mode %d", mode)
 	}
 	s.mu.Lock()
 	prev := s.routing
-	if prev == 0 {
-		prev = RouteBroadcast
-	}
 	s.routing = mode
 	if mode == RouteContent {
 		s.contentFloodUntil = time.Now().Add(s.contentWarmup)
@@ -104,111 +102,18 @@ func (s *Service) SetRoutingMode(ctx context.Context, mode RoutingMode) error {
 	if s.gdsCli == nil {
 		return nil
 	}
-	if prev == RouteMulticast && mode != RouteMulticast {
-		s.leaveAllGroups(ctx)
-	}
-	if prev == RouteContent && mode != RouteContent {
-		s.mu.Lock()
-		s.advertised = ""
-		s.advertisedOnce = false
-		s.mu.Unlock()
-		_ = s.gdsCli.UnadvertiseProfiles(ctx) // best effort
-	}
-	switch mode {
-	case RouteMulticast:
-		// Join groups for the current profile population.
-		for _, p := range s.matcher.All() {
-			if err := s.joinGroupsFor(ctx, p); err != nil {
-				return err
-			}
-		}
-	case RouteContent:
-		return s.advertiseProfiles(ctx, nil)
-	}
-	return nil
-}
-
-// leaveAllGroups eagerly leaves every multicast group this server joined,
-// clearing the per-profile bookkeeping.
-func (s *Service) leaveAllGroups(ctx context.Context) {
-	s.mu.Lock()
-	var leave []string
-	for g := range s.groupRefs {
-		leave = append(leave, g)
-	}
-	s.groupRefs = nil
-	s.groupsByProfile = nil
-	s.mu.Unlock()
-	sortStrings(leave)
-	for _, g := range leave {
-		_ = s.gdsCli.LeaveGroup(ctx, g) // best effort
-	}
+	return s.rebuildInterests(ctx)
 }
 
 // RoutingMode reports the current mode.
 func (s *Service) RoutingMode() RoutingMode {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.routing == 0 {
-		return RouteBroadcast
-	}
 	return s.routing
 }
 
-// joinGroupsFor subscribes this server to the groups covering p, with
-// reference counting so unsubscribes can leave groups precisely.
-func (s *Service) joinGroupsFor(ctx context.Context, p *profile.Profile) error {
-	if s.gdsCli == nil {
-		return nil
-	}
-	groups := s.groupsOf(p)
-	for _, g := range groups {
-		s.mu.Lock()
-		if s.groupRefs == nil {
-			s.groupRefs = make(map[string]int)
-		}
-		s.groupRefs[g]++
-		first := s.groupRefs[g] == 1
-		s.mu.Unlock()
-		if first {
-			if err := s.gdsCli.JoinGroup(ctx, g); err != nil {
-				return fmt.Errorf("core: join %s: %w", g, err)
-			}
-		}
-	}
-	s.mu.Lock()
-	if s.groupsByProfile == nil {
-		s.groupsByProfile = make(map[string][]string)
-	}
-	s.groupsByProfile[p.ID] = groups
-	s.mu.Unlock()
-	return nil
-}
-
-// leaveGroupsFor drops group memberships owned by a removed profile.
-func (s *Service) leaveGroupsFor(ctx context.Context, profileID string) {
-	if s.gdsCli == nil {
-		return
-	}
-	s.mu.Lock()
-	groups := s.groupsByProfile[profileID]
-	delete(s.groupsByProfile, profileID)
-	var leave []string
-	for _, g := range groups {
-		s.groupRefs[g]--
-		if s.groupRefs[g] <= 0 {
-			delete(s.groupRefs, g)
-			leave = append(leave, g)
-		}
-	}
-	s.mu.Unlock()
-	for _, g := range leave {
-		_ = s.gdsCli.LeaveGroup(ctx, g) // best effort
-	}
-}
-
 // groupsOf computes the multicast groups covering a profile.
-func (s *Service) groupsOf(p *profile.Profile) []string {
+func groupsOf(p *profile.Profile) []string {
 	cover, bounded := profile.CollectionCover(p.Expr)
 	if !bounded {
 		return []string{catchAllGroup}

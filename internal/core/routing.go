@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -565,6 +566,6 @@ func (s *Service) ForwardedAuxIDs() []string {
 	for id := range s.forwardedAux {
 		out = append(out, id)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }

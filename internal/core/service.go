@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -181,23 +182,11 @@ type Service struct {
 	ownsDelivery bool
 
 	// routing selects broadcast (default), multicast or content
-	// dissemination; groupRefs/groupsByProfile track multicast membership
-	// per profile.
-	routing         RoutingMode
-	groupRefs       map[string]int
-	groupsByProfile map[string][]string
-
-	// advertised is the canonical profile digest last pushed to the GDS in
-	// content mode ("" plus advertisedOnce=false when none was sent);
-	// contentFloodUntil keeps the flood fallback open while routing tables
-	// warm up. advMu serialises digest compute+send so concurrent churn
-	// cannot reorder advertisements on the wire; it also guards the
-	// incremental digestCache.
-	advMu             sync.Mutex
-	digestCache       profile.Digest
-	digestCacheOK     bool
-	advertised        string
-	advertisedOnce    bool
+	// dissemination; interests records what the selective modes asked
+	// the directory for (interests.go). contentFloodUntil keeps the flood
+	// fallback open while content routing tables warm up.
+	routing           RoutingMode
+	interests         interests
 	contentWarmup     time.Duration
 	contentFloodUntil time.Time
 
@@ -319,6 +308,7 @@ func New(cfg Config) (*Service, error) {
 		compositeProfiles: make(map[string]*profile.Profile),
 		forwardedAux:      make(map[string]string),
 		dedup:             event.NewDedup(0),
+		routing:           RouteBroadcast,
 	}
 	s.composite = composite.NewEngine(composite.Config{Emit: s.emitComposite})
 	s.contentWarmup = cfg.ContentWarmup
@@ -539,17 +529,12 @@ func (s *Service) addUserProfile(p *profile.Profile) error {
 		s.profilesByClient[p.Owner] = set
 	}
 	set[p.ID] = true
-	multicast := s.routing == RouteMulticast
+	mode := s.routing
 	s.mu.Unlock()
-	if multicast {
-		// Group membership is best effort: a failed join degrades delivery
-		// for this profile until the next SetRoutingMode, mirroring the
-		// paper's best-effort stance; it never corrupts local state.
-		_ = s.joinGroupsFor(context.Background(), p)
+	if mode != RouteBroadcast {
+		// A new profile may join groups or widen the advertised digest.
+		s.addInterest(p)
 	}
-	// In content mode a new profile may widen the advertised digest; the
-	// covering prune inside makes already-covered additions free.
-	s.readvertiseOnChurn(p)
 	s.replicateProfileAdd(p)
 	return nil
 }
@@ -586,14 +571,13 @@ func (s *Service) Unsubscribe(client, profileID string) error {
 			delete(s.profilesByClient, client)
 		}
 	}
-	multicast := s.routing == RouteMulticast
+	mode := s.routing
 	s.mu.Unlock()
-	if multicast {
-		s.leaveGroupsFor(context.Background(), profileID)
+	if mode != RouteBroadcast {
+		// A removed profile may leave groups or narrow the digest, which
+		// lets the directory prune this server again.
+		s.removeInterest(profileID)
 	}
-	// In content mode a removed profile may narrow the digest; the
-	// re-advertisement lets the directory prune this server again.
-	s.readvertiseOnChurn(nil)
 	s.replicateProfileRemove(client, profileID)
 	return nil
 }
@@ -607,16 +591,8 @@ func (s *Service) ProfilesOf(client string) []string {
 	for id := range set {
 		out = append(out, id)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // UserProfileCount reports registered user profiles.
