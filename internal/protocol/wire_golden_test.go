@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/gsalert/gsalert/internal/event"
+	"github.com/gsalert/gsalert/internal/profile"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/wire goldens")
@@ -146,6 +147,18 @@ func wireCases() []wireCase {
 	}}), 19)
 	unadvertise := fixed(MustEnvelope("Hamilton", MsgUnadvertiseProfiles, &UnadvertiseProfiles{Name: "Hamilton"}), 20)
 
+	aux := profile.NewAuxiliary("aux:Hamilton.D>London.E",
+		event.QName{Host: "Hamilton", Collection: "D"}, event.QName{Host: "London", Collection: "E"})
+	aux.CreatedAt = time.Date(2005, 6, 1, 12, 0, 0, 0, time.UTC)
+	auxXML, err := aux.MarshalXMLBytes()
+	if err != nil {
+		panic(err)
+	}
+	install := fixed(MustEnvelope("Hamilton", MsgForwardProfile, &ForwardProfile{Profile: Wrap(auxXML)}), 21)
+	install.Header.To = "London"
+	cancel := fixed(MustEnvelope("Hamilton", MsgCancelProfile, &CancelProfile{ProfileID: aux.ID}), 22)
+	cancel.Header.To = "London"
+
 	return []wireCase{
 		{"gds.broadcast", broadcast, func() any { return new(Broadcast) }, func(v any) []byte { return v.(*Broadcast).Inner }},
 		{"gds.multicast", multicast, func() any { return new(Multicast) }, func(v any) []byte { return v.(*Multicast).Inner }},
@@ -157,6 +170,8 @@ func wireCases() []wireCase {
 		{"gds.unadvertise-profiles", unadvertise, func() any { return new(UnadvertiseProfiles) }, nil},
 		{"gs.event", inner, func() any { return new(EventPayload) }, nil},
 		{"gs.event-forwarded", forwarded, func() any { return new(EventPayload) }, nil},
+		{"gs.forward-profile", install, func() any { return new(ForwardProfile) }, nil},
+		{"gs.cancel-profile", cancel, func() any { return new(CancelProfile) }, nil},
 		{"gs.notify", notify, func() any { return new(Notify) }, nil},
 		{"gs.notify-batch", batch, func() any { return new(NotifyBatch) }, nil},
 		{"gs.notify-batch-empty", emptyBatch, func() any { return new(NotifyBatch) }, nil},
