@@ -51,7 +51,7 @@ docs-check:
 chaos:
 	$(GO) test -race -short -count=1 -timeout 600s \
 		-run 'TestChaosSoak|TestPromotionConcurrent|TestLoadGen|TestClassSLO|TestHealth' ./internal/sim/
-	$(GO) test -race -count=1 ./internal/chaos/ ./internal/transport/ ./internal/queue/ ./internal/health/
+	$(GO) test -race -count=1 ./internal/chaos/ ./internal/transport/ ./internal/health/
 
 # Run each fuzz target briefly against its committed corpus plus a short
 # exploration budget (regression seeds under testdata/fuzz are always

@@ -303,12 +303,6 @@ func assemble(ctx context.Context, o *options) (_ *server, err error) {
 		return nil, err
 	}
 
-	// The retry queue delivers deferred aux-profile traffic in the
-	// background (paper §7 reconnection semantics).
-	if err = s.svc.Retry().Start(2 * time.Second); err != nil {
-		return nil, fmt.Errorf("retry queue: %w", err)
-	}
-	s.onClose(s.svc.Retry().Stop)
 	if o.demo && s.recv == nil {
 		if err = runDemo(ctx, s.srv, o.demoName, o.subs, o.demoInterval); err != nil {
 			return nil, fmt.Errorf("demo: %w", err)
@@ -415,12 +409,12 @@ func (s *server) serve(ctx context.Context, tr transport.Transport) error {
 
 // shutdown is the graceful stop: stop accepting publishes first (close the
 // protocol listener and unregister from the directory so peers stop routing
-// here), then drain the delivery pipeline and flush the retry queue —
-// spooled aux-profile ops would otherwise wait out a full partition cycle,
-// and in-flight notifications would sit queued until the next start's WAL
-// recovery. close() then compacts the mailboxes.
+// here), then drain the delivery pipeline: in-flight notifications and
+// forwards would otherwise sit queued until the next start's WAL recovery.
+// What stays parked, for detached clients or unreachable servers, waits in
+// the mailboxes, which close() then compacts.
 func (s *server) shutdown() {
-	fmt.Println("gs-server: shutting down — draining deliveries and flushing spooled ops")
+	fmt.Println("gs-server: shutting down — draining deliveries")
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	_ = s.srv.Close()
@@ -429,9 +423,6 @@ func (s *server) shutdown() {
 	}
 	if err := s.svc.DrainDeliveries(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "gs-server: drain on shutdown: %v (undelivered alerts stay in their mailboxes)\n", err)
-	}
-	if n := s.svc.Retry().Flush(ctx, true); n > 0 {
-		fmt.Printf("gs-server: flushed %d spooled server-to-server ops\n", n)
 	}
 	fmt.Println("gs-server: shutdown complete")
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -14,9 +15,7 @@ import (
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
-	"github.com/gsalert/gsalert/internal/queue"
 	"github.com/gsalert/gsalert/internal/trace"
-	"github.com/gsalert/gsalert/internal/transport"
 )
 
 // PublishBuild routes the events of a finished collection build: local
@@ -230,8 +229,8 @@ func (s *Service) filterLocally(ev *event.Event, tctx trace.Context) time.Durati
 }
 
 // forwardPerAuxProfiles sends ev to the hosts of super-collections whose
-// auxiliary profiles match (paper §4.2). Unreachable hosts leave the
-// forward in the retry queue (paper §7 delayed-not-lost semantics).
+// auxiliary profiles match (paper §4.2). A forward to an unreachable host
+// waits in its mailbox (paper §7 delayed-not-lost semantics).
 func (s *Service) forwardPerAuxProfiles(ctx context.Context, ev *event.Event) {
 	auxMatches := s.aux.Match(ev)
 	for _, m := range auxMatches {
@@ -249,20 +248,8 @@ func (s *Service) forwardPerAuxProfiles(ctx context.Context, ev *event.Event) {
 			s.stats.cycleRefusals.Inc()
 			continue
 		}
-		raw, err := ev.MarshalXMLBytes()
-		if err != nil {
-			continue
-		}
-		env, err := protocol.NewEnvelope(s.name, protocol.MsgEvent, &protocol.EventPayload{
-			TransformTo: super.String(),
-			Event:       protocol.Wrap(raw),
-		})
-		if err != nil {
-			continue
-		}
-		env.Header.To = super.Host
 		s.stats.auxForwards.Inc()
-		s.sendOrQueue(ctx, "fwd:"+ev.ID+":"+super.String(), super.Host, env)
+		s.sendOrQueue(ctx, forwardOp(protocol.MsgEvent, auxProfileID(super, m.Profile.Sub), ev))
 	}
 }
 
@@ -363,10 +350,20 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 	if super.Host != s.name {
 		return fmt.Errorf("core: transform target %s is not hosted by %s", transformTo, s.name)
 	}
+	// A dangling aux profile (paper §7) keeps forwarding for a super that
+	// is gone or no longer includes the sub-collection: its cancel was
+	// evicted, lost with an unpersisted forwardedAux, or is on its way.
+	// Refuse the forward and cancel at the source.
+	cancel := forwardOp(protocol.MsgCancelProfile, auxProfileID(super, ev.Collection), nil)
+	var subs []collection.SubRef
 	if s.store != nil {
-		if _, err := s.store.Get(super.Collection); err != nil {
+		coll, err := s.store.Get(super.Collection)
+		if err != nil {
+			s.sendOrQueue(ctx, cancel)
 			return fmt.Errorf("core: transform target %s: %w", transformTo, err)
 		}
+		cfg := coll.Config()
+		subs = cfg.RemoteSubs()
 	}
 	transformed, err := ev.Transformed(super)
 	if err != nil {
@@ -378,6 +375,12 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 			return nil
 		}
 		return err
+	}
+	sub := collection.SubRef{Host: ev.Collection.Host, Name: ev.Collection.Collection}
+	if s.store != nil && !slices.Contains(subs, sub) {
+		s.stats.cycleRefusals.Inc()
+		s.sendOrQueue(ctx, cancel)
+		return nil
 	}
 	s.stats.transforms.Inc()
 	_, err = s.publishEvent(ctx, transformed)
@@ -400,49 +403,14 @@ func asCycleError(err error, target **event.CycleError) bool {
 	return false
 }
 
-// sendOrQueue attempts an immediate unicast to a named server, falling back
-// to the retry queue when resolution or delivery fails.
-func (s *Service) sendOrQueue(ctx context.Context, itemID, destServer string, env *protocol.Envelope) {
-	if err := s.sendToServer(ctx, destServer, env); err != nil {
-		s.stats.forwardingFailures.Inc()
-		s.retry.Add(itemID, destServer, &queuedForward{destServer: destServer, env: env})
-	}
-}
-
-// sendToServer resolves a server name and delivers env.
-func (s *Service) sendToServer(ctx context.Context, destServer string, env *protocol.Envelope) error {
-	if s.resolver == nil {
-		return fmt.Errorf("core: no resolver configured on %s", s.name)
-	}
-	addr, err := s.resolver.Resolve(ctx, destServer)
-	if err != nil {
-		return err
-	}
-	if err := transport.SendOneWay(ctx, s.tr, addr, env); err != nil {
-		if s.gdsCli != nil {
-			s.gdsCli.InvalidateCache(destServer)
-		}
-		return err
-	}
-	return nil
-}
-
-// sendQueued is the retry queue's sender.
-func (s *Service) sendQueued(ctx context.Context, item *queue.Item) error {
-	qf, ok := item.Payload.(*queuedForward)
-	if !ok {
-		return fmt.Errorf("core: unexpected queue payload %T", item.Payload)
-	}
-	return s.sendToServer(ctx, qf.destServer, qf.env)
-}
-
 // ---------------------------------------------------------------------------
 // Auxiliary profile management
 
 // SyncAuxProfiles walks the local collection store and forwards an auxiliary
 // profile to every remote sub-collection's host (paper §4.2), and cancels
 // profiles for references that no longer exist. Call it after collection
-// configuration changes. Unreachable hosts leave installs/cancels queued.
+// configuration changes. Installs and cancels for unreachable hosts wait in
+// their mailboxes.
 func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 	if s.store == nil {
 		return nil
@@ -460,55 +428,34 @@ func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 	}
 
 	s.mu.Lock()
-	existing := make(map[string]string, len(s.forwardedAux))
-	for id, dest := range s.forwardedAux {
-		existing[id] = dest
+	existing := make(map[string]bool, len(s.forwardedAux))
+	for id := range s.forwardedAux {
+		existing[id] = true
 	}
 	s.mu.Unlock()
 
 	// Install missing.
 	for key := range desired {
 		id := auxProfileID(key.super, key.sub)
-		if _, ok := existing[id]; ok {
+		if existing[id] {
 			delete(existing, id) // still desired
 			continue
 		}
-		p := profile.NewAuxiliary(id, key.super, key.sub)
-		raw, err := p.MarshalXMLBytes()
-		if err != nil {
-			return err
-		}
-		env, err := protocol.NewEnvelope(s.name, protocol.MsgForwardProfile, &protocol.ForwardProfile{Profile: protocol.Wrap(raw)})
-		if err != nil {
-			return err
-		}
-		env.Header.To = key.sub.Host
 		s.mu.Lock()
-		s.forwardedAux[id] = key.sub.Host
+		s.forwardedAux[id] = true
 		s.mu.Unlock()
 		s.stats.auxInstallsSent.Inc()
-		s.sendOrQueue(ctx, "aux-install:"+id, key.sub.Host, env)
+		s.sendOrQueue(ctx, forwardOp(protocol.MsgForwardProfile, id, nil))
 	}
 
-	// Cancel the leftovers (references removed by restructuring).
-	for id, dest := range existing {
-		// A queued, never-delivered install is simply dropped.
-		if s.retry.Remove("aux-install:" + id) {
-			s.mu.Lock()
-			delete(s.forwardedAux, id)
-			s.mu.Unlock()
-			continue
-		}
-		env, err := protocol.NewEnvelope(s.name, protocol.MsgCancelProfile, &protocol.CancelProfile{ProfileID: id})
-		if err != nil {
-			return err
-		}
-		env.Header.To = dest
+	// Cancel the leftovers (references removed by restructuring). A cancel
+	// whose install still waits parks behind it; both are idempotent.
+	for id := range existing {
 		s.mu.Lock()
 		delete(s.forwardedAux, id)
 		s.mu.Unlock()
 		s.stats.auxCancelsSent.Inc()
-		s.sendOrQueue(ctx, "aux-cancel:"+id, dest, env)
+		s.sendOrQueue(ctx, forwardOp(protocol.MsgCancelProfile, id, nil))
 	}
 	return nil
 }

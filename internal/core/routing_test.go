@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/gsalert/gsalert/internal/collection"
+	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
@@ -61,6 +62,8 @@ func newRoutedService(t *testing.T) (*Service, *transport.Memory, *collection.St
 		Transport:  tr,
 		Resolver:   StaticResolver{"London": "addr:London", "Paris": "addr:Paris"},
 		Store:      store,
+		// Parked forwards move only when a test resumes them.
+		DeliveryConfig: &delivery.Config{RetryInterval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,35 +128,49 @@ func TestSyncAuxProfilesInstallAndCancel(t *testing.T) {
 	}
 }
 
+// An install that waits for an unreachable London and the cancel of the
+// same reference park in order: London, once up, applies both and ends
+// with no aux profile.
 func TestSyncAuxProfilesQueuedInstallSupersededByRemoval(t *testing.T) {
-	s, _, store := newRoutedService(t)
+	s, tr, store := newRoutedService(t)
 	ctx := context.Background()
-	// London is NOT listening: install fails and is queued.
 	coll, _ := store.Add(collection.Config{Name: "D", Public: true,
 		Subs: []collection.SubRef{{Host: "London", Name: "E"}}})
 	if err := s.SyncAuxProfiles(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if s.Retry().Len() != 1 {
-		t.Fatalf("queued = %d", s.Retry().Len())
+	if got := s.PendingForwards(); got != 1 {
+		t.Fatalf("parked = %d", got)
 	}
-	// The reference is removed before the install was ever delivered: the
-	// queued install is dropped, no cancel needs to travel.
 	_ = coll.SetConfig(collection.Config{Name: "D", Public: true})
 	if err := s.SyncAuxProfiles(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if s.Retry().Len() != 0 {
-		t.Fatalf("queue after supersede = %d", s.Retry().Len())
+	if got := s.PendingForwards(); got != 2 {
+		t.Fatalf("parked after removal = %d", got)
 	}
 	if got := s.ForwardedAuxIDs(); len(got) != 0 {
 		t.Errorf("forwarded ids = %v", got)
+	}
+	london := listenPeer(t, tr, "addr:London")
+	s.ResumeForwards()
+	drainService(t, s)
+	var order []protocol.MessageType
+	for _, env := range london.got {
+		order = append(order, env.Header.Type)
+	}
+	if fmt.Sprint(order) != fmt.Sprint([]protocol.MessageType{protocol.MsgForwardProfile, protocol.MsgCancelProfile}) {
+		t.Errorf("London received %v, want the install then the cancel", order)
+	}
+	if got := s.PendingForwards(); got != 0 {
+		t.Errorf("parked after resume = %d", got)
 	}
 }
 
 func TestForwardedEventValidation(t *testing.T) {
 	s, _, store := newRoutedService(t)
-	_, _ = store.Add(collection.Config{Name: "D", Public: true})
+	_, _ = store.Add(collection.Config{Name: "D", Public: true,
+		Subs: []collection.SubRef{{Host: "London", Name: "E"}}})
 	ctx := context.Background()
 
 	mkEnv := func(transformTo string, ev *event.Event) *protocol.Envelope {
@@ -260,27 +277,29 @@ func TestAuxForwardCycleGuardAtSender(t *testing.T) {
 
 func TestSendOrQueueFallsBackToRetry(t *testing.T) {
 	s, tr, _ := newRoutedService(t)
-	env := protocol.MustEnvelope("Hamilton", protocol.MsgPing, &protocol.Ping{})
+	ctx := context.Background()
 	// Paris resolves but is not listening.
-	s.sendOrQueue(context.Background(), "item1", "Paris", env)
-	if s.Retry().Len() != 1 {
-		t.Fatalf("queue = %d", s.Retry().Len())
+	s.sendOrQueue(ctx, forwardOp(protocol.MsgCancelProfile, "aux:Hamilton.D>Paris.X", nil))
+	if got := s.PendingForwards(); got != 1 {
+		t.Fatalf("parked = %d", got)
 	}
 	if s.Stats().ForwardingFailures != 1 {
 		t.Errorf("failures = %d", s.Stats().ForwardingFailures)
 	}
-	// Paris comes up; flush delivers.
+	// Paris comes up; resuming delivers.
 	paris := listenPeer(t, tr, "addr:Paris")
-	if n := s.Retry().Flush(context.Background(), true); n != 1 {
-		t.Fatalf("flush = %d", n)
+	s.ResumeForwards()
+	drainService(t, s)
+	if len(paris.byType(protocol.MsgCancelProfile)) != 1 {
+		t.Error("parked envelope never arrived")
 	}
-	if len(paris.byType(protocol.MsgPing)) != 1 {
-		t.Error("queued envelope never arrived")
+	if got := s.PendingForwards(); got != 0 {
+		t.Errorf("parked after resume = %d", got)
 	}
-	// Unresolvable destination queues too.
-	s.sendOrQueue(context.Background(), "item2", "Atlantis", env)
-	if s.Retry().Len() != 1 {
-		t.Errorf("unresolvable not queued")
+	// An unresolvable destination parks too.
+	s.sendOrQueue(ctx, forwardOp(protocol.MsgCancelProfile, "aux:Hamilton.D>Atlantis.X", nil))
+	if got := s.PendingForwards(); got != 1 {
+		t.Errorf("unresolvable not parked: %d", got)
 	}
 }
 

@@ -15,8 +15,9 @@
 //  3. floods the events to every other Greenstone server via the GDS
 //     broadcast, where step 1 repeats against that server's profiles.
 //
-// Auxiliary profile installation and event forwarding over the GS network go
-// through a retry queue so partitions delay rather than lose them (§7).
+// Auxiliary profile installation and event forwarding over the GS network
+// wait in the delivery pipeline, one mailbox per destination server, so
+// partitions delay rather than lose them (§7).
 package core
 
 import (
@@ -38,9 +39,7 @@ import (
 	"github.com/gsalert/gsalert/internal/logging"
 	"github.com/gsalert/gsalert/internal/metrics"
 	"github.com/gsalert/gsalert/internal/profile"
-	"github.com/gsalert/gsalert/internal/protocol"
 	"github.com/gsalert/gsalert/internal/qos"
-	"github.com/gsalert/gsalert/internal/queue"
 	"github.com/gsalert/gsalert/internal/trace"
 	"github.com/gsalert/gsalert/internal/transport"
 )
@@ -162,12 +161,11 @@ type Service struct {
 	// ID; their primitive steps live in the matcher as marked step
 	// profiles, their state machines in the composite engine.
 	compositeProfiles map[string]*profile.Profile
-	// forwardedAux records the aux profiles this server pushed to other
-	// servers: key = profile ID, value = destination server name.
-	forwardedAux map[string]string
+	// forwardedAux records the IDs of the aux profiles this server pushed to
+	// other servers.
+	forwardedAux map[string]bool
 
 	dedup *event.Dedup
-	retry *queue.Queue
 
 	// composite drives the temporal state machines; its firings are
 	// synthesized into notifications and enqueued on the delivery
@@ -235,14 +233,14 @@ type ServiceStats struct {
 	Notifications      int64 // notifications enqueued to the delivery pipeline
 	AuxForwards        int64 // events forwarded over the GS network
 	Transforms         int64 // events renamed to a super-collection
-	CycleRefusals      int64
+	CycleRefusals      int64 // transforms refused: cycles and dangling forwards
 	AuxInstallsSent    int64
 	AuxCancelsSent     int64
 	BroadcastsSent     int64
 	AdvertisementsSent int64         // profile-digest advertisements (content routing)
 	FilterTime         time.Duration // cumulative local filtering time
 	NotifyFailures     int64         // notifications refused by the pipeline
-	ForwardingFailures int64         // queued for retry
+	ForwardingFailures int64         // failed disseminations and parked forwards
 	// ReceiveLatency accumulates the (virtual or wall-clock) transit
 	// latency of events received via GDS dissemination; divide by
 	// EventsReceived for the mean. ReceiveHops accumulates their relay
@@ -281,12 +279,6 @@ type ServiceStats struct {
 	HealthAlerts int64
 }
 
-// Queued payload kinds for the retry queue.
-type queuedForward struct {
-	destServer string
-	env        *protocol.Envelope
-}
-
 // New assembles a Service from cfg.
 func New(cfg Config) (*Service, error) {
 	if cfg.ServerName == "" {
@@ -306,7 +298,7 @@ func New(cfg Config) (*Service, error) {
 		aux:               filter.NewEqualityPreferred(),
 		profilesByClient:  make(map[string]map[string]bool),
 		compositeProfiles: make(map[string]*profile.Profile),
-		forwardedAux:      make(map[string]string),
+		forwardedAux:      make(map[string]bool),
 		dedup:             event.NewDedup(0),
 		routing:           RouteBroadcast,
 	}
@@ -345,20 +337,16 @@ func New(cfg Config) (*Service, error) {
 		s.delivery = p
 		s.ownsDelivery = true
 	}
-	q, err := queue.New(s.sendQueued)
-	if err != nil {
-		return nil, err
-	}
-	s.retry = q
+	s.ResumeForwards()
 	return s, nil
 }
 
-// Close stops the retry queue and, when the service built its own delivery
-// pipeline, flushes and closes it (compacting durable mailboxes). A pipeline
-// supplied via Config.Delivery belongs to the caller and is left running.
+// Close stops the composite ticker and, when the service built its own
+// delivery pipeline, flushes and closes it (compacting durable mailboxes). A
+// pipeline supplied via Config.Delivery belongs to the caller and is left
+// running.
 func (s *Service) Close() error {
 	s.stopCompositeTicker()
-	s.retry.Stop()
 	if s.ownsDelivery {
 		return s.delivery.Close()
 	}
@@ -385,10 +373,6 @@ func (s *Service) DrainDeliveries(ctx context.Context) error {
 
 // Name returns the server name.
 func (s *Service) Name() string { return s.name }
-
-// Retry exposes the retry queue (simulations flush it after healing
-// partitions; live deployments call Retry().Start).
-func (s *Service) Retry() *queue.Queue { return s.retry }
 
 // Stats returns a snapshot of counters, merging the composite engine's and
 // the replication end's. It never takes s.mu: every counter is an atomic,
@@ -452,8 +436,12 @@ func (s *Service) nextID(prefix string) string {
 // RegisterNotifier attaches a delivery sink for a client and drains any
 // notifications parked in the client's mailbox while it was away (paper §7
 // reconnect semantics, extended from profiles to notifications). The
-// pipeline owns the registration; the service keeps no sink state.
+// pipeline owns the registration; the service keeps no sink state. A client
+// name reserved for a destination server's mailbox (forward.go) is ignored.
 func (s *Service) RegisterNotifier(client string, n Notifier) {
+	if isForwardKey(client) {
+		return
+	}
 	s.delivery.Attach(client, delivererFor(n))
 }
 
@@ -472,8 +460,11 @@ func delivererFor(n Notifier) delivery.Deliverer {
 }
 
 // UnregisterNotifier removes a client's sink; subsequent notifications park
-// in the client's mailbox until it re-registers.
+// in the client's mailbox until it re-registers. Reserved names are ignored.
 func (s *Service) UnregisterNotifier(client string) {
+	if isForwardKey(client) {
+		return
+	}
 	s.delivery.Detach(client)
 }
 
@@ -512,6 +503,9 @@ func (s *Service) SubscribeProfile(p *profile.Profile) error {
 }
 
 func (s *Service) addUserProfile(p *profile.Profile) error {
+	if isForwardKey(p.Owner) {
+		return fmt.Errorf("core: client name %q is reserved", p.Owner)
+	}
 	if p.IsComposite() {
 		if err := s.addCompositeProfile(p); err != nil {
 			return err

@@ -470,13 +470,12 @@ func (p *Pipeline) admit(it item, mb *mailbox) error {
 	}
 }
 
-// Defer parks one notification in the client's mailbox WITHOUT queueing it
-// for immediate delivery — the QoS degradation for over-quota normal-class
-// traffic: delayed, never lost. The notification is durably appended (WAL
-// when configured, replicated when observed) and redelivered by the retry
-// loop once RetryInterval elapses, or by the client's next Attach, whichever
-// comes first.
-func (p *Pipeline) Defer(n Notification) error {
+// Park appends one notification to the client's mailbox at rest, without
+// queueing it for immediate delivery. Like every append it is durable under
+// Dir and replicated when observed; the retry loop redelivers it once
+// RetryInterval elapses, or the client's next Attach does, whichever comes
+// first.
+func (p *Pipeline) Park(n Notification) error {
 	var acc [1]accepted
 	p.accept([]Notification{n}, acc[:])
 	a := acc[0]
@@ -484,9 +483,6 @@ func (p *Pipeline) Defer(n Notification) error {
 		return a.err
 	}
 	a.mb.park(a.seq)
-	p.m.Deferred.Inc()
-	p.cfg.Log.DebugCtx(n.Trace, "notification deferred to mailbox",
-		logging.String("client", n.Client))
 	if len(a.evicted) > 0 {
 		p.cfg.Log.Warn("mailbox evicted oldest parked notifications",
 			logging.String("client", n.Client), logging.Int("evicted", int64(len(a.evicted))))
@@ -496,6 +492,18 @@ func (p *Pipeline) Defer(n Notification) error {
 		p.retryAt[n.Client] = time.Now().Add(p.cfg.RetryInterval)
 	}
 	p.mu.Unlock()
+	return nil
+}
+
+// Defer parks one notification and counts it as deferred: the QoS
+// degradation for over-quota normal-class traffic, delayed and never lost.
+func (p *Pipeline) Defer(n Notification) error {
+	if err := p.Park(n); err != nil {
+		return err
+	}
+	p.m.Deferred.Inc()
+	p.cfg.Log.DebugCtx(n.Trace, "notification deferred to mailbox",
+		logging.String("client", n.Client))
 	return nil
 }
 
@@ -526,6 +534,22 @@ func (p *Pipeline) Pending(client string) int {
 	}
 	return mb.parkedCount()
 }
+
+// Backlog reports a client's undelivered notifications, parked and in
+// flight alike.
+func (p *Pipeline) Backlog(client string) int {
+	p.mu.Lock()
+	mb := p.mailboxes[client]
+	p.mu.Unlock()
+	if mb == nil {
+		return 0
+	}
+	return mb.pendingCount()
+}
+
+// RetryInterval is the delay before the retry loop redelivers what a failed
+// delivery parked.
+func (p *Pipeline) RetryInterval() time.Duration { return p.cfg.RetryInterval }
 
 // QueueDepths reports the current occupancy of each shard's queues (summed
 // across classes).

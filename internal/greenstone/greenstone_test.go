@@ -406,8 +406,8 @@ func TestDanglingProfileCases(t *testing.T) {
 	if st := c.Service("London").Stats(); st.ForwardingFailures == 0 {
 		t.Error("forward failure not recorded during partition")
 	}
-	if c.Service("London").Retry().Len() == 0 {
-		t.Fatal("forward not queued during partition")
+	if c.Service("London").PendingForwards() == 0 {
+		t.Fatal("forward not parked during partition")
 	}
 
 	// Heal and flush: the delayed notification arrives (delayed, not lost).

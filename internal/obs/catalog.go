@@ -54,7 +54,7 @@ var serviceFamilies = []struct {
 	{Declare(KindCounter, "gsalert_core_aux_cancels_sent_total", "Auxiliary profile cancels sent to peers."), func(s *svcStats) float64 { return float64(s.AuxCancelsSent) }},
 	{Declare(KindCounter, "gsalert_core_broadcasts_sent_total", "Events handed to the GDS for dissemination."), func(s *svcStats) float64 { return float64(s.BroadcastsSent) }},
 	{Declare(KindCounter, "gsalert_core_advertisements_sent_total", "Profile-digest advertisements sent (content routing)."), func(s *svcStats) float64 { return float64(s.AdvertisementsSent) }},
-	{Declare(KindCounter, "gsalert_core_forwarding_failures_total", "Server-to-server forwards queued for retry."), func(s *svcStats) float64 { return float64(s.ForwardingFailures) }},
+	{Declare(KindCounter, "gsalert_core_forwarding_failures_total", "Failed disseminations and server-to-server messages parked in a destination mailbox."), func(s *svcStats) float64 { return float64(s.ForwardingFailures) }},
 	{Declare(KindCounter, "gsalert_core_filter_seconds_total", "Cumulative local profile-filtering time."), func(s *svcStats) float64 { return s.FilterTime.Seconds() }},
 	{Declare(KindCounter, "gsalert_core_receive_latency_seconds_total", "Cumulative transit latency of received events."), func(s *svcStats) float64 { return s.ReceiveLatency.Seconds() }},
 	{Declare(KindCounter, "gsalert_core_receive_hops_total", "Cumulative relay hops of received events."), func(s *svcStats) float64 { return float64(s.ReceiveHops) }},

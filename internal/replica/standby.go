@@ -480,7 +480,8 @@ func (s *Standby) applySnapshot(snap *protocol.ReplSnapshot) error {
 // Inherited mailbox contents stay parked until their clients re-attach
 // (Receptionist.AttachNotifications / core.Service.RegisterNotifier), at
 // which point the ordinary reconnect drain delivers everything undelivered
-// at the moment the primary died.
+// at the moment the primary died. Inherited forwards to other servers
+// resume at once (core.Service.ResumeForwards).
 func (s *Standby) Promote(ctx context.Context, mode core.RoutingMode) error {
 	s.mu.Lock()
 	if s.promoted.Load() {
@@ -511,6 +512,7 @@ func (s *Standby) Promote(ctx context.Context, mode core.RoutingMode) error {
 		rollback()
 		return fmt.Errorf("replica: promote routing mode %s: %w", mode, err)
 	}
+	s.svc.ResumeForwards()
 	s.log.Info("standby promoted to primary",
 		logging.String("server", s.svc.Name()), logging.String("mode", mode.String()))
 	return nil

@@ -369,12 +369,16 @@ func (c *Cluster) Notifications(server, client string) []core.Notification {
 	return nil
 }
 
-// FlushRetries flushes every server's retry queue (after healing a
-// partition), returning total deliveries.
+// FlushRetries resends what waits in every server's destination mailboxes
+// (after healing a partition), returning how many messages left them.
 func (c *Cluster) FlushRetries(ctx context.Context) int {
 	total := 0
 	for _, name := range c.ServerNames() {
-		total += c.services[name].Retry().Flush(ctx, true)
+		svc := c.services[name]
+		before := svc.PendingForwards()
+		svc.ResumeForwards()
+		_ = svc.DrainDeliveries(ctx)
+		total += before - svc.PendingForwards()
 	}
 	return total
 }

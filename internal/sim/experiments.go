@@ -553,7 +553,7 @@ func RunPartitionRecovery(cycles int, seed int64) (PartitionRecoveryResult, erro
 		}
 		c.Settle(ctx)
 		out.DuringPartition += sink.Len()
-		if q := c.Service("London").Retry().Len(); q > out.QueuedPeak {
+		if q := c.Service("London").PendingForwards(); q > out.QueuedPeak {
 			out.QueuedPeak = q
 		}
 		c.HealServers("Hamilton", "London")

@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/gsalert/gsalert/internal/collection"
+	"github.com/gsalert/gsalert/internal/core"
+	"github.com/gsalert/gsalert/internal/delivery"
 	"github.com/gsalert/gsalert/internal/event"
 	"github.com/gsalert/gsalert/internal/profile"
 	"github.com/gsalert/gsalert/internal/protocol"
@@ -127,4 +130,125 @@ func TestDanglingForwardRefused(t *testing.T) {
 	if got := c.Notifications("Hamilton", "alice"); len(got) != 0 {
 		t.Errorf("a later London.E build notified alice %d times", len(got))
 	}
+}
+
+// A forward the destination refuses (here: for a super-collection that no
+// longer exists) is final. It must not wait in London's mailbox for
+// Hamilton, where every later forward would queue behind it, and Hamilton
+// answers it with a cancel of the dangling aux profile.
+func TestRefusedForwardDoesNotBlockDestination(t *testing.T) {
+	c := superSubCluster(t, true)
+	ctx := context.Background()
+	gone := profile.NewAuxiliary("aux:Hamilton.Gone>London.E",
+		event.QName{Host: "Hamilton", Collection: "Gone"}, event.QName{Host: "London", Collection: "E"})
+	raw, err := gone.MarshalXMLBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := protocol.MustEnvelope("Hamilton", protocol.MsgForwardProfile, &protocol.ForwardProfile{Profile: protocol.Wrap(raw)})
+	if err := c.Service("London").HandleForwardProfile(env); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for round := 1; round <= 2; round++ {
+		buildE(t, c, round)
+		c.FlushRetries(ctx)
+		c.Settle(ctx)
+		got := len(c.Notifications("Hamilton", "alice"))
+		if got == seen {
+			t.Fatalf("build %d of London.E notified nobody at Hamilton.D", round)
+		}
+		seen = got
+	}
+	if got := c.Service("London").PendingForwards(); got != 0 {
+		t.Errorf("%d forwards wait at London", got)
+	}
+	if got := c.Service("London").AuxProfileCount(); got != 1 {
+		t.Errorf("aux profiles at London = %d, want 1 (the dangling one cancelled)", got)
+	}
+}
+
+// promoteStandbyOf gives server name a joined warm standby whose retry
+// loop runs every few milliseconds, takes the primary off the network and
+// closes it, then promotes the standby, whose service it returns.
+func promoteStandbyOf(t *testing.T, c *Cluster, name string, before func()) *core.Service {
+	t.Helper()
+	ctx := context.Background()
+	standby, err := c.AddStandby(name, func(cfg *core.Config) {
+		cfg.DeliveryConfig = &delivery.Config{FlushInterval: 5 * time.Millisecond, RetryInterval: 10 * time.Millisecond}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before()
+	c.TR.SetNodeDown(ServerAddr(name), true)
+	if err := c.Service(name).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Promote(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	return standby.Service()
+}
+
+// await settles the cluster until done holds, failing after five seconds.
+func await(t *testing.T, c *Cluster, what string, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		c.Settle(context.Background())
+	}
+}
+
+// Fence: a forward parked on the sub-collection's server rides the
+// replication stream; the promoted standby resumes it, and its retry loop
+// delivers it once the partition heals, exactly once.
+func TestParkedForwardSurvivesPromotion(t *testing.T) {
+	c := superSubCluster(t, true)
+	c.PartitionServers("Hamilton", "London")
+	london := promoteStandbyOf(t, c, "London", func() {
+		buildE(t, c, 1)
+		if got := c.Service("London").PendingForwards(); got == 0 {
+			t.Fatal("no forward parked during the partition")
+		}
+	})
+	c.Settle(context.Background())
+	if got := len(c.Notifications("Hamilton", "alice")); got != 0 {
+		t.Fatalf("alice notified %d times during the partition", got)
+	}
+	c.HealServers("Hamilton", "London")
+	await(t, c, "the forward", func() bool { return len(c.Notifications("Hamilton", "alice")) > 0 })
+	c.Settle(context.Background())
+	if got := len(c.Notifications("Hamilton", "alice")); got != 1 {
+		t.Errorf("alice notified %d times after the promotion and heal, want 1", got)
+	}
+	if err := london.DrainDeliveries(context.Background()); err != nil { // the sent forward's ack
+		t.Fatal(err)
+	}
+	if got := london.PendingForwards(); got != 0 {
+		t.Errorf("forwards still parked on the promoted standby: %d", got)
+	}
+}
+
+// Fence: a cancel parked on the super-collection's server survives its
+// promotion and still removes the aux profile at London.
+func TestParkedCancelSurvivesPromotion(t *testing.T) {
+	c := superSubCluster(t, true)
+	ctx := context.Background()
+	c.PartitionServers("Hamilton", "London")
+	promoteStandbyOf(t, c, "Hamilton", func() {
+		if err := c.Server("Hamilton").Reconfigure(ctx, superConfig(false)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := c.Service("London").AuxProfileCount(); got != 1 {
+		t.Fatalf("aux profiles at London before the heal = %d", got)
+	}
+	c.HealServers("Hamilton", "London")
+	await(t, c, "the cancel", func() bool { return c.Service("London").AuxProfileCount() == 0 })
 }
