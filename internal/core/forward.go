@@ -92,8 +92,7 @@ func (s *Service) forwardEnvelope(n Notification) (dest string, env *protocol.En
 func (s *Service) sendOrQueue(ctx context.Context, n Notification) {
 	dest, env, err := s.forwardEnvelope(n)
 	if err != nil {
-		s.log.Warn("forward dropped", logging.String("error", err.Error()))
-		return
+		return // an ID or event that cannot be rendered; nothing to send
 	}
 	n.Client = forwardPrefix + dest
 	if s.delivery.Backlog(n.Client) == 0 {
@@ -113,14 +112,22 @@ func (s *Service) sendOrQueue(ctx context.Context, n Notification) {
 // interval as its deadline, and a failed send parks the whole batch, so a
 // retry resends messages that had already arrived: installs and cancels are
 // idempotent, and the receiver's dedup drops a re-forwarded event's
-// transform, whose ID is deterministic.
+// transform, whose ID is deterministic. A batch queued behind a failed one
+// fails with it, so it cannot overtake it when the link heals in between;
+// the retry loop comes back after a full interval, and the shard worker
+// calls the sink of one mailbox from one goroutine.
 func (s *Service) forwarder(dest string) delivery.Deliverer {
+	var failed time.Time
 	return func(_ string, batch []Notification) error {
+		if time.Since(failed) < s.delivery.RetryInterval()/2 {
+			return errors.New("core: queued behind a failed batch")
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), s.delivery.RetryInterval())
 		defer cancel()
 		for _, n := range batch {
 			if _, env, err := s.forwardEnvelope(n); err == nil {
 				if err := s.sendToServer(ctx, dest, env); err != nil {
+					failed = time.Now()
 					return err
 				}
 			}

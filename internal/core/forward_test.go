@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,6 +233,56 @@ func TestForwardBacklogCappedAndCounted(t *testing.T) {
 		want = append(want, fmt.Sprintf("London-%02d", i))
 	}
 	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Hamilton received %v, want %v", got, want)
+	}
+}
+
+// failingSends fails as many sends as its counter holds, then passes the
+// rest through: a link that heals while a batch is on it.
+type failingSends struct {
+	transport.Transport
+	fail atomic.Int32
+}
+
+func (f *failingSends) Send(ctx context.Context, addr string, env *protocol.Envelope) (*protocol.Envelope, error) {
+	if f.fail.Add(-1) >= 0 {
+		return nil, transport.ErrPartitioned
+	}
+	return f.Transport.Send(ctx, addr, env)
+}
+
+// A batch queued behind a failed batch of the same mailbox fails with it,
+// even when the link heals in between, so the retry resends both in order.
+func TestBatchBehindFailedBatchWaits(t *testing.T) {
+	mem := transport.NewMemory()
+	t.Cleanup(func() { _ = mem.Close() })
+	hamilton := listenPeer(t, mem, "addr:Hamilton")
+	tr := &failingSends{Transport: mem}
+	london := newLondon(t, tr, delivery.Config{BatchSize: 4})
+	tr.fail.Store(1) // the first forward parks, and the rest queue behind it
+	var want []string
+	for i := 0; i < 10; i++ {
+		want = append(want, fmt.Sprintf("London-%02d", i))
+		buildAt(t, london, want[i])
+	}
+	received := func() (ids []string) {
+		for _, env := range hamilton.byType(protocol.MsgEvent) {
+			ids = append(ids, forwardedEventID(t, env))
+		}
+		return ids
+	}
+	if got := received(); len(got) != 0 {
+		t.Fatalf("received %v before any retry", got)
+	}
+	tr.fail.Store(1) // the first batch fails, then the link heals
+	london.ResumeForwards()
+	drainService(t, london)
+	if got := received(); len(got) != 0 {
+		t.Fatalf("batches behind the failed one were sent ahead of it: %v", got)
+	}
+	london.ResumeForwards()
+	drainService(t, london)
+	if got := received(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Hamilton received %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -362,8 +363,7 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 			s.sendOrQueue(ctx, cancel)
 			return fmt.Errorf("core: transform target %s: %w", transformTo, err)
 		}
-		cfg := coll.Config()
-		subs = cfg.RemoteSubs()
+		subs = coll.Config().Subs // a local sub has no host, so never matches
 	}
 	transformed, err := ev.Transformed(super)
 	if err != nil {
@@ -428,10 +428,7 @@ func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 	}
 
 	s.mu.Lock()
-	existing := make(map[string]bool, len(s.forwardedAux))
-	for id := range s.forwardedAux {
-		existing[id] = true
-	}
+	existing := maps.Clone(s.forwardedAux)
 	s.mu.Unlock()
 
 	// Install missing.

@@ -525,26 +525,20 @@ func (p *Pipeline) Detach(client string) {
 
 // Pending reports how many notifications are parked in a client's mailbox
 // (excluding those currently queued for delivery).
-func (p *Pipeline) Pending(client string) int {
-	p.mu.Lock()
-	mb := p.mailboxes[client]
-	p.mu.Unlock()
-	if mb == nil {
-		return 0
-	}
-	return mb.parkedCount()
-}
+func (p *Pipeline) Pending(client string) int { return p.count(client, (*mailbox).parkedCount) }
 
 // Backlog reports a client's undelivered notifications, parked and in
 // flight alike.
-func (p *Pipeline) Backlog(client string) int {
+func (p *Pipeline) Backlog(client string) int { return p.count(client, (*mailbox).pendingCount) }
+
+func (p *Pipeline) count(client string, of func(*mailbox) int) int {
 	p.mu.Lock()
 	mb := p.mailboxes[client]
 	p.mu.Unlock()
 	if mb == nil {
 		return 0
 	}
-	return mb.pendingCount()
+	return of(mb)
 }
 
 // RetryInterval is the delay before the retry loop redelivers what a failed
