@@ -26,7 +26,9 @@
 // ahead of realtime traffic: realtime latency is bounded by its own queue
 // depth and service weight, not by total load. Ordering is therefore FIFO
 // per client per class; a client's realtime alerts may legitimately overtake
-// its earlier bulk alerts.
+// its earlier bulk alerts. A failed delivery does not break that order: the
+// client's later batches park behind the failed one until the retry or the
+// next Attach resends the mailbox in order.
 //
 // A parked notification survives until the client re-attaches (reconnect),
 // at which point the mailbox is drained back through the pipeline. With a
@@ -36,6 +38,7 @@
 package delivery
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -204,7 +207,10 @@ type Pipeline struct {
 	// retryAt schedules a mailbox re-drain for clients whose attached sink
 	// failed a delivery; the retry loop fires due entries.
 	retryAt map[string]time.Time
-	closed  bool
+	// held maps a client to the oldest entry of its last failed batch; its
+	// later batches park until that entry is delivered (holdsBack).
+	held   map[string]uint64
+	closed bool
 	// obs, when set, observes every logical mailbox mutation — appends,
 	// delivery acks and cap evictions — so a replication stream can mirror
 	// the pending set on a standby (SetObserver).
@@ -232,6 +238,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		deliverers: make(map[string]delivererEntry),
 		mailboxes:  make(map[string]*mailbox),
 		retryAt:    make(map[string]time.Time),
+		held:       make(map[string]uint64),
 		stop:       make(chan struct{}),
 	}
 	if cfg.Dir != "" {
@@ -786,8 +793,9 @@ func (p *Pipeline) flushAll(w *batcher) {
 }
 
 // flush delivers one client's batch through its attached sink, acking the
-// mailbox on success and parking on failure or when no sink is attached.
-// Parking happens under p.mu after re-reading the sink registration, so a
+// mailbox on success and parking on failure, when no sink is attached, or
+// when the batch must wait behind an older failed one (holdsBack). Parking
+// happens under p.mu after re-reading the sink registration, so a
 // concurrent Attach cannot slip between the lookup and the park and leave
 // the batch stranded: either the Attach's takePending sees the parked
 // entries, or flush sees the freshly attached sink and delivers to it. The
@@ -807,10 +815,11 @@ func (p *Pipeline) flush(w *batcher, client string, b []item, pass *flushPass) {
 	for {
 		p.mu.Lock()
 		e, attached := p.deliverers[client]
-		if !attached || (tried && e.gen == triedGen) {
-			// No sink, or the sink we already tried is still the current
-			// one: park. A sink installed by a *newer* Attach loops back
-			// and is tried instead.
+		held := p.holdsBack(client, b)
+		if !attached || held || (tried && e.gen == triedGen) {
+			// No sink, an older failed batch still undelivered, or the sink
+			// we already tried is still the current one: park. A sink
+			// installed by a *newer* Attach loops back and is tried instead.
 			mb := p.mailboxes[client]
 			if mb != nil {
 				for _, it := range b {
@@ -818,8 +827,12 @@ func (p *Pipeline) flush(w *batcher, client string, b []item, pass *flushPass) {
 				}
 			}
 			if tried {
-				// The sink is still attached but failing: schedule an
-				// automatic re-drain instead of waiting for a reconnect.
+				// The sink is still attached but failing: hold the client's
+				// later batches behind this one and schedule an automatic
+				// re-drain instead of waiting for a reconnect.
+				p.held[client] = slices.MinFunc(b, func(x, y item) int { return cmp.Compare(x.seq, y.seq) }).seq
+				p.retryAt[client] = time.Now().Add(p.cfg.RetryInterval)
+			} else if _, due := p.retryAt[client]; held && !due {
 				p.retryAt[client] = time.Now().Add(p.cfg.RetryInterval)
 			}
 			p.mu.Unlock()
@@ -864,6 +877,25 @@ func (p *Pipeline) flush(w *batcher, client string, b []item, pass *flushPass) {
 		}
 		tried, triedGen = true, gen
 	}
+}
+
+// holdsBack reports whether b must park behind the oldest entry of the
+// client's last failed batch: while that entry is undelivered, a batch with
+// later entries that does not carry it waits for the retry, which resends
+// the mailbox in order. Without the hold, a batch queued behind a failed one
+// would reach a sink that recovered in between ahead of it. Called under
+// p.mu; a hold whose entry was delivered or evicted lapses here.
+func (p *Pipeline) holdsBack(client string, b []item) bool {
+	h, ok := p.held[client]
+	if !ok {
+		return false
+	}
+	if mb := p.mailboxes[client]; mb == nil || !mb.has(h) {
+		delete(p.held, client)
+		return false
+	}
+	return !slices.ContainsFunc(b, func(it item) bool { return it.seq == h }) &&
+		slices.ContainsFunc(b, func(it item) bool { return it.seq > h })
 }
 
 // recordFlushSpans emits one traced item's flush and notify spans after a

@@ -164,6 +164,49 @@ func TestFailedDeliveryParksForRetry(t *testing.T) {
 	}
 }
 
+// A batch queued behind a failed batch of the same client parks with it,
+// even when the sink recovers in between, so the client still receives its
+// notifications in order once the mailbox is resent.
+func TestBatchBehindFailedBatchWaits(t *testing.T) {
+	p, err := NewPipeline(Config{Shards: 1, BatchSize: 4, RetryInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sink := &recordingSink{}
+	var calls atomic.Int32
+	p.Attach("carol", func(client string, batch []Notification) error {
+		if calls.Add(1) == 1 {
+			return errors.New("sink unavailable") // the link heals after one batch
+		}
+		return sink.deliver(client, batch)
+	})
+	var want []string
+	for i := 0; i < 10; i++ {
+		n := testNotification("carol", i)
+		want = append(want, n.Event.ID)
+		if err := p.Enqueue(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, p)
+	if sink.len() != 0 {
+		t.Fatalf("%d notifications behind the failed batch were delivered ahead of it", sink.len())
+	}
+	if got := p.Pending("carol"); got != 10 {
+		t.Fatalf("parked = %d, want 10", got)
+	}
+	p.Attach("carol", sink.deliver)
+	drain(t, p)
+	var got []string
+	for _, n := range sink.got {
+		got = append(got, n.Event.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("delivered %v, want %v", got, want)
+	}
+}
+
 func TestBatchFlushOnSize(t *testing.T) {
 	p, err := NewPipeline(Config{Shards: 1, QueueDepth: 64, BatchSize: 4, FlushInterval: time.Hour})
 	if err != nil {

@@ -359,6 +359,13 @@ func (mb *mailbox) takePending() []item {
 	return out
 }
 
+// has reports whether the entry seq is still undelivered.
+func (mb *mailbox) has(seq uint64) bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return slices.ContainsFunc(mb.entries, func(e entry) bool { return e.seq == seq })
+}
+
 // parkedCount reports entries at rest.
 func (mb *mailbox) parkedCount() int {
 	mb.mu.Lock()
