@@ -373,6 +373,9 @@ func (s *server) serve(ctx context.Context, tr transport.Transport) error {
 		s.gdsRegistered.Store(true)
 		fmt.Printf("gs-server %s registered with GDS at %s\n", o.name, o.gdsAddr)
 	}
+	// Serving: forwards recovered from -mailbox-dir resume (a standby's
+	// wait for its promotion).
+	s.svc.ResumeForwards()
 
 	// Dissemination mode after registration: multicast joins groups and
 	// content routing advertises the profile digest through the GDS node.

@@ -37,19 +37,12 @@ func NewNetwork(servers []string, gdsNodes int) *Network {
 		adj:      make(map[string]map[string]bool),
 		down:     make(map[string]bool),
 		cut:      make(map[[2]string]bool),
-		gdsNodes: maxInt(gdsNodes, 1),
+		gdsNodes: max(gdsNodes, 1),
 	}
 	for _, s := range servers {
 		n.servers[s] = true
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func linkKey(a, b string) [2]string {

@@ -100,7 +100,7 @@ func (s *Service) sendOrQueue(ctx context.Context, n Notification) {
 			return
 		}
 		// The mailbox is empty, so attaching its sink sends nothing yet.
-		s.delivery.Attach(n.Client, s.forwarder(dest))
+		s.delivery.Attach(n.Client, s.forwarder(dest, s.delivery.RetryInterval()))
 	}
 	s.stats.forwardingFailures.Inc()
 	if err := s.delivery.Park(n); err != nil {
@@ -108,42 +108,57 @@ func (s *Service) sendOrQueue(ctx context.Context, n Notification) {
 	}
 }
 
-// forwarder is a destination mailbox's sink. Each batch gets the retry
-// interval as its deadline, and a failed send parks the whole batch, so a
-// retry resends messages that had already arrived: installs and cancels are
+// forwarder is a destination mailbox's sink. It runs on a delivery shard's
+// worker, so a destination that is down must not hold the worker on every
+// retry: after a failed send the sink fails each batch at once, without a
+// lookup or a send, for a backoff that doubles from the retry interval to
+// 32 of them, and the try that ends a backoff gets an eighth of it as its
+// deadline. A down destination so holds the worker at most a ninth of the
+// time, while a destination that is up gets the whole retry interval per
+// send. A failed batch is resent whole: installs and cancels are
 // idempotent, and the receiver's dedup drops a re-forwarded event's
-// transform, whose ID is deterministic. A batch queued behind a failed one
-// fails with it, so it cannot overtake it when the link heals in between;
-// the retry loop comes back after a full interval, and the shard worker
-// calls the sink of one mailbox from one goroutine.
-func (s *Service) forwarder(dest string) delivery.Deliverer {
-	var failed time.Time
+// transform, whose ID is deterministic. The pipeline parks any batch behind
+// a failed one, so the destination stays FIFO. A sink starts with the given
+// backoff behind it: the retry interval after a failed inline send, none
+// on ResumeForwards.
+func (s *Service) forwarder(dest string, backoff time.Duration) delivery.Deliverer {
+	var next time.Time
 	return func(_ string, batch []Notification) error {
-		if time.Since(failed) < s.delivery.RetryInterval()/2 {
-			return errors.New("core: queued behind a failed batch")
+		if time.Now().Before(next) {
+			return errors.New("core: " + dest + " is backing off")
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.delivery.RetryInterval())
-		defer cancel()
+		deadline := s.delivery.RetryInterval()
+		if backoff > 0 {
+			deadline = min(deadline, backoff/8)
+		}
 		for _, n := range batch {
 			if _, env, err := s.forwardEnvelope(n); err == nil {
-				if err := s.sendToServer(ctx, dest, env); err != nil {
-					failed = time.Now()
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				err = s.sendToServer(ctx, dest, env)
+				cancel()
+				if err != nil {
+					backoff = min(max(2*backoff, s.delivery.RetryInterval()), 32*s.delivery.RetryInterval())
+					next = time.Now().Add(backoff)
 					return err
 				}
 			}
 		}
+		backoff = 0
 		return nil
 	}
 }
 
 // ResumeForwards attaches the sink of every destination mailbox the
-// pipeline holds, which sends what waits there. New calls it for mailboxes
-// recovered from the WAL, a promoted standby for the ones it inherited;
-// simulations call it to retry after healing a partition.
+// pipeline holds, which sends what waits there. Only the serving role may
+// call it: New does not, because a standby restarted on its mailbox
+// directory holds replicated forwards that belong to its primary. A
+// primary calls it for mailboxes recovered from the WAL, a promoted
+// standby for the ones it inherited, and simulations to retry after
+// healing a partition.
 func (s *Service) ResumeForwards() {
 	for _, mb := range s.delivery.ExportMailboxes() {
 		if dest, ok := strings.CutPrefix(mb.Client, forwardPrefix); ok {
-			s.delivery.Attach(mb.Client, s.forwarder(dest))
+			s.delivery.Attach(mb.Client, s.forwarder(dest, 0))
 		}
 	}
 }

@@ -150,6 +150,10 @@ func TestForwardKeysAreReserved(t *testing.T) {
 
 // Fence: a forward parked during a partition survives a restart of the
 // sub-collection's server on the same mailbox directory, and arrives once.
+// Until the restarted service takes the serving role (ResumeForwards, as
+// gs-server's primary and a promoted standby do) it sends nothing, even
+// with the link healed and its retry loop running: a standby restarted on
+// its mailbox directory holds forwards that are its primary's to send.
 func TestParkedForwardSurvivesRestart(t *testing.T) {
 	tr := transport.NewMemory()
 	t.Cleanup(func() { _ = tr.Close() })
@@ -178,27 +182,67 @@ func TestParkedForwardSurvivesRestart(t *testing.T) {
 	if err := london.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The restarted server resumes the recovered forward on its own: its
-	// retry loop resends it once the partition heals.
-	restarted := newLondon(t, tr, delivery.Config{Dir: dir, RetryInterval: 10 * time.Millisecond})
+	restarted := newLondon(t, tr, delivery.Config{Dir: dir, FlushInterval: time.Millisecond, RetryInterval: 5 * time.Millisecond})
+	tr.Heal("London", "addr:Hamilton")
+	time.Sleep(100 * time.Millisecond) // twenty retry intervals
 	drainService(t, restarted)
+	drainService(t, hamilton)
+	if alice.Len() != 0 {
+		t.Fatal("the restarted service sent a recovered forward before it resumed them")
+	}
 	if got := restarted.PendingForwards(); got != 1 {
 		t.Fatalf("forwards recovered after the restart = %d, want 1", got)
 	}
-	tr.Heal("London", "addr:Hamilton")
-	for deadline := time.Now().Add(5 * time.Second); alice.Len() == 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the recovered forward never arrived")
-		}
-		drainService(t, hamilton)
-	}
+	restarted.ResumeForwards()
 	drainService(t, restarted)
 	drainService(t, hamilton)
 	if alice.Len() != 1 {
 		t.Fatalf("alice notified %d times, want 1", alice.Len())
 	}
 	if got := restarted.PendingForwards(); got != 0 {
-		t.Errorf("forwards still parked after the heal: %d", got)
+		t.Errorf("forwards still parked after the resume: %d", got)
+	}
+}
+
+// blackHole counts and fails every send while down is set: a destination
+// that is down.
+type blackHole struct {
+	transport.Transport
+	down  atomic.Bool
+	sends atomic.Int32
+}
+
+func (b *blackHole) Send(ctx context.Context, addr string, env *protocol.Envelope) (*protocol.Envelope, error) {
+	if b.down.Load() {
+		b.sends.Add(1)
+		return nil, transport.ErrPartitioned
+	}
+	return b.Transport.Send(ctx, addr, env)
+}
+
+// A destination that stays down is tried with a doubling backoff, not on
+// every retry: the sink runs on a delivery shard's worker, and each try
+// holds it for up to a send deadline. A resume tries again at once.
+func TestDownDestinationBacksOff(t *testing.T) {
+	mem := transport.NewMemory()
+	t.Cleanup(func() { _ = mem.Close() })
+	hamilton := listenPeer(t, mem, "addr:Hamilton")
+	tr := &blackHole{Transport: mem}
+	tr.down.Store(true)
+	london := newLondon(t, tr, delivery.Config{FlushInterval: time.Millisecond, RetryInterval: 5 * time.Millisecond})
+	buildAt(t, london, "London-1")
+	london.ResumeForwards()
+	time.Sleep(200 * time.Millisecond) // forty retry intervals
+	// The inline send, the resume's, then tries 5, 15, 35, 75 and 155 ms
+	// later; every retry in between fails without a send.
+	if got := tr.sends.Load(); got < 3 || got > 9 {
+		t.Errorf("%d sends to a down destination in forty retry intervals, want 3 to 9", got)
+	}
+	tr.down.Store(false)
+	london.ResumeForwards()
+	drainService(t, london)
+	if got := len(hamilton.byType(protocol.MsgEvent)); got != 1 {
+		t.Errorf("Hamilton received %d forwards after the resume, want 1", got)
 	}
 }
 

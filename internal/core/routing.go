@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -302,7 +302,7 @@ func (s *Service) HandleEventEnvelope(ctx context.Context, env *protocol.Envelop
 		return err
 	}
 	if payload.TransformTo != "" {
-		return s.handleForwardedEvent(ctx, ev, payload.TransformTo)
+		return s.handleForwardedEvent(ctx, ev, payload.TransformTo, env.Header.From)
 	}
 	return s.handleFloodedEvent(ev, env)
 }
@@ -339,11 +339,12 @@ func (s *Service) handleFloodedEvent(ev *event.Event, env *protocol.Envelope) er
 	return nil
 }
 
-// handleForwardedEvent processes an event forwarded over the GS network by
-// a sub-collection's server: rename it to the named super-collection and
-// publish the transformed event as our own (paper §4.2: "the originating
-// collection is transformed from London.E to Hamilton.D").
-func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, transformTo string) error {
+// handleForwardedEvent processes an event that server from forwarded over
+// the GS network for one of its sub-collections: rename it to the named
+// super-collection and publish the transformed event as our own (paper
+// §4.2: "the originating collection is transformed from London.E to
+// Hamilton.D").
+func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, transformTo, from string) error {
 	super, err := event.ParseQName(transformTo)
 	if err != nil {
 		return fmt.Errorf("core: bad transform target: %w", err)
@@ -351,56 +352,42 @@ func (s *Service) handleForwardedEvent(ctx context.Context, ev *event.Event, tra
 	if super.Host != s.name {
 		return fmt.Errorf("core: transform target %s is not hosted by %s", transformTo, s.name)
 	}
-	// A dangling aux profile (paper §7) keeps forwarding for a super that
-	// is gone or no longer includes the sub-collection: its cancel was
-	// evicted, lost with an unpersisted forwardedAux, or is on its way.
-	// Refuse the forward and cancel at the source.
-	cancel := forwardOp(protocol.MsgCancelProfile, auxProfileID(super, ev.Collection), nil)
-	var subs []collection.SubRef
-	if s.store != nil {
-		coll, err := s.store.Get(super.Collection)
-		if err != nil {
-			s.sendOrQueue(ctx, cancel)
-			return fmt.Errorf("core: transform target %s: %w", transformTo, err)
-		}
-		subs = coll.Config().Subs // a local sub has no host, so never matches
-	}
 	transformed, err := ev.Transformed(super)
 	if err != nil {
 		s.stats.cycleRefusals.Inc()
-		var ce *event.CycleError
-		if ok := asCycleError(err, &ce); ok {
+		if errors.As(err, new(*event.CycleError)) {
 			// Refusing the transform is the designed behaviour, not a
 			// failure: the event already visited this collection.
 			return nil
 		}
 		return err
 	}
-	sub := collection.SubRef{Host: ev.Collection.Host, Name: ev.Collection.Collection}
-	if s.store != nil && !slices.Contains(subs, sub) {
-		s.stats.cycleRefusals.Inc()
-		s.sendOrQueue(ctx, cancel)
-		return nil
+	// A dangling aux profile (paper §7) keeps forwarding for a super that
+	// is gone or no longer includes the sub-collection: its cancel was
+	// evicted, lost with an unpersisted forwardedAux, or is on its way.
+	// Refuse the forward and cancel at the source. The cancel waits for the
+	// sub's host only when that host sent the forward: a host name no
+	// server vouched for gets one inline try, never a durable mailbox. A
+	// local sub has no host, so it never matches.
+	if s.store != nil {
+		coll, err := s.store.Get(super.Collection)
+		if err != nil || !slices.Contains(coll.Config().Subs, collection.SubRef{Host: ev.Collection.Host, Name: ev.Collection.Collection}) {
+			s.stats.cycleRefusals.Inc()
+			cancel := forwardOp(protocol.MsgCancelProfile, auxProfileID(super, ev.Collection), nil)
+			if from == ev.Collection.Host {
+				s.sendOrQueue(ctx, cancel)
+			} else if dest, env, err := s.forwardEnvelope(cancel); err == nil {
+				_ = s.sendToServer(ctx, dest, env)
+			}
+			if err != nil {
+				return fmt.Errorf("core: transform target %s: %w", transformTo, err)
+			}
+			return nil
+		}
 	}
 	s.stats.transforms.Inc()
 	_, err = s.publishEvent(ctx, transformed)
 	return err
-}
-
-func asCycleError(err error, target **event.CycleError) bool {
-	for err != nil {
-		if ce, ok := err.(*event.CycleError); ok {
-			*target = ce
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -416,43 +403,31 @@ func (s *Service) SyncAuxProfiles(ctx context.Context) error {
 		return nil
 	}
 	// Desired set: one aux profile per (super, remote sub) pair.
-	type auxKey struct{ super, sub event.QName }
-	desired := make(map[auxKey]bool)
+	desired := make(map[string]bool)
 	for _, coll := range s.store.All() {
 		cfg := coll.Config()
 		super := event.QName{Host: s.name, Collection: cfg.Name}
 		for _, ref := range cfg.RemoteSubs() {
-			sub := event.QName{Host: ref.Host, Collection: ref.Name}
-			desired[auxKey{super: super, sub: sub}] = true
+			desired[auxProfileID(super, event.QName{Host: ref.Host, Collection: ref.Name})] = true
 		}
 	}
-
 	s.mu.Lock()
-	existing := maps.Clone(s.forwardedAux)
+	sent := s.forwardedAux
+	s.forwardedAux = desired
 	s.mu.Unlock()
-
-	// Install missing.
-	for key := range desired {
-		id := auxProfileID(key.super, key.sub)
-		if existing[id] {
-			delete(existing, id) // still desired
-			continue
+	for id := range desired {
+		if !sent[id] {
+			s.stats.auxInstallsSent.Inc()
+			s.sendOrQueue(ctx, forwardOp(protocol.MsgForwardProfile, id, nil))
 		}
-		s.mu.Lock()
-		s.forwardedAux[id] = true
-		s.mu.Unlock()
-		s.stats.auxInstallsSent.Inc()
-		s.sendOrQueue(ctx, forwardOp(protocol.MsgForwardProfile, id, nil))
 	}
-
 	// Cancel the leftovers (references removed by restructuring). A cancel
 	// whose install still waits parks behind it; both are idempotent.
-	for id := range existing {
-		s.mu.Lock()
-		delete(s.forwardedAux, id)
-		s.mu.Unlock()
-		s.stats.auxCancelsSent.Inc()
-		s.sendOrQueue(ctx, forwardOp(protocol.MsgCancelProfile, id, nil))
+	for id := range sent {
+		if !desired[id] {
+			s.stats.auxCancelsSent.Inc()
+			s.sendOrQueue(ctx, forwardOp(protocol.MsgCancelProfile, id, nil))
+		}
 	}
 	return nil
 }

@@ -229,6 +229,37 @@ func TestForwardedEventValidation(t *testing.T) {
 	}
 }
 
+// A refused forward whose sub-collection names a host other than its
+// sender gets one inline cancel and no destination mailbox: a host name
+// read off the wire must not leave a durable mailbox that is retried, and
+// counted as pending, for as long as the name fails to resolve.
+func TestRefusedForwardFromAnotherHostParksNothing(t *testing.T) {
+	s, tr, store := newRoutedService(t)
+	_, _ = store.Add(collection.Config{Name: "D", Public: true})
+	paris := listenPeer(t, tr, "addr:Paris")
+	for _, host := range []string{"Nowhere", "Paris"} {
+		ev := event.New("e-"+host, event.TypeCollectionRebuilt, event.QName{Host: host, Collection: "X"}, 1, nil, time.Now())
+		raw, err := ev.MarshalXMLBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := protocol.MustEnvelope("London", protocol.MsgEvent,
+			&protocol.EventPayload{TransformTo: "Hamilton.D", Event: protocol.Wrap(raw)})
+		if err := s.HandleEventEnvelope(context.Background(), env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().CycleRefusals; got != 2 {
+		t.Errorf("refusals counted = %d, want 2", got)
+	}
+	for _, mb := range s.Delivery().ExportMailboxes() {
+		t.Errorf("mailbox %s left behind holding %d entries", mb.Client, len(mb.Entries))
+	}
+	if got := len(paris.byType(protocol.MsgCancelProfile)); got != 1 {
+		t.Errorf("Paris received %d cancels, want 1", got)
+	}
+}
+
 func TestAuxForwardCycleGuardAtSender(t *testing.T) {
 	s, tr, _ := newRoutedService(t)
 	london := listenPeer(t, tr, "addr:London")

@@ -279,7 +279,8 @@ type ServiceStats struct {
 	HealthAlerts int64
 }
 
-// New assembles a Service from cfg.
+// New assembles a Service from cfg. Forwards recovered from a durable
+// pipeline stay parked until the serving role calls ResumeForwards.
 func New(cfg Config) (*Service, error) {
 	if cfg.ServerName == "" {
 		return nil, errors.New("core: ServerName required")
@@ -337,7 +338,6 @@ func New(cfg Config) (*Service, error) {
 		s.delivery = p
 		s.ownsDelivery = true
 	}
-	s.ResumeForwards()
 	return s, nil
 }
 

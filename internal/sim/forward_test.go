@@ -252,3 +252,45 @@ func TestParkedCancelSurvivesPromotion(t *testing.T) {
 	c.HealServers("Hamilton", "London")
 	await(t, c, "the cancel", func() bool { return c.Service("London").AuxProfileCount() == 0 })
 }
+
+// A standby restarted on its mailbox directory recovers the forwards the
+// stream replicated to it and leaves them parked: they are its primary's to
+// send until a promotion resumes them. A passive standby that sent them
+// could land a stale cancel after the primary's re-install.
+func TestRestartedStandbyHoldsReplicatedForwards(t *testing.T) {
+	c := superSubCluster(t, true)
+	dcfg := delivery.Config{Dir: t.TempDir(), FlushInterval: time.Millisecond, RetryInterval: 5 * time.Millisecond}
+	standby, err := c.AddStandby("London", func(cfg *core.Config) { cfg.DeliveryConfig = &dcfg })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.PartitionServers("Hamilton", "London")
+	buildE(t, c, 1)
+	if got := standby.Service().PendingForwards(); got != 1 {
+		t.Fatalf("forwards replicated to the standby = %d, want 1", got)
+	}
+	if err := standby.Service().Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.HealServers("Hamilton", "London")
+	restarted, err := core.New(core.Config{ServerName: "London", ServerAddr: ServerAddr("Londonb"), Transport: c.Net,
+		Resolver: core.StaticResolver{"Hamilton": ServerAddr("Hamilton")}, DeliveryConfig: &dcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = restarted.Close() })
+	time.Sleep(100 * time.Millisecond) // twenty retry intervals
+	if err := restarted.DrainDeliveries(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(context.Background())
+	if got := len(c.Notifications("Hamilton", "alice")); got != 0 {
+		t.Errorf("the restarted standby sent its primary's forward: alice notified %d times", got)
+	}
+	if got := restarted.PendingForwards(); got != 1 {
+		t.Errorf("forwards recovered by the restarted standby = %d, want 1", got)
+	}
+}
