@@ -49,7 +49,7 @@ var serviceFamilies = []struct {
 	{Declare(KindCounter, "gsalert_core_notify_failures_total", "Notifications refused by the delivery pipeline."), func(s *svcStats) float64 { return float64(s.NotifyFailures) }},
 	{Declare(KindCounter, "gsalert_core_aux_forwards_total", "Events forwarded over the GS network (aux profiles)."), func(s *svcStats) float64 { return float64(s.AuxForwards) }},
 	{Declare(KindCounter, "gsalert_core_transforms_total", "Events renamed to a super-collection."), func(s *svcStats) float64 { return float64(s.Transforms) }},
-	{Declare(KindCounter, "gsalert_core_cycle_refusals_total", "Aux-profile installs refused by the cycle guard."), func(s *svcStats) float64 { return float64(s.CycleRefusals) }},
+	{Declare(KindCounter, "gsalert_core_cycle_refusals_total", "Forwarded events refused: transform cycles and dangling forwards."), func(s *svcStats) float64 { return float64(s.CycleRefusals) }},
 	{Declare(KindCounter, "gsalert_core_aux_installs_sent_total", "Auxiliary profile installs sent to peers."), func(s *svcStats) float64 { return float64(s.AuxInstallsSent) }},
 	{Declare(KindCounter, "gsalert_core_aux_cancels_sent_total", "Auxiliary profile cancels sent to peers."), func(s *svcStats) float64 { return float64(s.AuxCancelsSent) }},
 	{Declare(KindCounter, "gsalert_core_broadcasts_sent_total", "Events handed to the GDS for dissemination."), func(s *svcStats) float64 { return float64(s.BroadcastsSent) }},
